@@ -6,7 +6,7 @@ and Metropolis posterior sampling, a kernel-regression baseline, and an
 experiment harness for error metrics and contraction-rate checks.
 """
 
-from bmreg.data import Dataset, EmptyDatasetError, Observation
+from bmreg.data import Dataset, EmptyDatasetError
 from bmreg.inference import (
     AnnealConfig,
     FitResult,
@@ -27,7 +27,6 @@ from bmreg.kernel_regression import (
 )
 from bmreg.manifolds import (
     Circle,
-    HeatKernelConfig,
     InvalidTimeError,
     Manifold,
     Sphere,
@@ -66,7 +65,6 @@ __all__ = [
     "DegeneratePredictorsError",
     "EmptyDatasetError",
     "FitResult",
-    "HeatKernelConfig",
     "InvalidTimeError",
     "KernelFit",
     "KnownVariance",
@@ -74,7 +72,6 @@ __all__ = [
     "MarginalVariance",
     "McmcConfig",
     "NoConvergenceError",
-    "Observation",
     "PiecewiseGeodesicPath",
     "PredictorDensity",
     "PriorSpec",

@@ -53,8 +53,8 @@ def check_circle_representations(perturbation: float = 0.0) -> CheckResult:
     gaps = np.linspace(-math.pi, math.pi, 64)
     worst = 0.0
     for t in np.linspace(0.01, 5.0, 24):
-        a = circle_heat_wrapped(gaps, float(t), Circle().config) + perturbation
-        b = circle_heat_eigen(gaps, float(t), Circle().config)
+        a = circle_heat_wrapped(gaps, float(t)) + perturbation
+        b = circle_heat_eigen(gaps, float(t))
         worst = max(worst, float(np.max(np.abs(a - b))))
     return CheckResult("circle-representations", worst <= 1e-10, f"max gap {worst:.3e}")
 
@@ -66,7 +66,7 @@ def check_normalization(perturbation: float = 0.0) -> CheckResult:
         points, weights = m.quadrature()
         x = m.canonical(points[len(points) // 3])
         for t in CHECK_TIMES:
-            values = m.heat_kernel_from(t, x, points) + perturbation
+            values = m.heat_kernel_pairwise(t, x, points) + perturbation
             worst = max(worst, abs(float(values @ weights) - 1.0))
     return CheckResult("normalization", worst <= 1e-8, f"max |integral - 1| {worst:.3e}")
 
@@ -79,8 +79,8 @@ def check_semigroup(perturbation: float = 0.0) -> CheckResult:
         x = m.canonical(points[0])
         y = m.canonical(points[len(points) // 4])
         for t in CHECK_TIMES:
-            left = m.heat_kernel_from(t / 2, x, points) + perturbation
-            right = m.heat_kernel_from(t / 2, y, points) + perturbation
+            left = m.heat_kernel_pairwise(t / 2, x, points) + perturbation
+            right = m.heat_kernel_pairwise(t / 2, y, points) + perturbation
             composed = float((left * right) @ weights)
             direct = m.heat_kernel(t, x, y) + perturbation
             worst = max(worst, abs(composed - direct))
@@ -110,7 +110,7 @@ def check_positivity(perturbation: float = 0.0) -> CheckResult:
         points, _ = m.quadrature()
         x = m.canonical(points[0])
         for t in (0.01, 0.05, 0.5):
-            lowest = min(lowest, float(np.min(m.heat_kernel_from(t, x, points) + perturbation)))
+            lowest = min(lowest, float(np.min(m.heat_kernel_pairwise(t, x, points) + perturbation)))
     return CheckResult("positivity", lowest > 0.0, f"min value {lowest:.3e}")
 
 

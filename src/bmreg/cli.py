@@ -1,5 +1,5 @@
-"""Command-line surface: dataset generation, fitting, sweeps, the
-contraction-rate study, and kernel self-checks.
+"""Command-line surface: dataset generation, fitting, method comparisons,
+sweeps, the contraction-rate study, and kernel self-checks.
 
 Every option can also come from a JSON config file (--config); explicit
 flags override file values, which override the built-in defaults.  Exit
@@ -10,10 +10,10 @@ failure during inference or I/O.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,13 +23,15 @@ from bmreg.experiments import (
     CSV_HEADER,
     DEFAULTS,
     ExperimentResult,
+    comparison_cells,
     default_truth,
+    fit_method,
+    run_cells,
     run_contract,
     run_sweep,
     write_rows,
 )
-from bmreg.inference import AnnealConfig, anneal_map, fit_cbm
-from bmreg.kernel_regression import KernelFit
+from bmreg.inference import AnnealConfig
 from bmreg.manifolds import make_manifold
 from bmreg.metrics import (
     PredictorDensity,
@@ -37,7 +39,6 @@ from bmreg.metrics import (
     generate_dataset,
     theorem_rate_sidelength,
 )
-from bmreg.paths import PriorSpec
 from bmreg.posterior import KnownVariance, MarginalVariance
 
 EXIT_OK = 0
@@ -47,6 +48,8 @@ EXIT_RUNTIME_FAILURE = 3
 
 _MANIFOLDS = ("circle", "sphere", "torus")
 _METHODS = ("dbm", "cbm", "ker")
+# the estimators of `bmreg compare`, the constant-path baseline included
+_COMPARE_METHODS = ("dbm", "cbm", "ker", "const")
 
 _DEFAULTS = {
     "manifold": DEFAULTS["manifold"],
@@ -68,6 +71,9 @@ _DEFAULTS = {
     "values": None,
     "n_values": None,
 }
+# the sweep default c=0.01 over-smooths the sampler, so the contraction
+# study defaults to c=1.0
+_CONTRACT_DEFAULTS = {**_DEFAULTS, "c": 1.0}
 
 _INT_KEYS = {"n", "grid_K", "seed", "replicates", "anneal_steps", "workers"}
 _FLOAT_KEYS = {"sigma2", "marginal_A", "c", "rate_epsilon", "anneal_t0", "anneal_cool"}
@@ -77,7 +83,7 @@ class ConfigError(ValueError):
     """Bad option value or combination; maps to exit code 2."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Validated options shared by the run commands."""
 
@@ -144,7 +150,7 @@ class RunConfig:
         return KnownVariance(self.sigma2)
 
 
-def _parse_number_list(value, kind: str):
+def _parse_number_list(value, kind: str, integer: bool = False):
     """Comma-separated string or JSON list into a list of numbers."""
     if value is None:
         return None
@@ -155,11 +161,15 @@ def _parse_number_list(value, kind: str):
     else:
         raise ConfigError(f"{kind} must be a comma-separated list, got {value!r}")
     try:
-        if kind == "n-values":
-            return [int(p) for p in parts]
-        return [float(p) for p in parts]
+        numbers = [float(p) for p in parts]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {kind} entry: {exc}") from exc
+    if not integer:
+        return numbers
+    bad = [v for v in numbers if not v.is_integer()]
+    if bad:
+        raise ConfigError(f"{kind} must be integers, got {bad}")
+    return [int(v) for v in numbers]
 
 
 def _coerce(key: str, value):
@@ -178,9 +188,9 @@ def _coerce(key: str, value):
     return value
 
 
-def merge_options(args: argparse.Namespace) -> dict:
+def merge_options(args: argparse.Namespace, defaults: dict = _DEFAULTS) -> dict:
     """defaults < config file < explicit flags, with type coercion."""
-    merged = dict(_DEFAULTS)
+    merged = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path is not None:
         try:
@@ -205,23 +215,7 @@ def merge_options(args: argparse.Namespace) -> dict:
 
 
 def _run_config(merged: dict) -> RunConfig:
-    return RunConfig(
-        manifold=merged["manifold"],
-        method=merged["method"],
-        n=merged["n"],
-        sigma2=merged["sigma2"],
-        marginal_A=merged["marginal_A"],
-        c=merged["c"],
-        grid_K=merged["grid_K"],
-        rate_epsilon=merged["rate_epsilon"],
-        seed=merged["seed"],
-        replicates=merged["replicates"],
-        out=merged["out"],
-        anneal_t0=merged["anneal_t0"],
-        anneal_cool=merged["anneal_cool"],
-        anneal_steps=merged["anneal_steps"],
-        workers=merged["workers"],
-    )
+    return RunConfig(**{field.name: merged[field.name] for field in dataclasses.fields(RunConfig)})
 
 
 # -- subcommands -----------------------------------------------------------
@@ -263,28 +257,19 @@ def cmd_fit(cfg: RunConfig, dataset_path: str) -> int:
         raise ConfigError(f"cannot read dataset: {exc}") from exc
     m = data.manifold()
     f0 = default_truth(cfg.manifold)
-    density = PredictorDensity.uniform()
-    sigma = cfg.noise_model()
     out = cfg.out or "fit.json"
     rng = np.random.default_rng(cfg.seed)
-    K = cfg.segments(data.n)
 
     start = time.perf_counter()
-    if cfg.method == "dbm":
-        fit = anneal_map(data, sigma, PriorSpec.from_segments(K, cfg.c), cfg.anneal_config(), m, rng)
-        fitted = fit.path
-        payload = fit.to_dict()
-    elif cfg.method == "cbm":
-        fit = fit_cbm(data, sigma, cfg.c, cfg.anneal_config(), m, rng)
-        fitted = fit.path
-        K = fitted.knots.shape[0] - 1
+    fitted, K, fit = fit_method(
+        cfg.method, data, cfg.noise_model(), cfg.segments(data.n), cfg.c, m, rng, cfg.anneal_config()
+    )
+    if fit is not None:
         payload = fit.to_dict()
     else:
-        fitted = KernelFit.from_rule(data)
-        K = 0
-        payload = {"method": "ker", "bandwidth": fitted.bandwidth}
+        payload = {"bandwidth": fitted.bandwidth}
         print(f"bandwidth={repr(fitted.bandwidth)}")
-    l1 = dq_distance(fitted, f0, 1.0, density, m)
+    l1 = dq_distance(fitted, f0, 1.0, PredictorDensity.uniform(), m)
     runtime_ms = int(round((time.perf_counter() - start) * 1000.0))
 
     payload["method"] = cfg.method
@@ -308,14 +293,32 @@ def cmd_fit(cfg: RunConfig, dataset_path: str) -> int:
     return EXIT_OK
 
 
+def cmd_compare(cfg: RunConfig) -> int:
+    out = cfg.out or "comparison.csv"
+    cells = comparison_cells(
+        _COMPARE_METHODS,
+        base_seed=cfg.seed,
+        replicates=cfg.replicates,
+        manifold=cfg.manifold,
+        n=cfg.n,
+        K=cfg.segments(cfg.n),
+        c=cfg.c,
+        sigma2=cfg.sigma2,
+        anneal=cfg.anneal_config(),
+    )
+    rows = run_cells(cells, cfg.workers)
+    write_rows(out, rows)
+    for method in _COMPARE_METHODS:
+        errors = [r.l1_error for r in rows if r.method == method]
+        print(f"{method} mean_l1={repr(float(np.mean(errors)))}")
+    print(f"wrote {len(rows)} rows -> {out}")
+    return EXIT_OK
+
+
 def cmd_sweep(cfg: RunConfig, axis, values) -> int:
     if axis is None or values is None:
         raise ConfigError("sweep needs --axis and --values")
-    values = _parse_number_list(values, "values")
-    if axis == "K":
-        values = [int(v) for v in values]
-    elif axis == "n":
-        values = [int(v) for v in values]
+    values = _parse_number_list(values, "values", integer=axis in ("K", "n"))
     out = cfg.out or "sweep.csv"
     try:
         rows = run_sweep(
@@ -336,20 +339,17 @@ def cmd_sweep(cfg: RunConfig, axis, values) -> int:
         raise ConfigError(str(exc)) from exc
     write_rows(out, rows)
     for value in values:
-        key = {"c": "c", "K": "K", "n": "n"}[axis]
-        matching = [r.l1_error for r in rows if getattr(r, key) == value]
+        matching = [r.l1_error for r in rows if getattr(r, axis) == value]
         print(f"{axis}={value} mean_l1={repr(float(np.mean(matching)))}")
     print(f"wrote {len(rows)} rows -> {out}")
     return EXIT_OK
 
 
-def cmd_contract(cfg: RunConfig, n_values, c_given: bool) -> int:
-    n_values = _parse_number_list(n_values, "n-values")
+def cmd_contract(cfg: RunConfig, n_values) -> int:
+    n_values = _parse_number_list(n_values, "n-values", integer=True)
     if n_values is None:
         raise ConfigError("contract needs --n-values")
     epsilon = cfg.rate_epsilon if cfg.rate_epsilon is not None else 0.05
-    # the sweep default c=0.01 over-smooths the sampler; unless set, use 1.0
-    c = cfg.c if c_given else 1.0
     out = cfg.out or "contract.csv"
     try:
         report = run_contract(
@@ -360,7 +360,7 @@ def cmd_contract(cfg: RunConfig, n_values, c_given: bool) -> int:
             workers=cfg.workers,
             manifold=cfg.manifold,
             sigma2=cfg.sigma2,
-            c=c,
+            c=cfg.c,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -410,6 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", parents=[shared], help="fit one estimator to a dataset CSV")
     fit.add_argument("dataset", help="dataset CSV path")
 
+    sub.add_parser("compare", parents=[shared], help="compare dbm, cbm, ker and const on shared datasets")
+
     sweep = sub.add_parser("sweep", parents=[shared], help="run a parameter sweep")
     sweep.add_argument("--axis", choices=("c", "K", "n"))
     sweep.add_argument("--values", help="comma-separated axis values")
@@ -440,17 +442,18 @@ def main(argv=None) -> int:
         return cmd_check_kernels(args.perturbation)
 
     try:
-        merged = merge_options(args)
+        merged = merge_options(args, _CONTRACT_DEFAULTS if args.command == "contract" else _DEFAULTS)
         cfg = _run_config(merged)
         if args.command == "generate":
             return cmd_generate(cfg)
         if args.command == "fit":
             return cmd_fit(cfg, args.dataset)
+        if args.command == "compare":
+            return cmd_compare(cfg)
         if args.command == "sweep":
             return cmd_sweep(cfg, merged["axis"], merged["values"])
         if args.command == "contract":
-            c_given = args.c is not None or merged["c"] != _DEFAULTS["c"]
-            return cmd_contract(cfg, merged["n_values"], c_given)
+            return cmd_contract(cfg, merged["n_values"])
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Observation containers and the dataset CSV format.
+"""The observation container and the dataset CSV format.
 
 A dataset is n pairs (t_i, x_i) with t_i in [0, 1] and x_i a manifold point.
 The CSV layout is a header ``t,coord1[,coord2,coord3]`` followed by one row
@@ -24,12 +24,6 @@ class EmptyDatasetError(ValueError):
     """Dataset with zero observations."""
 
 
-@dataclass(frozen=True)
-class Observation:
-    t: float
-    point: object
-
-
 @dataclass
 class Dataset:
     """Stacked observations on one manifold."""
@@ -45,12 +39,17 @@ class Dataset:
             raise EmptyDatasetError("dataset has no observations")
         if self.ts.ndim != 1 or len(self.points) != len(self.ts):
             raise ValueError("ts and points must have matching leading length")
+        if not (np.all(np.isfinite(self.ts)) and np.all(np.isfinite(self.points))):
+            raise ValueError("observation times and points must be finite")
         if np.min(self.ts) < 0.0 or np.max(self.ts) > 1.0:
             raise ValueError("observation times must lie in [0, 1]")
         cols = _COORD_COLUMNS[self.manifold_kind]
         got = 1 if self.points.ndim == 1 else self.points.shape[1]
         if got != cols:
             raise ValueError(f"{self.manifold_kind} points need {cols} coordinates, got {got}")
+        # the tolerance of manifolds.unit_vector
+        if self.manifold_kind == "sphere" and np.any(np.abs(np.linalg.norm(self.points, axis=1) - 1.0) > 1e-6):
+            raise ValueError("sphere points must be unit vectors")
 
     @property
     def n(self) -> int:
@@ -58,9 +57,6 @@ class Dataset:
 
     def manifold(self) -> Manifold:
         return make_manifold(self.manifold_kind)
-
-    def observations(self) -> list[Observation]:
-        return [Observation(float(t), p) for t, p in zip(self.ts, self.points)]
 
     # -- CSV -------------------------------------------------------------
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from bmreg.data import Dataset
 from bmreg.inference import (
     AnnealConfig,
     K_FINE,
@@ -27,7 +28,7 @@ from bmreg.inference import (
     mh_sample,
 )
 from bmreg.kernel_regression import KernelFit, frechet_mean_weighted
-from bmreg.manifolds import make_manifold
+from bmreg.manifolds import Manifold, make_manifold
 from bmreg.metrics import (
     PredictorDensity,
     dq_distance,
@@ -35,7 +36,7 @@ from bmreg.metrics import (
     theorem_rate_sidelength,
 )
 from bmreg.paths import PriorSpec, constant_path
-from bmreg.posterior import KnownVariance, MarginalVariance
+from bmreg.posterior import KnownVariance, MarginalVariance, SigmaMode
 
 # defaults for the harness and the CLI
 DEFAULTS = {
@@ -159,12 +160,42 @@ def default_mcmc_config(n: int, K: int, sigma2: float) -> McmcConfig:
     )
 
 
-def run_cell(cell: ExperimentCell):
-    """Run one cell; returns (result row, fitted object).
+def fit_method(
+    method: str,
+    data: Dataset,
+    sigma: SigmaMode,
+    K: int,
+    c: float,
+    m: Manifold,
+    rng: np.random.Generator,
+    anneal: AnnealConfig = AnnealConfig(),
+    mcmc: McmcConfig | None = None,
+):
+    """Fit one estimator; returns (fitted object, the row's K, FitResult or None).
 
     The fitted object is the estimated path (dbm/cbm/const), the kernel fit
-    callable (ker), or the list of posterior samples (mcmc).
+    callable (ker), or the posterior samples (mcmc, run with the chain
+    settings mcmc).  The row's K is the knot-interval count the method used,
+    0 for the grid-free ker and const.
     """
+    if method == "dbm":
+        fit = anneal_map(data, sigma, PriorSpec.from_segments(K, c), anneal, m, rng)
+        return fit.path, K, fit
+    if method == "cbm":
+        fit = fit_cbm(data, sigma, c, anneal, m, rng)
+        return fit.path, K_FINE, fit
+    if method == "ker":
+        return KernelFit.from_rule(data), 0, None
+    if method == "const":
+        center = frechet_mean_weighted(data.points, np.ones(data.n), m)
+        return constant_path(m, center), 0, None
+    if method == "mcmc":
+        return mh_sample(data, sigma, PriorSpec.from_segments(K, c), mcmc, m, rng), K, None
+    raise ValueError(f"unknown method {method!r}")
+
+
+def run_cell(cell: ExperimentCell):
+    """Run one cell; returns (result row, fitted object of fit_method)."""
     m = make_manifold(cell.manifold)
     f0 = default_truth(cell.manifold)
     density = PredictorDensity.uniform()
@@ -178,22 +209,8 @@ def run_cell(cell: ExperimentCell):
     )
     rng = np.random.default_rng(cell.seed)
     start = time.perf_counter()
-    if cell.method == "dbm":
-        fit = anneal_map(data, sigma, PriorSpec.from_segments(cell.K, cell.c), cell.anneal, m, rng)
-        fitted = fit.path
-    elif cell.method == "cbm":
-        fit = fit_cbm(data, sigma, cell.c, cell.anneal, m, rng)
-        fitted = fit.path
-    elif cell.method == "ker":
-        fitted = KernelFit.from_rule(data)
-    elif cell.method == "const":
-        center = frechet_mean_weighted(data.points, np.ones(data.n), m)
-        fitted = constant_path(m, center)
-    elif cell.method == "mcmc":
-        cfg = cell.mcmc or default_mcmc_config(cell.n, cell.K, cell.sigma2)
-        fitted = mh_sample(data, sigma, PriorSpec.from_segments(cell.K, cell.c), cfg, m, rng)
-    else:
-        raise ValueError(f"unknown method {cell.method!r}")
+    mcmc = cell.mcmc or default_mcmc_config(cell.n, cell.K, cell.sigma2)
+    fitted, K, _ = fit_method(cell.method, data, sigma, cell.K, cell.c, m, rng, cell.anneal, mcmc)
     if cell.method == "mcmc":
         error = float(np.mean([dq_distance(p, f0, 1.0, density, m) for p in fitted]))
     else:
@@ -203,7 +220,7 @@ def run_cell(cell: ExperimentCell):
         run_id=cell.run_id,
         method=cell.method,
         n=cell.n,
-        K=cell.K if cell.method in ("dbm", "mcmc") else (K_FINE if cell.method == "cbm" else 0),
+        K=K,
         c=cell.c,
         sigma2=cell.sigma2,
         seed=cell.seed,

@@ -25,7 +25,7 @@ import numpy as np
 from bmreg.data import Dataset, EmptyDatasetError
 from bmreg.manifolds import Manifold
 from bmreg.paths import PiecewiseGeodesicPath, PriorSpec, sample_prior_path
-from bmreg.posterior import KnownVariance, MarginalVariance, SigmaMode
+from bmreg.posterior import SigmaMode
 
 # observations within this distance of a knot time vote for its initial value
 INIT_WINDOW = 0.05
@@ -178,15 +178,7 @@ class _KnotPosterior:
         self.step_time = prior.step_time
         self.const = -math.log(m.volume)
         self.prior_terms = np.log(m.heat_kernel_pairwise(self.step_time, self.knots[:-1], self.knots[1:]))
-        if isinstance(sigma, MarginalVariance):
-            times, weights = sigma.quadrature()
-            span = float(np.sum(weights))
-            self._term_fn = lambda values, pts: self._marginal_terms(times, weights, span, values, pts)
-        elif isinstance(sigma, KnownVariance):
-            s2 = sigma.sigma2
-            self._term_fn = lambda values, pts: np.log(m.heat_kernel_pairwise(s2, values, pts))
-        elif sigma is not None:
-            raise TypeError(f"unsupported sigma mode {sigma!r}")
+        self.sigma = sigma
         if data is None:
             self.points = None
             self.obs_terms = np.zeros(0)
@@ -199,13 +191,7 @@ class _KnotPosterior:
             self.points = m.stack(data.points)
             self.by_interval = [np.flatnonzero(interval == j) for j in range(self.K)]
             values = m.interpolate_pairwise(self.knots[interval], self.knots[interval + 1], self.fractions)
-            self.obs_terms = self._term_fn(values, self.points)
-
-    def _marginal_terms(self, times, weights, span, values, pts):
-        acc = np.zeros(pts.shape[0])
-        for t_j, w_j in zip(times, weights):
-            acc = acc + w_j * self.m.heat_kernel_pairwise(float(t_j), values, pts)
-        return np.log(acc / span)
+            self.obs_terms = sigma.log_density(m, values, self.points)
 
     def total(self) -> float:
         return float(self.const + np.sum(self.prior_terms) + np.sum(self.obs_terms))
@@ -238,7 +224,7 @@ class _KnotPosterior:
         if chunks:
             idx_all = np.concatenate([c[0] for c in chunks])
             vals_all = np.concatenate([c[1] for c in chunks])
-            new_terms = self._term_fn(vals_all, self.points[idx_all])
+            new_terms = self.sigma.log_density(self.m, vals_all, self.points[idx_all])
             delta += float(np.sum(new_terms) - np.sum(self.obs_terms[idx_all]))
         else:
             idx_all = np.zeros(0, dtype=int)

@@ -64,7 +64,7 @@ def frechet_mean_weighted(
     if m.kind == "circle":
         x = float(x)
     for _ in range(max_iterations):
-        step = (w @ m.log_map_many(x, pts)) / total
+        step = (w @ m.log_map(x, pts)) / total
         if float(np.linalg.norm(step)) <= tolerance:
             return x
         x = m.exp_map(x, step)

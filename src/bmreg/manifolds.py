@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,27 +65,12 @@ def unit_vector(v) -> np.ndarray:
     return v / norm
 
 
-@dataclass(frozen=True)
-class HeatKernelConfig:
-    """Series-evaluation settings shared by all kernels.
-
-    truncation_order caps the number of series terms; series_tolerance stops
-    the sums adaptively once the next term is below it;
-    representation_switch_time picks image sum (below) vs eigen sum (at or
-    above) on the circle.
-    """
-
-    truncation_order: int = 200
-    series_tolerance: float = 1e-14
-    representation_switch_time: float = 1.0
-
-    def __post_init__(self):
-        if self.truncation_order < 1:
-            raise ValueError("truncation_order must be >= 1")
-        if not 0.0 < self.series_tolerance < 1e-8:
-            raise ValueError("series_tolerance must be in (0, 1e-8)")
-        if self.representation_switch_time <= 0.0:
-            raise ValueError("representation_switch_time must be positive")
+# Series settings shared by all kernels: at most TRUNCATION_ORDER terms, an
+# adaptive stop once the next term falls below SERIES_TOLERANCE, and on the
+# circle the image sum below SWITCH_TIME, the eigenfunction sum at or above.
+TRUNCATION_ORDER = 200
+SERIES_TOLERANCE = 1e-14
+SWITCH_TIME = 1.0
 
 
 def _check_time(t: float) -> float:
@@ -96,27 +80,27 @@ def _check_time(t: float) -> float:
     return t
 
 
-def circle_heat_wrapped(gap, t, config: HeatKernelConfig = HeatKernelConfig()):
+def circle_heat_wrapped(gap, t):
     """Circle heat kernel via the wrapped-Gaussian image sum.
 
     (1/sqrt(2*pi*t)) * sum_k exp(-(gap + 2*pi*k)^2 / (2*t)), truncated once
-    the next image term falls below series_tolerance.  Accurate for small t.
+    the next image term falls below SERIES_TOLERANCE.  Accurate for small t.
     """
     t = _check_time(t)
     gap = np.abs(signed_angle_gap(0.0, gap))
     pref = 1.0 / math.sqrt(TWO_PI * t)
     total = np.exp(-np.square(gap) / (2.0 * t))
-    for k in range(1, config.truncation_order + 1):
+    for k in range(1, TRUNCATION_ORDER + 1):
         shift = TWO_PI * k
         term = np.exp(-np.square(gap + shift) / (2.0 * t))
         term = term + np.exp(-np.square(gap - shift) / (2.0 * t))
         total = total + term
-        if pref * np.max(term) < config.series_tolerance:
+        if pref * np.max(term) < SERIES_TOLERANCE:
             break
     return np.maximum(pref * total, _POSITIVE_FLOOR)
 
 
-def circle_heat_eigen(gap, t, config: HeatKernelConfig = HeatKernelConfig()):
+def circle_heat_eigen(gap, t):
     """Circle heat kernel via the eigenfunction sum.
 
     (1/(2*pi)) * (1 + 2 * sum_m exp(-m^2 t / 2) cos(m*gap)); accurate for
@@ -125,10 +109,10 @@ def circle_heat_eigen(gap, t, config: HeatKernelConfig = HeatKernelConfig()):
     t = _check_time(t)
     gap = np.asarray(gap, dtype=float)
     total = np.ones(gap.shape)
-    for m in range(1, config.truncation_order + 1):
+    for m in range(1, TRUNCATION_ORDER + 1):
         damp = 2.0 * math.exp(-0.5 * m * m * t)
         total = total + damp * np.cos(m * gap)
-        if damp / TWO_PI < config.series_tolerance:
+        if damp / TWO_PI < SERIES_TOLERANCE:
             break
     result = np.maximum(total / TWO_PI, _POSITIVE_FLOOR)
     if gap.ndim == 0:
@@ -136,7 +120,14 @@ def circle_heat_eigen(gap, t, config: HeatKernelConfig = HeatKernelConfig()):
     return result
 
 
-def sphere_heat_series(cos_gamma, t, config: HeatKernelConfig = HeatKernelConfig()):
+def _circle_heat(gap, t):
+    """Circle kernel by the representation suited to t."""
+    if t < SWITCH_TIME:
+        return circle_heat_wrapped(gap, t)
+    return circle_heat_eigen(gap, t)
+
+
+def sphere_heat_series(cos_gamma, t):
     """Sphere heat kernel as a Legendre series in cos of the geodesic angle.
 
     sum_l ((2l+1)/(4*pi)) * exp(-l*(l+1)*t/2) * P_l(cos_gamma) with P_l by the
@@ -148,10 +139,10 @@ def sphere_heat_series(cos_gamma, t, config: HeatKernelConfig = HeatKernelConfig
 
     coefs = []
     prev = math.inf
-    for ell in range(config.truncation_order + 1):
+    for ell in range(TRUNCATION_ORDER + 1):
         c = (2 * ell + 1) / (4.0 * math.pi) * math.exp(-0.5 * ell * (ell + 1) * t)
         coefs.append(c)
-        if ell >= 1 and c < config.series_tolerance and c <= prev:
+        if ell >= 1 and c < SERIES_TOLERANCE and c <= prev:
             break
         prev = c
 
@@ -171,15 +162,16 @@ def sphere_heat_series(cos_gamma, t, config: HeatKernelConfig = HeatKernelConfig
 
 
 class Manifold(ABC):
-    """Shared interface: geodesics, heat kernel, sampling, quadrature."""
+    """Shared interface: geodesics, heat kernel, sampling, quadrature.
+
+    Geodesic operations broadcast: each takes single points or stacked
+    point arrays, and pairs two arrays row by row.
+    """
 
     kind: str
     dim: int
     volume: float
     diameter: float
-
-    def __init__(self, config: HeatKernelConfig | None = None):
-        self.config = config if config is not None else HeatKernelConfig()
 
     # -- points ------------------------------------------------------------
 
@@ -198,17 +190,14 @@ class Manifold(ABC):
     # -- geodesics -----------------------------------------------------------
 
     @abstractmethod
-    def distance(self, x, y) -> float:
-        """Geodesic distance."""
+    def distance(self, xs, ys):
+        """Geodesic distance between points or rows of stacked points."""
 
     @abstractmethod
-    def distance_pairwise(self, xs, ys) -> np.ndarray:
-        """Row-wise geodesic distances between two stacked point arrays."""
-
-    @abstractmethod
-    def interpolate(self, x, y, s: float):
+    def interpolate_pairwise(self, xs, ys, s):
         """Point a fraction s in [0, 1] along the minimizing geodesic x->y.
 
+        Takes single points or stacked rows; s may be scalar or one per row.
         Antipodal pairs take a documented deterministic tie-break rather than
         raising: counterclockwise arc on the circle (per coordinate on the
         torus); on the sphere the great circle through the axis-fixed fallback
@@ -216,34 +205,22 @@ class Manifold(ABC):
         """
 
     @abstractmethod
-    def interpolate_pairwise(self, xs, ys, s) -> np.ndarray:
-        """Vectorized interpolate along rows; s may be scalar or array."""
-
-    @abstractmethod
-    def log_map(self, x, y):
-        """Tangent vector at x pointing to y with length dist(x, y)."""
+    def log_map(self, x, ys):
+        """Tangent vectors at x pointing to ys, of length dist(x, y)."""
 
     @abstractmethod
     def exp_map(self, x, v):
         """Geodesic exponential of tangent vector v at x."""
 
-    def log_map_many(self, x, ys) -> np.ndarray:
-        """Tangent vectors at x pointing to each stacked point of ys."""
-        return np.stack([np.asarray(self.log_map(x, y), dtype=float) for y in ys])
-
     # -- heat kernel ---------------------------------------------------------
 
     @abstractmethod
     def heat_kernel(self, t: float, x, y) -> float:
-        """p_t(x, y) > 0; symmetric in x, y."""
-
-    @abstractmethod
-    def heat_kernel_from(self, t: float, x, ys) -> np.ndarray:
-        """p_t(x, y_i) for a stacked array of points ys."""
+        """p_t(x, y) > 0 for two single points; symmetric in x, y."""
 
     @abstractmethod
     def heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
-        """Row-wise p_t(x_i, y_i) for stacked point arrays."""
+        """Row-wise p_t(x_i, y_i); a single point broadcasts against rows."""
 
     @abstractmethod
     def heat_kernel_cross(self, t: float, xs, ys) -> np.ndarray:
@@ -259,9 +236,9 @@ class Manifold(ABC):
     def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
         """Independent draws, one per row of centers."""
 
-    @abstractmethod
     def sample_uniform(self, rng: np.random.Generator):
         """One draw from the normalized volume measure."""
+        return self.sample_uniform_many(1, rng)[0]
 
     @abstractmethod
     def sample_uniform_many(self, n: int, rng: np.random.Generator):
@@ -276,20 +253,14 @@ class Manifold(ABC):
         level scales the default node counts; weights sum to the volume.
         """
 
-    def integrate(self, values: np.ndarray, weights: np.ndarray) -> float:
-        return float(np.dot(np.asarray(values, dtype=float), weights))
-
 
 class Circle(Manifold):
     """Unit circle; points are angles in [0, 2*pi)."""
 
     kind = "circle"
     dim = 1
-
-    def __init__(self, config: HeatKernelConfig | None = None):
-        super().__init__(config)
-        self.volume = TWO_PI
-        self.diameter = math.pi
+    volume = TWO_PI
+    diameter = math.pi
 
     def canonical(self, point):
         theta = float(point)
@@ -298,58 +269,38 @@ class Circle(Manifold):
         return wrap_angle(theta)
 
     def points_close(self, x, y, tol: float = 1e-12) -> bool:
-        return self.distance(x, y) <= tol
+        return bool(self.distance(x, y) <= tol)
 
     def stack(self, points) -> np.ndarray:
         return np.asarray(points, dtype=float)
 
-    def distance(self, x, y) -> float:
-        return abs(signed_angle_gap(x, y))
-
-    def distance_pairwise(self, xs, ys) -> np.ndarray:
+    def distance(self, xs, ys):
         return np.abs(signed_angle_gap(np.asarray(xs, dtype=float), ys))
 
-    def interpolate(self, x, y, s: float):
-        return wrap_angle(x + s * signed_angle_gap(x, y))
-
-    def interpolate_pairwise(self, xs, ys, s) -> np.ndarray:
+    def interpolate_pairwise(self, xs, ys, s):
         xs = np.asarray(xs, dtype=float)
         return wrap_angle(xs + np.asarray(s) * signed_angle_gap(xs, ys))
 
-    def log_map(self, x, y):
-        return signed_angle_gap(x, y)
+    def log_map(self, x, ys):
+        return signed_angle_gap(float(x), np.asarray(ys, dtype=float))
 
     def exp_map(self, x, v):
         return wrap_angle(x + v)
-
-    def log_map_many(self, x, ys) -> np.ndarray:
-        return signed_angle_gap(float(x), np.asarray(ys, dtype=float))
-
-    def heat_kernel(self, t: float, x, y) -> float:
-        return float(self.heat_kernel_from(t, x, np.asarray(y, dtype=float)))
 
     # Kernel gaps use |y - x| of the raw difference rather than the signed
     # wrap: subtraction is exactly antisymmetric in floats, so the gap (and
     # hence the kernel) is bitwise symmetric under swapping x and y.  The
     # series reduce mod 2*pi themselves, so unwrapped gaps are fine.
 
-    def heat_kernel_from(self, t: float, x, ys) -> np.ndarray:
-        gap = np.abs(np.asarray(ys, dtype=float) - float(x))
-        if t < self.config.representation_switch_time:
-            return circle_heat_wrapped(gap, t, self.config)
-        return circle_heat_eigen(gap, t, self.config)
+    def heat_kernel(self, t: float, x, y) -> float:
+        return float(_circle_heat(np.abs(np.asarray(y, dtype=float) - float(x)), t))
 
     def heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
-        gap = np.abs(np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float))
-        if t < self.config.representation_switch_time:
-            return circle_heat_wrapped(gap, t, self.config)
-        return circle_heat_eigen(gap, t, self.config)
+        return _circle_heat(np.abs(np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float)), t)
 
     def heat_kernel_cross(self, t: float, xs, ys) -> np.ndarray:
         gap = np.abs(np.asarray(xs, dtype=float)[:, None] - np.asarray(ys, dtype=float)[None, :])
-        if t < self.config.representation_switch_time:
-            return circle_heat_wrapped(gap, t, self.config)
-        return circle_heat_eigen(gap, t, self.config)
+        return _circle_heat(gap, t)
 
     def sample_heat_kernel(self, t: float, x, rng: np.random.Generator):
         t = _check_time(t)
@@ -359,9 +310,6 @@ class Circle(Manifold):
         t = _check_time(t)
         centers = np.asarray(centers, dtype=float)
         return wrap_angle(centers + math.sqrt(t) * rng.standard_normal(centers.shape))
-
-    def sample_uniform(self, rng: np.random.Generator):
-        return float(rng.uniform(0.0, TWO_PI))
 
     def sample_uniform_many(self, n: int, rng: np.random.Generator):
         return rng.uniform(0.0, TWO_PI, size=n)
@@ -389,13 +337,12 @@ class Sphere(Manifold):
 
     kind = "sphere"
     dim = 2
+    volume = 4.0 * math.pi
+    diameter = math.pi
     # below this sine of the geodesic angle the direction is degenerate
     _DEGENERATE = 1e-9
 
-    def __init__(self, config: HeatKernelConfig | None = None):
-        super().__init__(config)
-        self.volume = 4.0 * math.pi
-        self.diameter = math.pi
+    def __init__(self):
         self._cdf_cache: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def canonical(self, point):
@@ -410,41 +357,19 @@ class Sphere(Manifold):
             arr = arr.reshape(1, 3)
         return arr
 
-    def distance(self, x, y) -> float:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return math.atan2(float(np.linalg.norm(np.cross(x, y))), float(np.dot(x, y)))
-
-    def distance_pairwise(self, xs, ys) -> np.ndarray:
+    def distance(self, xs, ys):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         cross = np.linalg.norm(np.cross(xs, ys), axis=-1)
         dot = np.sum(xs * ys, axis=-1)
         return np.arctan2(cross, dot)
 
-    def _direction(self, x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
-        """Unit tangent at x toward y; fallback axis direction when degenerate."""
-        if math.sin(gamma) < self._DEGENERATE:
-            e1, _ = _sphere_frame(x)
-            return e1
-        u = y - math.cos(gamma) * x
-        return u / np.linalg.norm(u)
-
-    def interpolate(self, x, y, s: float):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        gamma = self.distance(x, y)
-        if gamma < self._DEGENERATE:
-            return x.copy()
-        u = self._direction(x, y, gamma)
-        out = math.cos(s * gamma) * x + math.sin(s * gamma) * u
-        return out / np.linalg.norm(out)
-
-    def interpolate_pairwise(self, xs, ys, s) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+    def interpolate_pairwise(self, xs, ys, s):
+        single = np.ndim(xs) == 1
+        xs = self.stack(xs)
+        ys = self.stack(ys)
         s = np.broadcast_to(np.asarray(s, dtype=float), xs.shape[:1])
-        gamma = self.distance_pairwise(xs, ys)
+        gamma = self.distance(xs, ys)
         sin_g = np.sin(gamma)
         degenerate = sin_g < self._DEGENERATE
         u = ys - np.cos(gamma)[:, None] * xs
@@ -456,15 +381,23 @@ class Sphere(Manifold):
         ang = s * gamma
         out = np.cos(ang)[:, None] * xs + np.sin(ang)[:, None] * u
         out[near_start] = xs[near_start]
-        return out / np.linalg.norm(out, axis=1, keepdims=True)
+        out = out / np.linalg.norm(out, axis=1, keepdims=True)
+        return out[0] if single else out
 
-    def log_map(self, x, y):
+    def log_map(self, x, ys):
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        gamma = self.distance(x, y)
-        if gamma < self._DEGENERATE:
-            return np.zeros(3)
-        return gamma * self._direction(x, y, gamma)
+        single = np.ndim(ys) == 1
+        ys = self.stack(ys)
+        gamma = self.distance(np.broadcast_to(x, ys.shape), ys)
+        u = ys - np.cos(gamma)[:, None] * x[None, :]
+        degenerate = np.sin(gamma) < self._DEGENERATE
+        if np.any(degenerate):
+            e1, _ = _sphere_frame(x)
+            u[degenerate] = e1
+        u = u / np.linalg.norm(u, axis=1, keepdims=True)
+        out = gamma[:, None] * u
+        out[gamma < self._DEGENERATE] = 0.0
+        return out[0] if single else out
 
     def exp_map(self, x, v):
         x = np.asarray(x, dtype=float)
@@ -476,35 +409,17 @@ class Sphere(Manifold):
         out = math.cos(norm) * x + math.sin(norm) * u
         return out / np.linalg.norm(out)
 
-    def log_map_many(self, x, ys) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        ys = self.stack(ys)
-        gamma = self.distance_pairwise(np.broadcast_to(x, ys.shape), ys)
-        u = ys - np.cos(gamma)[:, None] * x[None, :]
-        degenerate = np.sin(gamma) < self._DEGENERATE
-        if np.any(degenerate):
-            e1, _ = _sphere_frame(x)
-            u[degenerate] = e1
-        u = u / np.linalg.norm(u, axis=1, keepdims=True)
-        out = gamma[:, None] * u
-        out[gamma < self._DEGENERATE] = 0.0
-        return out
-
     def heat_kernel(self, t: float, x, y) -> float:
         dot = float(np.dot(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
-        return float(sphere_heat_series(dot, t, self.config))
-
-    def heat_kernel_from(self, t: float, x, ys) -> np.ndarray:
-        dots = np.asarray(ys, dtype=float) @ np.asarray(x, dtype=float)
-        return sphere_heat_series(dots, t, self.config)
+        return float(sphere_heat_series(dot, t))
 
     def heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
         dots = np.sum(np.asarray(xs, dtype=float) * np.asarray(ys, dtype=float), axis=-1)
-        return sphere_heat_series(dots, t, self.config)
+        return sphere_heat_series(dots, t)
 
     def heat_kernel_cross(self, t: float, xs, ys) -> np.ndarray:
         dots = self.stack(xs) @ self.stack(ys).T
-        return sphere_heat_series(dots, t, self.config)
+        return sphere_heat_series(dots, t)
 
     # -- polar sampling ------------------------------------------------------
 
@@ -515,7 +430,7 @@ class Sphere(Manifold):
         if hit is not None:
             return hit
         theta = np.linspace(0.0, math.pi, nodes)
-        density = sphere_heat_series(np.cos(theta), t, self.config) * np.sin(theta)
+        density = sphere_heat_series(np.cos(theta), t) * np.sin(theta)
         cdf = np.concatenate([[0.0], np.cumsum((density[1:] + density[:-1]) * 0.5 * np.diff(theta))])
         cdf /= cdf[-1]
         if len(self._cdf_cache) >= 512:
@@ -549,9 +464,6 @@ class Sphere(Manifold):
             out[i] = self._from_polar(c, theta, phi)[0]
         return out
 
-    def sample_uniform(self, rng: np.random.Generator):
-        return self.sample_uniform_many(1, rng)[0]
-
     def sample_uniform_many(self, n: int, rng: np.random.Generator):
         z = rng.uniform(-1.0, 1.0, size=n)
         phi = rng.uniform(0.0, TWO_PI, size=n)
@@ -578,12 +490,8 @@ class Torus(Manifold):
 
     kind = "torus"
     dim = 2
-
-    def __init__(self, config: HeatKernelConfig | None = None):
-        super().__init__(config)
-        self.volume = TWO_PI * TWO_PI
-        self.diameter = math.pi * math.sqrt(2.0)
-        self._circle = Circle(config)
+    volume = TWO_PI * TWO_PI
+    diameter = math.pi * math.sqrt(2.0)
 
     def canonical(self, point):
         arr = np.asarray(point, dtype=float)
@@ -603,39 +511,25 @@ class Torus(Manifold):
             arr = arr.reshape(1, 2)
         return arr
 
-    def distance(self, x, y) -> float:
-        gaps = signed_angle_gap(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return float(np.hypot(gaps[0], gaps[1]))
-
-    def distance_pairwise(self, xs, ys) -> np.ndarray:
+    def distance(self, xs, ys):
         gaps = signed_angle_gap(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
         return np.linalg.norm(gaps, axis=-1)
 
-    def interpolate(self, x, y, s: float):
-        x = np.asarray(x, dtype=float)
-        return wrap_angle(x + s * signed_angle_gap(x, np.asarray(y, dtype=float)))
-
-    def interpolate_pairwise(self, xs, ys, s) -> np.ndarray:
+    def interpolate_pairwise(self, xs, ys, s):
         xs = np.asarray(xs, dtype=float)
         s = np.asarray(s, dtype=float)
         if s.ndim == 1:
             s = s[:, None]
         return wrap_angle(xs + s * signed_angle_gap(xs, np.asarray(ys, dtype=float)))
 
-    def log_map(self, x, y):
-        return signed_angle_gap(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    def log_map(self, x, ys):
+        return signed_angle_gap(np.asarray(x, dtype=float), np.asarray(ys, dtype=float))
 
     def exp_map(self, x, v):
         return wrap_angle(np.asarray(x, dtype=float) + np.asarray(v, dtype=float))
 
-    def log_map_many(self, x, ys) -> np.ndarray:
-        return signed_angle_gap(np.asarray(x, dtype=float), self.stack(ys))
-
     def _kernel_from_gaps(self, t: float, gaps: np.ndarray) -> np.ndarray:
-        if t < self.config.representation_switch_time:
-            parts = circle_heat_wrapped(gaps, t, self.config)
-        else:
-            parts = circle_heat_eigen(gaps, t, self.config)
+        parts = _circle_heat(gaps, t)
         # The factor product can underflow to 0 even though both factors are
         # floored, so the floor is applied once more to keep logs finite.
         return np.maximum(parts[..., 0] * parts[..., 1], _POSITIVE_FLOOR)
@@ -646,10 +540,6 @@ class Torus(Manifold):
     def heat_kernel(self, t: float, x, y) -> float:
         gaps = np.abs(np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
         return float(self._kernel_from_gaps(t, gaps))
-
-    def heat_kernel_from(self, t: float, x, ys) -> np.ndarray:
-        gaps = np.abs(np.asarray(ys, dtype=float) - np.asarray(x, dtype=float))
-        return self._kernel_from_gaps(t, gaps)
 
     def heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
         gaps = np.abs(np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float))
@@ -669,9 +559,6 @@ class Torus(Manifold):
         centers = self.stack(centers)
         return wrap_angle(centers + math.sqrt(t) * rng.standard_normal(centers.shape))
 
-    def sample_uniform(self, rng: np.random.Generator):
-        return rng.uniform(0.0, TWO_PI, size=2)
-
     def sample_uniform_many(self, n: int, rng: np.random.Generator):
         return rng.uniform(0.0, TWO_PI, size=(n, 2))
 
@@ -687,10 +574,10 @@ class Torus(Manifold):
 _KINDS = {"circle": Circle, "sphere": Sphere, "torus": Torus}
 
 
-def make_manifold(kind: str, config: HeatKernelConfig | None = None) -> Manifold:
+def make_manifold(kind: str) -> Manifold:
     """Manifold by name: 'circle', 'sphere', or 'torus'."""
     try:
         cls = _KINDS[kind]
     except KeyError:
         raise ValueError(f"unknown manifold kind {kind!r}") from None
-    return cls(config)
+    return cls()

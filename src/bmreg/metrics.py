@@ -130,7 +130,7 @@ def dq_distance(
     """Weighted L_q distance between two regression functions."""
     q = _check_order(q)
     ts = grid.times()
-    dist = m.distance_pairwise(eval_path_like(f, ts, m), eval_path_like(g, ts, m))
+    dist = m.distance(eval_path_like(f, ts, m), eval_path_like(g, ts, m))
     total = float(np.sum(grid.weights() * density.weight(ts) * dist**q))
     return total ** (1.0 / q)
 
@@ -142,7 +142,7 @@ def dinf_distance(f, g, m: Manifold, grid: QuadratureGrid = QuadratureGrid()) ->
     cut locus inside a segment; the grid provides coverage otherwise.
     """
     ts = _union_times(f, g, grid)
-    dist = m.distance_pairwise(eval_path_like(f, ts, m), eval_path_like(g, ts, m))
+    dist = m.distance(eval_path_like(f, ts, m), eval_path_like(g, ts, m))
     return float(np.max(dist))
 
 
@@ -182,7 +182,7 @@ def l1_error(
 def knot_total_variation(path: PiecewiseGeodesicPath) -> float:
     """Sum of geodesic gaps between consecutive knots."""
     m = path.manifold
-    return float(np.sum(m.distance_pairwise(path.knots[:-1], path.knots[1:])))
+    return float(np.sum(m.distance(path.knots[:-1], path.knots[1:])))
 
 
 def theorem_rate_sidelength(n: int, epsilon: float) -> tuple[int, float]:

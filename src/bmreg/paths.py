@@ -64,7 +64,7 @@ class PiecewiseGeodesicPath:
         if abs(pos - nearest) <= _KNOT_SNAP * self.segments and 0 <= nearest <= self.segments:
             return np.array(self.knots[int(nearest)], copy=True) if self.knots.ndim > 1 else float(self.knots[int(nearest)])
         k = min(int(math.floor(pos)), self.segments - 1)
-        return self.manifold.interpolate(self.knots[k], self.knots[k + 1], pos - k)
+        return self.manifold.interpolate_pairwise(self.knots[k], self.knots[k + 1], pos - k)
 
     def at_many(self, ts) -> np.ndarray:
         """Vectorized evaluation; same snapping rule as at()."""

@@ -14,8 +14,8 @@ dropped.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -34,6 +34,10 @@ class KnownVariance:
     def __post_init__(self):
         if self.sigma2 <= 0.0:
             raise ValueError("sigma2 must be positive")
+
+    def log_density(self, m: Manifold, values, points) -> np.ndarray:
+        """Per-observation log p_{sigma^2}(value_i, point_i)."""
+        return np.log(m.heat_kernel_pairwise(self.sigma2, values, points))
 
 
 @dataclass(frozen=True)
@@ -56,6 +60,18 @@ class MarginalVariance:
         times = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
         return times, 0.5 * (hi - lo) * w
 
+    @cached_property
+    def _rule(self):
+        return self.quadrature()
+
+    def log_density(self, m: Manifold, values, points) -> np.ndarray:
+        """Per-observation log of the band-averaged kernel density."""
+        times, weights = self._rule
+        acc = np.zeros(len(points))
+        for t_j, w_j in zip(times, weights):
+            acc += w_j * m.heat_kernel_pairwise(float(t_j), values, points)
+        return np.log(acc / float(np.sum(weights)))
+
 
 SigmaMode = Union[KnownVariance, MarginalVariance]
 
@@ -65,15 +81,7 @@ def log_likelihood(f, data: Dataset, sigma: SigmaMode, m: Manifold) -> float:
     if data.n == 0:
         raise EmptyDatasetError("dataset has no observations")
     values = eval_path_like(f, data.ts, m)
-    if isinstance(sigma, KnownVariance):
-        dens = m.heat_kernel_pairwise(sigma.sigma2, values, data.points)
-        return float(np.sum(np.log(dens)))
-    times, weights = sigma.quadrature()
-    span = float(np.sum(weights))
-    per_obs = np.zeros(data.n)
-    for t_j, w_j in zip(times, weights):
-        per_obs += w_j * m.heat_kernel_pairwise(float(t_j), values, data.points)
-    return float(np.sum(np.log(per_obs / span)))
+    return float(np.sum(sigma.log_density(m, values, data.points)))
 
 
 def log_posterior(
@@ -86,13 +94,3 @@ def log_posterior(
     m = path.manifold
     return log_prior(path, prior) + log_likelihood(path, data, sigma, m)
 
-
-def restricted_weight(t: float, density, threshold: float) -> float:
-    """Predictor weight p(t) clipped to zero below the threshold.
-
-    Used for error quadrature restricted to {t : p(t) >= r}.
-    """
-    if threshold < 0.0:
-        raise ValueError("threshold must be nonnegative")
-    p = float(density.pdf(t))
-    return p if p >= threshold else 0.0

@@ -104,10 +104,10 @@ def test_criterion_02_kernel_identities(capsys):
         x = m.canonical(points[len(points) // 3])
         y = m.canonical(points[len(points) // 4])
         for t in KERNEL_TIMES:
-            integral = float(m.heat_kernel_from(t, x, points) @ weights)
+            integral = float(m.heat_kernel_pairwise(t, x, points) @ weights)
             worst_norm = max(worst_norm, abs(integral - 1.0))
-            left = m.heat_kernel_from(t / 2, x, points)
-            right = m.heat_kernel_from(t / 2, y, points)
+            left = m.heat_kernel_pairwise(t / 2, x, points)
+            right = m.heat_kernel_pairwise(t / 2, y, points)
             composed = float((left * right) @ weights)
             worst_semi = max(worst_semi, abs(composed - m.heat_kernel(t, x, y)))
         for _ in range(25):
@@ -222,7 +222,7 @@ def test_criterion_05_sampler_vs_grid_oracle(capsys):
     g0 = np.broadcast_to(grid[:, None], (G, G))
     g1 = np.broadcast_to(grid[None, :], (G, G))
     mids = wrap_angle(g0 + 0.5 * signed_angle_gap(g0, g1))
-    lik = m.heat_kernel_from(0.5, x_obs, mids.ravel()).reshape(G, G)
+    lik = m.heat_kernel_pairwise(0.5, x_obs, mids.ravel()).reshape(G, G)
     post = prior * lik
     post /= post.sum()
     marginal = post.sum(axis=1).reshape(36, 10).sum(axis=1)
@@ -322,7 +322,7 @@ def test_criterion_10_density_distance_sandwich(capsys):
     sigma2 = 0.5
     # Lipschitz bound: max kernel slope times volume dominates the density gap
     gaps = np.linspace(0.0, math.pi, 20_001)
-    vals = m.heat_kernel_from(sigma2, 0.0, gaps)
+    vals = m.heat_kernel_pairwise(sigma2, 0.0, gaps)
     bound_const = float(np.max(np.abs(np.diff(vals) / np.diff(gaps)))) * m.volume
 
     positive_ok = True

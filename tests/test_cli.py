@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from bmreg import cli
 from bmreg.cli import main
 from bmreg.data import Dataset
+from bmreg.experiments import ContractReport
 from bmreg.kernel_regression import bandwidth_rule
 
 FAST_ANNEAL = ["--anneal-steps", "20", "--anneal-cool", "0.5"]
@@ -160,6 +162,21 @@ class TestSweep:
     def test_missing_axis_is_config_error(self, workdir):
         assert run_cli("sweep", "--values", "0.1,0.2") == 2
 
+    def test_non_integer_grid_or_size_is_config_error(self, workdir):
+        assert run_cli("sweep", "--axis", "K", "--values", "2.5,10") == 2
+        assert run_cli("sweep", "--axis", "n", "--values", "20,30.5") == 2
+
+
+class TestCompare:
+    def test_four_rows_independent_of_pool_size(self, workdir, capsys):
+        base = ["compare", "--n", "25", "--replicates", "1", "--seed", "3", *FAST_ANNEAL]
+        assert run_cli(*base, "--out", "w1.csv", "--workers", "1") == 0
+        assert run_cli(*base, "--out", "w2.csv", "--workers", "2") == 0
+        rows = strip_runtime_column(read(workdir / "w1.csv"))
+        assert [row.split(",")[1] for row in rows[1:]] == ["dbm", "cbm", "ker", "const"]
+        assert rows == strip_runtime_column(read(workdir / "w2.csv"))
+        assert "const mean_l1=" in capsys.readouterr().out
+
 
 class TestContract:
     def test_two_sizes_is_config_error(self, workdir):
@@ -170,6 +187,21 @@ class TestContract:
 
     def test_bad_size_entry_is_config_error(self, workdir):
         assert run_cli("contract", "--n-values", "50,sixty,70") == 2
+
+    def test_c_from_file_or_flag_wins_over_default(self, workdir, monkeypatch):
+        seen = []
+
+        def fake_run_contract(n_values, epsilon, **kwargs):
+            seen.append(kwargs["c"])
+            return ContractReport(rows=(), per_n=(), slope=0.0)
+
+        monkeypatch.setattr(cli, "run_contract", fake_run_contract)
+        (workdir / "cfg.json").write_text(json.dumps({"c": 0.01}))
+        sizes = ["contract", "--n-values", "50,100,200"]
+        assert run_cli(*sizes, "--config", "cfg.json") == 0
+        assert run_cli(*sizes, "--c", "0.01") == 0
+        assert run_cli(*sizes) == 0
+        assert seen == [0.01, 0.01, 1.0]
 
 
 class TestCheckKernels:

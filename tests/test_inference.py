@@ -222,7 +222,7 @@ def test_mh_two_knot_matches_brute_force_grid():
     g0 = np.broadcast_to(grid[:, None], (G, G))
     g1 = np.broadcast_to(grid[None, :], (G, G))
     mids = wrap_angle(g0 + 0.5 * signed_angle_gap(g0, g1))
-    lik = m.heat_kernel_from(0.5, x_obs, mids.ravel()).reshape(G, G)
+    lik = m.heat_kernel_pairwise(0.5, x_obs, mids.ravel()).reshape(G, G)
     post = prior * lik
     post /= post.sum()
     marginal = post.sum(axis=1).reshape(36, 10).sum(axis=1)

@@ -102,7 +102,7 @@ def test_frechet_local_minimality():
     mean = frechet_mean_weighted(sp, sw, s)
 
     def sphere_objective(x):
-        return float(np.sum(sw * s.distance_pairwise(np.broadcast_to(x, sp.shape), sp) ** 2))
+        return float(np.sum(sw * s.distance(np.broadcast_to(x, sp.shape), sp) ** 2))
 
     base = sphere_objective(mean)
     for axis in range(3):
@@ -127,7 +127,7 @@ def test_log_map_many_matches_scalar():
     for m in (Circle(), Sphere(), Torus()):
         x = m.canonical(m.sample_uniform(rng))
         ys = m.stack([m.sample_uniform(rng) for _ in range(12)])
-        many = m.log_map_many(x, ys)
+        many = m.log_map(x, ys)
         for i in range(12):
             assert_allclose(many[i], m.log_map(x, ys[i]), rtol=0, atol=1e-12)
 

@@ -15,7 +15,6 @@ from numpy.testing import assert_allclose
 
 from bmreg.manifolds import (
     Circle,
-    HeatKernelConfig,
     InvalidTimeError,
     Sphere,
     Torus,
@@ -93,7 +92,7 @@ def test_circle_representations_agree_on_grid():
 def test_circle_kernel_monotone_in_gap():
     gaps = np.linspace(0.0, math.pi, 200)
     for t in [0.05, 0.5, 2.0]:
-        vals = Circle().heat_kernel_from(t, 0.0, gaps)
+        vals = Circle().heat_kernel_pairwise(t, 0.0, gaps)
         assert np.all(np.diff(vals) <= 1e-15)
 
 
@@ -110,15 +109,6 @@ def test_invalid_time_raises():
             m.heat_kernel(-1.0, x, x)
         with pytest.raises(InvalidTimeError):
             m.sample_heat_kernel(0.0, x, np.random.default_rng(0))
-
-
-def test_heat_kernel_config_validation():
-    with pytest.raises(ValueError):
-        HeatKernelConfig(truncation_order=0)
-    with pytest.raises(ValueError):
-        HeatKernelConfig(series_tolerance=1e-6)
-    with pytest.raises(ValueError):
-        HeatKernelConfig(representation_switch_time=0.0)
 
 
 # ---------------------------------------------------------------- sphere kernel
@@ -168,7 +158,7 @@ def test_kernel_normalizes_to_one(kind):
     x = m.sample_uniform(rng)
     points, weights = m.quadrature()
     for t in [0.05, 0.5, 2.0]:
-        total = m.integrate(m.heat_kernel_from(t, x, points), weights)
+        total = float(m.heat_kernel_pairwise(t, x, points) @ weights)
         assert abs(total - 1.0) < 1e-8
 
 
@@ -180,10 +170,9 @@ def test_kernel_semigroup_identity(kind):
     y = m.sample_uniform(rng)
     points, weights = m.quadrature()
     for t in [0.1, 0.5]:
-        lhs = m.integrate(
-            m.heat_kernel_from(0.5 * t, x, points) * m.heat_kernel_from(0.5 * t, y, points),
-            weights,
-        )
+        left = m.heat_kernel_pairwise(0.5 * t, x, points)
+        right = m.heat_kernel_pairwise(0.5 * t, y, points)
+        lhs = float((left * right) @ weights)
         assert abs(lhs - m.heat_kernel(t, x, y)) < 1e-6
 
 
@@ -192,22 +181,22 @@ def test_kernel_semigroup_identity(kind):
 
 def test_circle_interpolate_examples():
     m = Circle()
-    assert_allclose(m.interpolate(0.0, math.pi / 2, 0.5), math.pi / 4, rtol=0, atol=1e-15)
+    assert_allclose(m.interpolate_pairwise(0.0, math.pi / 2, 0.5), math.pi / 4, rtol=0, atol=1e-15)
     # crossing the wrap point takes the short arc through 0
-    assert_allclose(m.interpolate(math.pi / 4, 7 * math.pi / 4, 0.5), 0.0, rtol=0, atol=1e-15)
+    assert_allclose(m.interpolate_pairwise(math.pi / 4, 7 * math.pi / 4, 0.5), 0.0, rtol=0, atol=1e-15)
 
 
 def test_circle_antipodal_tie_break_counterclockwise():
     m = Circle()
     for s in [0.25, 0.5, 0.75]:
-        assert_allclose(m.interpolate(1.0, 1.0 + math.pi, s), 1.0 + s * math.pi, rtol=0, atol=1e-12)
+        assert_allclose(m.interpolate_pairwise(1.0, 1.0 + math.pi, s), 1.0 + s * math.pi, rtol=0, atol=1e-12)
 
 
 def test_sphere_interpolate_quarter_arc():
     m = Sphere()
     x = np.array([1.0, 0.0, 0.0])
     y = np.array([0.0, 1.0, 0.0])
-    mid = m.interpolate(x, y, 0.5)
+    mid = m.interpolate_pairwise(x, y, 0.5)
     assert_allclose(mid, [math.sqrt(0.5), math.sqrt(0.5), 0.0], rtol=0, atol=1e-15)
 
 
@@ -215,8 +204,8 @@ def test_sphere_antipodal_tie_break_deterministic():
     m = Sphere()
     x = np.array([1.0, 0.0, 0.0])
     y = -x
-    mid1 = m.interpolate(x, y, 0.5)
-    mid2 = m.interpolate(x, y, 0.5)
+    mid1 = m.interpolate_pairwise(x, y, 0.5)
+    mid2 = m.interpolate_pairwise(x, y, 0.5)
     assert np.array_equal(mid1, mid2)
     assert_allclose(np.linalg.norm(mid1), 1.0, rtol=0, atol=1e-15)
     assert_allclose(m.distance(x, mid1), math.pi / 2, rtol=0, atol=1e-9)
@@ -232,7 +221,7 @@ def test_torus_diameter_pair():
 def test_circle_interpolation_scales_distance(a, b, s):
     m = Circle()
     d = m.distance(a, b)
-    p = m.interpolate(a, b, s)
+    p = m.interpolate_pairwise(a, b, s)
     assert abs(m.distance(a, p) - s * d) < 1e-9
 
 
@@ -243,7 +232,7 @@ def test_sphere_interpolation_scales_distance(seed, s):
     rng = np.random.default_rng(seed)
     x, y = m.sample_uniform_many(2, rng)
     d = m.distance(x, y)
-    p = m.interpolate(x, y, s)
+    p = m.interpolate_pairwise(x, y, s)
     assert abs(m.distance(x, p) - s * d) < 1e-9
 
 
@@ -279,7 +268,7 @@ def test_interpolate_pairwise_matches_scalar():
         s = rng.uniform(0.0, 1.0, size=20)
         batch = m.interpolate_pairwise(xs, ys, s)
         for i in range(20):
-            single = m.interpolate(xs[i], ys[i], s[i])
+            single = m.interpolate_pairwise(xs[i], ys[i], s[i])
             assert m.points_close(batch[i], single, tol=1e-12)
 
 
@@ -289,7 +278,7 @@ def test_distance_pairwise_matches_scalar():
         rng = np.random.default_rng(17)
         xs = m.sample_uniform_many(20, rng)
         ys = m.sample_uniform_many(20, rng)
-        batch = m.distance_pairwise(xs, ys)
+        batch = m.distance(xs, ys)
         singles = [m.distance(xs[i], ys[i]) for i in range(20)]
         assert_allclose(batch, singles, rtol=0, atol=1e-14)
 

@@ -164,7 +164,7 @@ def test_density_distance_positive_and_dominated():
     sigma2 = 0.5
     # max kernel slope bounds dens_1 by C * vol * d_inf (Lipschitz argument)
     gaps = np.linspace(0, math.pi, 20_001)
-    vals = m.heat_kernel_from(sigma2, 0.0, gaps)
+    vals = m.heat_kernel_pairwise(sigma2, 0.0, gaps)
     slope = float(np.max(np.abs(np.diff(vals) / np.diff(gaps))))
     bound_const = slope * m.volume
     for _ in range(10):

@@ -14,7 +14,6 @@ from bmreg.posterior import (
     MarginalVariance,
     log_likelihood,
     log_posterior,
-    restricted_weight,
 )
 
 
@@ -165,6 +164,15 @@ def test_dataset_validates_times_and_shapes():
         Dataset("circle", np.array([0.5]), np.array([[0.0, 1.0]]))
     with pytest.raises(ValueError):
         Dataset("sphere", np.array([0.5]), np.array([[0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        Dataset("circle", np.array([0.5, math.nan]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError):
+        Dataset("torus", np.array([0.5]), np.array([[math.inf, 1.0]]))
+    with pytest.raises(ValueError):
+        Dataset("sphere", np.array([0.5]), np.array([[0.0, 0.0, 2.0]]))
+    with pytest.raises(ValueError):
+        Dataset("sphere", np.array([0.5]), np.array([[0.0, 0.0, 1.0 + 2e-6]]))
+    Dataset("sphere", np.array([0.5]), np.array([[0.0, 0.0, 1.0 + 1e-9]]))
 
 
 def test_dataset_csv_round_trip_exact():
@@ -190,19 +198,3 @@ def test_dataset_csv_layout():
     assert lines[0] == "t,coord1,coord2"
     assert lines[1] == "0.5,1.0,2.0"
 
-
-# ---------------------------------------------------------------- restriction
-
-
-class _StubDensity:
-    def pdf(self, t):
-        return 2.0 * t
-
-
-def test_restricted_weight_thresholds():
-    density = _StubDensity()
-    assert restricted_weight(0.4, density, 0.5) == 0.8
-    assert restricted_weight(0.2, density, 0.5) == 0.0
-    assert restricted_weight(0.25, density, 0.5) == 0.5
-    with pytest.raises(ValueError):
-        restricted_weight(0.5, density, -1.0)
