@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -28,7 +29,7 @@ from bmreg.experiments import (
     fit_method,
     run_cells,
     run_contract,
-    run_sweep,
+    sweep_cells,
     write_rows,
 )
 from bmreg.inference import AnnealConfig
@@ -102,8 +103,13 @@ class RunConfig:
     anneal_cool: float | None
     anneal_steps: int | None
     workers: int
+    anneal: AnnealConfig = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
+        for key in sorted(_FLOAT_KEYS):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.manifold not in _MANIFOLDS:
             raise ConfigError(f"manifold must be one of {_MANIFOLDS}, got {self.manifold!r}")
         if self.method not in _METHODS:
@@ -118,12 +124,24 @@ class RunConfig:
             raise ConfigError(f"c must be > 0, got {self.c}")
         if self.grid_K is not None and self.rate_epsilon is not None:
             raise ConfigError("grid-K and rate-epsilon are mutually exclusive")
+        if self.rate_epsilon is not None and not 0.0 < self.rate_epsilon < 0.25:
+            raise ConfigError(f"rate-epsilon must be in (0, 1/4), got {self.rate_epsilon}")
         if self.grid_K is not None and self.grid_K < 1:
             raise ConfigError("grid-K must be >= 1")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        schedule = {
+            "initial_temperature": self.anneal_t0,
+            "cooling_factor": self.anneal_cool,
+            "steps_per_temperature": self.anneal_steps,
+        }
+        try:
+            anneal = AnnealConfig(**{key: value for key, value in schedule.items() if value is not None})
+        except ValueError as exc:
+            raise ConfigError(f"bad annealing schedule: {exc}") from exc
+        object.__setattr__(self, "anneal", anneal)
 
     def segments(self, n: int) -> int:
         """Knot-interval count: explicit grid size, rate rule, or default."""
@@ -133,16 +151,6 @@ class RunConfig:
         if self.grid_K is not None:
             return self.grid_K
         return DEFAULTS["K"]
-
-    def anneal_config(self) -> AnnealConfig:
-        base = AnnealConfig()
-        return AnnealConfig(
-            initial_temperature=self.anneal_t0 if self.anneal_t0 is not None else base.initial_temperature,
-            cooling_factor=self.anneal_cool if self.anneal_cool is not None else base.cooling_factor,
-            steps_per_temperature=self.anneal_steps if self.anneal_steps is not None else base.steps_per_temperature,
-            temperature_floor=base.temperature_floor,
-            proposal_time=base.proposal_time,
-        )
 
     def noise_model(self):
         if self.marginal_A is not None:
@@ -215,7 +223,7 @@ def merge_options(args: argparse.Namespace, defaults: dict = _DEFAULTS) -> dict:
 
 
 def _run_config(merged: dict) -> RunConfig:
-    return RunConfig(**{field.name: merged[field.name] for field in dataclasses.fields(RunConfig)})
+    return RunConfig(**{field.name: merged[field.name] for field in dataclasses.fields(RunConfig) if field.init})
 
 
 # -- subcommands -----------------------------------------------------------
@@ -262,7 +270,7 @@ def cmd_fit(cfg: RunConfig, dataset_path: str) -> int:
 
     start = time.perf_counter()
     fitted, K, fit = fit_method(
-        cfg.method, data, cfg.noise_model(), cfg.segments(data.n), cfg.c, m, rng, cfg.anneal_config()
+        cfg.method, data, cfg.noise_model(), cfg.segments(data.n), cfg.c, m, rng, cfg.anneal
     )
     if fit is not None:
         payload = fit.to_dict()
@@ -304,7 +312,8 @@ def cmd_compare(cfg: RunConfig) -> int:
         K=cfg.segments(cfg.n),
         c=cfg.c,
         sigma2=cfg.sigma2,
-        anneal=cfg.anneal_config(),
+        anneal=cfg.anneal,
+        marginal_bound=cfg.marginal_A,
     )
     rows = run_cells(cells, cfg.workers)
     write_rows(out, rows)
@@ -321,22 +330,23 @@ def cmd_sweep(cfg: RunConfig, axis, values) -> int:
     values = _parse_number_list(values, "values", integer=axis in ("K", "n"))
     out = cfg.out or "sweep.csv"
     try:
-        rows = run_sweep(
+        cells = sweep_cells(
             axis,
             values,
             base_seed=cfg.seed,
             replicates=cfg.replicates,
-            workers=cfg.workers,
             method=cfg.method,
             manifold=cfg.manifold,
             n=cfg.n,
             K=cfg.grid_K if cfg.grid_K is not None else DEFAULTS["K"],
             c=cfg.c,
             sigma2=cfg.sigma2,
-            anneal=cfg.anneal_config(),
+            anneal=cfg.anneal,
+            marginal_bound=cfg.marginal_A,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    rows = run_cells(cells, cfg.workers)
     write_rows(out, rows)
     for value in values:
         matching = [r.l1_error for r in rows if getattr(r, axis) == value]
@@ -361,6 +371,7 @@ def cmd_contract(cfg: RunConfig, n_values) -> int:
             manifold=cfg.manifold,
             sigma2=cfg.sigma2,
             c=cfg.c,
+            marginal_bound=cfg.marginal_A,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -243,8 +243,26 @@ def run_cells(cells, workers: int = 1):
         return list(pool.map(_run_cell_row, cells))
 
 
-def _cell_id(method: str, n: int, K: int, c: float, replicate: int) -> str:
-    return f"{method}-n{n}-K{K}-c{repr(float(c))}-r{replicate}"
+def _cell(
+    method, manifold, n, K, c, sigma2, base_seed, axis_index, replicate, marginal_bound,
+    anneal: AnnealConfig = AnnealConfig(),
+    mcmc: McmcConfig | None = None,
+) -> ExperimentCell:
+    """A cell with its run id and its two seeds derived from the arguments."""
+    return ExperimentCell(
+        run_id=f"{method}-n{n}-K{K}-c{repr(float(c))}-r{replicate}",
+        manifold=manifold,
+        method=method,
+        n=n,
+        K=K,
+        c=c,
+        sigma2=sigma2,
+        data_seed=dataset_seed(base_seed, n, replicate),
+        seed=fit_seed(base_seed, axis_index, replicate),
+        marginal_bound=marginal_bound,
+        anneal=anneal,
+        mcmc=mcmc,
+    )
 
 
 def comparison_cells(
@@ -257,26 +275,14 @@ def comparison_cells(
     c: float = DEFAULTS["c"],
     sigma2: float = DEFAULTS["sigma2"],
     anneal: AnnealConfig = AnnealConfig(),
+    marginal_bound: float | None = None,
 ):
     """Cells comparing methods on shared per-replicate datasets."""
-    cells = []
-    for replicate in range(replicates):
-        for method in methods:
-            cells.append(
-                ExperimentCell(
-                    run_id=_cell_id(method, n, K, c, replicate),
-                    manifold=manifold,
-                    method=method,
-                    n=n,
-                    K=K,
-                    c=c,
-                    sigma2=sigma2,
-                    data_seed=dataset_seed(base_seed, n, replicate),
-                    seed=fit_seed(base_seed, 0, replicate),
-                    anneal=anneal,
-                )
-            )
-    return cells
+    return [
+        _cell(method, manifold, n, K, c, sigma2, base_seed, 0, replicate, marginal_bound, anneal=anneal)
+        for replicate in range(replicates)
+        for method in methods
+    ]
 
 
 SWEEP_AXES = ("c", "K", "n")
@@ -294,6 +300,7 @@ def sweep_cells(
     c: float = DEFAULTS["c"],
     sigma2: float = DEFAULTS["sigma2"],
     anneal: AnnealConfig = AnnealConfig(),
+    marginal_bound: float | None = None,
 ):
     """One cell per (axis value, replicate), datasets paired across values."""
     if axis not in SWEEP_AXES:
@@ -310,24 +317,12 @@ def sweep_cells(
         cell_c = float(value) if axis == "c" else c
         for replicate in range(replicates):
             cells.append(
-                ExperimentCell(
-                    run_id=_cell_id(method, cell_n, cell_k, cell_c, replicate),
-                    manifold=manifold,
-                    method=method,
-                    n=cell_n,
-                    K=cell_k,
-                    c=cell_c,
-                    sigma2=sigma2,
-                    data_seed=dataset_seed(base_seed, cell_n, replicate),
-                    seed=fit_seed(base_seed, index, replicate),
+                _cell(
+                    method, manifold, cell_n, cell_k, cell_c, sigma2, base_seed, index, replicate, marginal_bound,
                     anneal=anneal,
                 )
             )
     return cells
-
-
-def run_sweep(axis: str, values, base_seed: int, replicates: int, workers: int = 1, **kwargs):
-    return run_cells(sweep_cells(axis, values, base_seed, replicates, **kwargs), workers)
 
 
 @dataclass(frozen=True)
@@ -354,6 +349,7 @@ def contract_cells(
     sigma2: float = DEFAULTS["sigma2"],
     c: float = 1.0,
     mcmc: McmcConfig | None = None,
+    marginal_bound: float | None = None,
 ):
     """Cells for the posterior contraction study, K set by the rate rule."""
     n_values = [int(v) for v in n_values]
@@ -364,18 +360,7 @@ def contract_cells(
         K, _ = theorem_rate_sidelength(n, epsilon)
         for replicate in range(replicates):
             cells.append(
-                ExperimentCell(
-                    run_id=_cell_id("mcmc", n, K, c, replicate),
-                    manifold=manifold,
-                    method="mcmc",
-                    n=n,
-                    K=K,
-                    c=c,
-                    sigma2=sigma2,
-                    data_seed=dataset_seed(base_seed, n, replicate),
-                    seed=fit_seed(base_seed, index, replicate),
-                    mcmc=mcmc,
-                )
+                _cell("mcmc", manifold, n, K, c, sigma2, base_seed, index, replicate, marginal_bound, mcmc=mcmc)
             )
     return cells
 

@@ -157,7 +157,7 @@ def init_state(data: Dataset, K: int, m: Manifold) -> PiecewiseGeodesicPath:
 
 def _density_mode(m: Manifold, candidates: np.ndarray):
     """Candidate with the highest kernel-density score among the candidates."""
-    scores = m.heat_kernel_cross(INIT_DENSITY_TIME, candidates, candidates).sum(axis=1)
+    scores = m.heat_kernel_pairwise(INIT_DENSITY_TIME, candidates[:, None], candidates[None]).sum(axis=1)
     return candidates[int(np.argmax(scores))]
 
 
@@ -175,9 +175,9 @@ class _KnotPosterior:
         self.K = len(knots) - 1
         if prior.segments != self.K:
             raise ValueError("prior sidelength does not match the knot count")
-        self.step_time = prior.step_time
+        self.prior = prior
         self.const = -math.log(m.volume)
-        self.prior_terms = np.log(m.heat_kernel_pairwise(self.step_time, self.knots[:-1], self.knots[1:]))
+        self.prior_terms = prior.log_steps(m, self.knots[:-1], self.knots[1:])
         self.sigma = sigma
         if data is None:
             self.points = None
@@ -201,11 +201,11 @@ class _KnotPosterior:
         delta = 0.0
         new_prior = {}
         if k > 0:
-            term = math.log(self.m.heat_kernel(self.step_time, self.knots[k - 1], value))
+            term = self.prior.log_steps(self.m, self.knots[k - 1], value)
             new_prior[k - 1] = term
             delta += term - self.prior_terms[k - 1]
         if k < self.K:
-            term = math.log(self.m.heat_kernel(self.step_time, value, self.knots[k + 1]))
+            term = self.prior.log_steps(self.m, value, self.knots[k + 1])
             new_prior[k] = term
             delta += term - self.prior_terms[k]
         chunks = []

@@ -172,6 +172,8 @@ class Manifold(ABC):
     dim: int
     volume: float
     diameter: float
+    # coordinate shape of one point
+    point_shape: tuple
 
     # -- points ------------------------------------------------------------
 
@@ -183,9 +185,10 @@ class Manifold(ABC):
     def points_close(self, x, y, tol: float = 1e-12) -> bool:
         """Coordinatewise equality after canonical wrap."""
 
-    @abstractmethod
     def stack(self, points) -> np.ndarray:
-        """Stack a sequence of points into a coordinate array."""
+        """Coordinate array of stacked points; a single point gains a leading axis."""
+        arr = np.asarray(points, dtype=float)
+        return arr[None] if arr.ndim == len(self.point_shape) else arr
 
     # -- geodesics -----------------------------------------------------------
 
@@ -214,23 +217,24 @@ class Manifold(ABC):
 
     # -- heat kernel ---------------------------------------------------------
 
-    @abstractmethod
     def heat_kernel(self, t: float, x, y) -> float:
-        """p_t(x, y) > 0 for two single points; symmetric in x, y."""
+        """p_t(x, y) for two single points: the scalar form of heat_kernel_pairwise."""
+        return float(self.heat_kernel_pairwise(t, x, y))
 
     @abstractmethod
     def heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
-        """Row-wise p_t(x_i, y_i); a single point broadcasts against rows."""
+        """p_t(x, y) > 0, symmetric in x, y, over broadcast arrays of points.
 
-    @abstractmethod
-    def heat_kernel_cross(self, t: float, xs, ys) -> np.ndarray:
-        """Full matrix p_t(x_i, y_j), shape (len(xs), len(ys))."""
+        Leading shapes broadcast: rows pair row by row, a single point goes
+        against every row, and xs[:, None] against ys[None] is the full
+        cross matrix.
+        """
 
     # -- sampling --------------------------------------------------------------
 
-    @abstractmethod
     def sample_heat_kernel(self, t: float, x, rng: np.random.Generator):
-        """One draw from p_t(x, .)."""
+        """One draw from p_t(x, .): the single-center form of sample_heat_kernel_many."""
+        return self.sample_heat_kernel_many(t, self.stack([x]), rng)[0]
 
     @abstractmethod
     def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
@@ -261,6 +265,7 @@ class Circle(Manifold):
     dim = 1
     volume = TWO_PI
     diameter = math.pi
+    point_shape = ()
 
     def canonical(self, point):
         theta = float(point)
@@ -270,9 +275,6 @@ class Circle(Manifold):
 
     def points_close(self, x, y, tol: float = 1e-12) -> bool:
         return bool(self.distance(x, y) <= tol)
-
-    def stack(self, points) -> np.ndarray:
-        return np.asarray(points, dtype=float)
 
     def distance(self, xs, ys):
         return np.abs(signed_angle_gap(np.asarray(xs, dtype=float), ys))
@@ -292,19 +294,8 @@ class Circle(Manifold):
     # hence the kernel) is bitwise symmetric under swapping x and y.  The
     # series reduce mod 2*pi themselves, so unwrapped gaps are fine.
 
-    def heat_kernel(self, t: float, x, y) -> float:
-        return float(_circle_heat(np.abs(np.asarray(y, dtype=float) - float(x)), t))
-
     def heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
         return _circle_heat(np.abs(np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float)), t)
-
-    def heat_kernel_cross(self, t: float, xs, ys) -> np.ndarray:
-        gap = np.abs(np.asarray(xs, dtype=float)[:, None] - np.asarray(ys, dtype=float)[None, :])
-        return _circle_heat(gap, t)
-
-    def sample_heat_kernel(self, t: float, x, rng: np.random.Generator):
-        t = _check_time(t)
-        return wrap_angle(x + math.sqrt(t) * rng.standard_normal())
 
     def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
         t = _check_time(t)
@@ -339,6 +330,7 @@ class Sphere(Manifold):
     dim = 2
     volume = 4.0 * math.pi
     diameter = math.pi
+    point_shape = (3,)
     # below this sine of the geodesic angle the direction is degenerate
     _DEGENERATE = 1e-9
 
@@ -350,12 +342,6 @@ class Sphere(Manifold):
 
     def points_close(self, x, y, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(np.asarray(x) - np.asarray(y))) <= tol)
-
-    def stack(self, points) -> np.ndarray:
-        arr = np.asarray(points, dtype=float)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, 3)
-        return arr
 
     def distance(self, xs, ys):
         xs = np.asarray(xs, dtype=float)
@@ -409,17 +395,11 @@ class Sphere(Manifold):
         out = math.cos(norm) * x + math.sin(norm) * u
         return out / np.linalg.norm(out)
 
-    def heat_kernel(self, t: float, x, y) -> float:
-        dot = float(np.dot(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
-        return float(sphere_heat_series(dot, t))
-
     def heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
-        dots = np.sum(np.asarray(xs, dtype=float) * np.asarray(ys, dtype=float), axis=-1)
-        return sphere_heat_series(dots, t)
-
-    def heat_kernel_cross(self, t: float, xs, ys) -> np.ndarray:
-        dots = self.stack(xs) @ self.stack(ys).T
-        return sphere_heat_series(dots, t)
+        # one BLAS dot per pair, the same bits as np.dot on two points
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        return sphere_heat_series((xs[..., None, :] @ ys[..., :, None])[..., 0, 0], t)
 
     # -- polar sampling ------------------------------------------------------
 
@@ -449,9 +429,6 @@ class Sphere(Manifold):
             + np.multiply.outer(np.cos(theta), np.asarray(x, dtype=float))
         )
         return out / np.linalg.norm(out, axis=-1, keepdims=True)
-
-    def sample_heat_kernel(self, t: float, x, rng: np.random.Generator):
-        return self.sample_heat_kernel_many(t, np.asarray(x, dtype=float).reshape(1, 3), rng)[0]
 
     def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
         t = _check_time(t)
@@ -492,6 +469,7 @@ class Torus(Manifold):
     dim = 2
     volume = TWO_PI * TWO_PI
     diameter = math.pi * math.sqrt(2.0)
+    point_shape = (2,)
 
     def canonical(self, point):
         arr = np.asarray(point, dtype=float)
@@ -504,12 +482,6 @@ class Torus(Manifold):
     def points_close(self, x, y, tol: float = 1e-12) -> bool:
         gaps = signed_angle_gap(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         return bool(np.max(np.abs(gaps)) <= tol)
-
-    def stack(self, points) -> np.ndarray:
-        arr = np.asarray(points, dtype=float)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, 2)
-        return arr
 
     def distance(self, xs, ys):
         gaps = signed_angle_gap(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
@@ -528,31 +500,13 @@ class Torus(Manifold):
     def exp_map(self, x, v):
         return wrap_angle(np.asarray(x, dtype=float) + np.asarray(v, dtype=float))
 
-    def _kernel_from_gaps(self, t: float, gaps: np.ndarray) -> np.ndarray:
-        parts = _circle_heat(gaps, t)
+    def heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
+        # As on the circle, gaps are |y - x| per axis so the kernel is bitwise
+        # symmetric in its two points; the factor series reduce mod 2*pi.
+        parts = _circle_heat(np.abs(np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float)), t)
         # The factor product can underflow to 0 even though both factors are
         # floored, so the floor is applied once more to keep logs finite.
         return np.maximum(parts[..., 0] * parts[..., 1], _POSITIVE_FLOOR)
-
-    # As on the circle, kernel gaps are |y - x| per axis so the kernel is
-    # bitwise symmetric in its two points; the factor series reduce mod 2*pi.
-
-    def heat_kernel(self, t: float, x, y) -> float:
-        gaps = np.abs(np.asarray(y, dtype=float) - np.asarray(x, dtype=float))
-        return float(self._kernel_from_gaps(t, gaps))
-
-    def heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
-        gaps = np.abs(np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float))
-        return self._kernel_from_gaps(t, gaps)
-
-    def heat_kernel_cross(self, t: float, xs, ys) -> np.ndarray:
-        gaps = np.abs(self.stack(xs)[:, None, :] - self.stack(ys)[None, :, :])
-        return self._kernel_from_gaps(t, gaps)
-
-    def sample_heat_kernel(self, t: float, x, rng: np.random.Generator):
-        t = _check_time(t)
-        x = np.asarray(x, dtype=float)
-        return wrap_angle(x + math.sqrt(t) * rng.standard_normal(2))
 
     def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
         t = _check_time(t)

@@ -160,10 +160,10 @@ def density_distance(
     q = _check_order(q)
     ts = grid.times()
     tw = grid.weights()
-    fv = eval_path_like(f, ts, m)
-    gv = eval_path_like(g, ts, m)
+    fv = eval_path_like(f, ts, m)[:, None]
+    gv = eval_path_like(g, ts, m)[:, None]
     points, pw = m.quadrature(level)
-    diff = np.abs(m.heat_kernel_cross(sigma2, fv, points) - m.heat_kernel_cross(sigma2, gv, points))
+    diff = np.abs(m.heat_kernel_pairwise(sigma2, fv, points[None]) - m.heat_kernel_pairwise(sigma2, gv, points[None]))
     inner = (diff**q) @ pw
     total = float(np.sum(tw * (density.weight(ts) ** q) * inner))
     return 0.5 * total ** (1.0 / q)

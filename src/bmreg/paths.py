@@ -147,6 +147,10 @@ class PriorSpec:
         """Heat-kernel time of one prior increment."""
         return self.scale * self.sidelength
 
+    def log_steps(self, m: Manifold, starts, ends) -> np.ndarray:
+        """log p_{c*h}(start, end) of prior increments, broadcast like points."""
+        return np.log(m.heat_kernel_pairwise(self.step_time, starts, ends))
+
     @staticmethod
     def from_segments(segments: int, scale: float = 1.0) -> "PriorSpec":
         if segments < 1:
@@ -160,9 +164,8 @@ def log_prior(path: PiecewiseGeodesicPath, prior: PriorSpec) -> float:
         raise SidelengthMismatchError(
             f"path has {path.segments} segments, prior expects {prior.segments}"
         )
-    m = path.manifold
-    steps = m.heat_kernel_pairwise(prior.step_time, path.knots[:-1], path.knots[1:])
-    return float(-math.log(m.volume) + np.sum(np.log(steps)))
+    steps = prior.log_steps(path.manifold, path.knots[:-1], path.knots[1:])
+    return float(-math.log(path.manifold.volume) + np.sum(steps))
 
 
 def sample_prior_path(prior: PriorSpec, manifold: Manifold, rng: np.random.Generator) -> PiecewiseGeodesicPath:

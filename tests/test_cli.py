@@ -7,10 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from bmreg import cli
+from bmreg import cli, experiments
 from bmreg.cli import main
 from bmreg.data import Dataset
-from bmreg.experiments import ContractReport
+from bmreg.experiments import ContractReport, ExperimentResult
 from bmreg.kernel_regression import bandwidth_rule
 
 FAST_ANNEAL = ["--anneal-steps", "20", "--anneal-cool", "0.5"]
@@ -204,6 +204,27 @@ class TestContract:
         assert seen == [0.01, 0.01, 1.0]
 
 
+class TestMarginalBound:
+    def test_every_cell_command_hands_the_bound_to_the_runner(self, workdir, monkeypatch):
+        seen = []
+
+        def fake_run_cells(cells, workers=1):
+            seen.append([cell.marginal_bound for cell in cells])
+            return [
+                ExperimentResult(cell.run_id, cell.method, cell.n, cell.K, cell.c, cell.sigma2, cell.seed, 0.5, 0)
+                for cell in cells
+            ]
+
+        monkeypatch.setattr(cli, "run_cells", fake_run_cells)
+        monkeypatch.setattr(experiments, "run_cells", fake_run_cells)
+        bound = ["--marginal-A", "3", "--replicates", "1"]
+        assert run_cli("compare", *bound) == 0
+        assert run_cli("sweep", "--axis", "c", "--values", "0.01,0.1", *bound) == 0
+        assert run_cli("contract", "--n-values", "50,100,200", *bound) == 0
+        assert [len(cells) for cells in seen] == [4, 2, 3]
+        assert all(b == 3.0 for cells in seen for b in cells)
+
+
 class TestCheckKernels:
     def test_clean_run_passes(self, capsys):
         assert run_cli("check-kernels") == 0
@@ -216,6 +237,25 @@ class TestCheckKernels:
         assert run_cli("check-kernels", "--inject-kernel-perturbation", "0.001") == 1
         out = capsys.readouterr().out
         assert "FAIL normalization" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--rate-epsilon", "0.3"],
+        ["fit", "--rate-epsilon", "0"],
+        ["fit", "--anneal-cool", "1.5"],
+        ["fit", "--anneal-steps", "-1"],
+        ["compare", "--anneal-cool", "1.5"],
+        ["fit", "--sigma2", "nan"],
+        ["fit", "--marginal-A", "inf"],
+        ["generate", "--c", "inf"],
+    ],
+)
+def test_bad_option_value_is_config_error(dataset, argv):
+    if argv[0] == "fit":
+        argv = ["fit", str(dataset), "--method", "ker", *argv[1:]]
+    assert run_cli(*argv) == 2
 
 
 class TestConfigFile:

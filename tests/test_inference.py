@@ -77,7 +77,7 @@ def test_init_state_window_mode_prefers_cluster():
     # oracle: evaluate the three scores directly
     m = Circle()
     pts = np.array([0.1, 0.1, 3.0])
-    scores = m.heat_kernel_cross(0.05, pts, pts).sum(axis=1)
+    scores = m.heat_kernel_pairwise(0.05, pts[:, None], pts[None]).sum(axis=1)
     assert pts[np.argmax(scores)] == 0.1
 
 
@@ -218,7 +218,7 @@ def test_mh_two_knot_matches_brute_force_grid():
 
     G = 360
     grid = np.arange(G) * (2 * math.pi / G)
-    prior = m.heat_kernel_cross(1.0, grid, grid) / (2 * math.pi)
+    prior = m.heat_kernel_pairwise(1.0, grid[:, None], grid[None]) / (2 * math.pi)
     g0 = np.broadcast_to(grid[:, None], (G, G))
     g1 = np.broadcast_to(grid[None, :], (G, G))
     mids = wrap_angle(g0 + 0.5 * signed_angle_gap(g0, g1))

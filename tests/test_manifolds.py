@@ -283,6 +283,24 @@ def test_distance_pairwise_matches_scalar():
         assert_allclose(batch, singles, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+@pytest.mark.parametrize("t", [5e-5, 2.5e-4, 0.05, 0.1, 2.0])
+def test_single_point_forms_match_broadcast_bodies(kind, t):
+    # heat_kernel and sample_heat_kernel are the single-point forms of the
+    # one broadcasting body each, so they agree with it bit for bit
+    m = make_manifold(kind)
+    rng = np.random.default_rng(64)
+    xs = m.sample_uniform_many(64, rng)
+    ys = m.sample_uniform_many(64, rng)
+    rows = m.heat_kernel_pairwise(t, xs, ys)
+    cross = m.heat_kernel_pairwise(t, xs[:, None], ys[None])
+    for i in range(64):
+        assert m.heat_kernel(t, xs[i], ys[i]) == rows[i] == cross[i, i]
+        one = m.sample_heat_kernel(t, xs[i], np.random.default_rng(i))
+        many = m.sample_heat_kernel_many(t, m.stack([xs[i]]), np.random.default_rng(i))
+        assert np.array_equal(one, many[0])
+
+
 # ---------------------------------------------------------------- sampling
 
 

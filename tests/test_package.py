@@ -1,6 +1,11 @@
-"""The package namespace exports exactly what it imports."""
+"""The package namespace exports exactly what it imports, and the
+benchmark's microbenchmarks still find every method they call by name."""
 
 import inspect
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 import bmreg
 
@@ -14,3 +19,18 @@ def test_all_names_resolve_and_cover_imports():
         if not name.startswith("_") and (inspect.isclass(obj) or inspect.isfunction(obj))
     }
     assert imported == set(bmreg.__all__)
+
+
+def test_benchmark_microbenchmarks_run(tmp_path):
+    # perfbench/micro.py exits non-zero on a missing method or a
+    # non-positive timing
+    micro = Path(__file__).resolve().parents[1] / "perfbench" / "micro.py"
+    out = tmp_path / "micro.json"
+    proc = subprocess.run(
+        [sys.executable, str(micro), "--seed", "0", "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())
