@@ -327,6 +327,8 @@ def cmd_compare(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig, axis, values) -> int:
     if axis is None or values is None:
         raise ConfigError("sweep needs --axis and --values")
+    if cfg.rate_epsilon is not None:
+        raise ConfigError("sweep does not take --rate-epsilon; set K with --grid-K")
     values = _parse_number_list(values, "values", integer=axis in ("K", "n"))
     out = cfg.out or "sweep.csv"
     try:
@@ -359,6 +361,8 @@ def cmd_contract(cfg: RunConfig, n_values) -> int:
     n_values = _parse_number_list(n_values, "n-values", integer=True)
     if n_values is None:
         raise ConfigError("contract needs --n-values")
+    if cfg.grid_K is not None:
+        raise ConfigError("contract does not take --grid-K; K follows the rate rule")
     epsilon = cfg.rate_epsilon if cfg.rate_epsilon is not None else 0.05
     out = cfg.out or "contract.csv"
     try:

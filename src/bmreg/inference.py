@@ -1,15 +1,23 @@
 """MAP search by simulated annealing and Metropolis sampling over knot paths.
 
 Both routines walk the same state space: the K+1 knots of a piecewise
-geodesic path.  A move picks one knot uniformly at random and proposes a
-heat-kernel step from its current value; the heat kernel is symmetric in its
-arguments, so plain Metropolis acceptance applies.  The annealer scales the
-proposal time and the acceptance temperature down a geometric schedule, the
-sampler keeps both fixed.
+geodesic path.  A knot update proposes a heat-kernel step from the knot's
+current value; the heat kernel is symmetric in its arguments, so plain
+Metropolis acceptance applies.  The annealer scales the proposal time and the
+acceptance temperature down a geometric schedule, the sampler keeps both
+fixed.
 
-Log-posterior bookkeeping is incremental: moving knot k only touches the two
-prior transitions at k and the observations that fall in the two adjacent
-intervals, so each step costs O(n/K) kernel evaluations instead of O(n + K).
+Under the chain-structured prior, knot k meets only knots k-1 and k+1 and the
+observations in the two adjacent intervals, so given the odd knots the even
+knots are conditionally independent, and the other way round.  Updates
+therefore run in two colours: all even knots, then all odd knots, and so on.
+Each run of one colour is scored in one vectorized pass and decided by one
+vectorized Metropolis test, which is the same chain as updating its knots one
+at a time (systematic-scan Metropolis-within-Gibbs).  Counts are per knot
+update: a temperature level makes exactly steps_per_temperature updates and a
+chain exactly `iterations`; a colour run that would cross a level, burn-in or
+thinning boundary is cut there and resumes after it.
+
 Per-term values are cached and rewritten on acceptance (never accumulated as
 running deltas), and the reported totals are full sums of the cached terms.
 """
@@ -161,13 +169,12 @@ def _density_mode(m: Manifold, candidates: np.ndarray):
     return candidates[int(np.argmax(scores))]
 
 
-def _repeat_point(point, n: int) -> np.ndarray:
-    arr = np.asarray(point, dtype=float)
-    return np.broadcast_to(arr, (n,) + arr.shape).copy()
+class _Blocked:
+    """Cached log-posterior terms of one path's knots, updated one colour block at a time.
 
-
-class _KnotPosterior:
-    """Incremental unnormalized log posterior over the knots of one path."""
+    Updates walk the even knots, then the odd knots, and so on, across calls
+    of advance; colour and offset mark where the next update starts.
+    """
 
     def __init__(self, m: Manifold, knots: np.ndarray, prior: PriorSpec, data: Dataset | None, sigma: SigmaMode | None):
         self.m = m
@@ -179,76 +186,73 @@ class _KnotPosterior:
         self.const = -math.log(m.volume)
         self.prior_terms = prior.log_steps(m, self.knots[:-1], self.knots[1:])
         self.sigma = sigma
+        self.colours = (np.arange(0, self.K + 1, 2), np.arange(1, self.K + 1, 2))
+        self.colour = 0
+        self.offset = 0
         if data is None:
-            self.points = None
+            self.interval = np.zeros(0, dtype=int)
             self.obs_terms = np.zeros(0)
-            self.by_interval = [np.zeros(0, dtype=int) for _ in range(self.K)]
-            self.fractions = np.zeros(0)
         else:
             pos = np.asarray(data.ts, dtype=float) * self.K
-            interval = np.minimum(np.floor(pos).astype(int), self.K - 1)
-            self.fractions = pos - interval
+            self.interval = np.minimum(np.floor(pos).astype(int), self.K - 1)
+            self.fractions = pos - self.interval
             self.points = m.stack(data.points)
-            self.by_interval = [np.flatnonzero(interval == j) for j in range(self.K)]
-            values = m.interpolate_pairwise(self.knots[interval], self.knots[interval + 1], self.fractions)
-            self.obs_terms = sigma.log_density(m, values, self.points)
+            self.obs_terms = self._obs_log_density(self.knots, slice(None))
 
     def total(self) -> float:
         return float(self.const + np.sum(self.prior_terms) + np.sum(self.obs_terms))
 
-    def propose(self, k: int, value):
-        """Log-posterior change if knot k moved to value, plus update cache."""
-        delta = 0.0
-        new_prior = {}
-        if k > 0:
-            term = self.prior.log_steps(self.m, self.knots[k - 1], value)
-            new_prior[k - 1] = term
-            delta += term - self.prior_terms[k - 1]
-        if k < self.K:
-            term = self.prior.log_steps(self.m, value, self.knots[k + 1])
-            new_prior[k] = term
-            delta += term - self.prior_terms[k]
-        chunks = []
-        if k > 0 and len(self.by_interval[k - 1]):
-            idx = self.by_interval[k - 1]
-            vals = self.m.interpolate_pairwise(
-                _repeat_point(self.knots[k - 1], len(idx)), _repeat_point(value, len(idx)), self.fractions[idx]
-            )
-            chunks.append((idx, vals))
-        if k < self.K and len(self.by_interval[k]):
-            idx = self.by_interval[k]
-            vals = self.m.interpolate_pairwise(
-                _repeat_point(value, len(idx)), _repeat_point(self.knots[k + 1], len(idx)), self.fractions[idx]
-            )
-            chunks.append((idx, vals))
-        if chunks:
-            idx_all = np.concatenate([c[0] for c in chunks])
-            vals_all = np.concatenate([c[1] for c in chunks])
-            new_terms = self.sigma.log_density(self.m, vals_all, self.points[idx_all])
-            delta += float(np.sum(new_terms) - np.sum(self.obs_terms[idx_all]))
-        else:
-            idx_all = np.zeros(0, dtype=int)
-            new_terms = np.zeros(0)
-        return delta, (new_prior, idx_all, new_terms)
+    def _obs_log_density(self, knots: np.ndarray, obs) -> np.ndarray:
+        left = self.interval[obs]
+        values = self.m.interpolate_pairwise(knots[left], knots[left + 1], self.fractions[obs])
+        return self.sigma.log_density(self.m, values, self.points[obs])
 
-    def accept(self, k: int, value, cache) -> None:
-        new_prior, idx_all, new_terms = cache
-        self.knots[k] = value
-        for j, term in new_prior.items():
-            self.prior_terms[j] = term
-        if len(idx_all):
-            self.obs_terms[idx_all] = new_terms
+    def advance(self, count: int, proposal_time: float, temperature: float, rng: np.random.Generator):
+        """Make count knot updates in colour order; yields (updates, accepted) per block."""
+        while count > 0:
+            colour = self.colours[self.colour]
+            ks = colour[self.offset : self.offset + count]
+            accepted = self._update_block(ks, proposal_time, temperature, rng)
+            self.offset += len(ks)
+            if self.offset == len(colour):
+                self.colour, self.offset = 1 - self.colour, 0
+            count -= len(ks)
+            yield len(ks), accepted
 
+    def _score(self, ks: np.ndarray, values: np.ndarray):
+        """Log-posterior change of moving each knot of ks (pairwise non-adjacent) alone to its value.
 
-def _metropolis_step(engine: _KnotPosterior, m: Manifold, proposal_time: float, temperature: float, rng: np.random.Generator) -> bool:
-    k = int(rng.integers(0, engine.K + 1))
-    value = m.sample_heat_kernel(proposal_time, engine.knots[k], rng)
-    delta, cache = engine.propose(k, value)
-    u = float(rng.uniform())
-    if delta >= 0.0 or u < math.exp(delta / temperature):
-        engine.accept(k, value, cache)
-        return True
-    return False
+        Returns the per-knot changes and, for the prior and the observation
+        terms, the (term indices, owning position in ks, new values) of the
+        terms the block touches.
+        """
+        m = self.m
+        proposed = self.knots.copy()
+        proposed[ks] = values
+        # owner[j]: position in ks of knot j, or -1; a pair or interval has at most one owner
+        owner = np.full(self.K + 1, -1)
+        owner[ks] = np.arange(len(ks))
+        pair_owner = np.maximum(owner[:-1], owner[1:])
+        pairs = np.flatnonzero(pair_owner >= 0)
+        new_prior = self.prior.log_steps(m, proposed[pairs], proposed[pairs + 1])
+        delta = np.bincount(pair_owner[pairs], weights=new_prior - self.prior_terms[pairs], minlength=len(ks))
+        obs_owner = np.maximum(owner[self.interval], owner[self.interval + 1])
+        obs = np.flatnonzero(obs_owner >= 0)
+        new_obs = self._obs_log_density(proposed, obs) if len(obs) else np.zeros(0)
+        delta += np.bincount(obs_owner[obs], weights=new_obs - self.obs_terms[obs], minlength=len(ks))
+        return delta, (pairs, pair_owner[pairs], new_prior), (obs, obs_owner[obs], new_obs)
+
+    def _update_block(self, ks: np.ndarray, proposal_time: float, temperature: float, rng: np.random.Generator) -> int:
+        """One proposal per knot of ks in order, one vectorized Metropolis test; returns the accepts."""
+        values = np.asarray([self.m.sample_heat_kernel(proposal_time, self.knots[k], rng) for k in ks])
+        u = rng.uniform(size=len(ks))
+        delta, prior_change, obs_change = self._score(ks, values)
+        accept = (delta >= 0.0) | (u < np.exp(np.minimum(delta, 0.0) / temperature))
+        self.knots[ks[accept]] = values[accept]
+        for terms, (where, owners, new) in ((self.prior_terms, prior_change), (self.obs_terms, obs_change)):
+            kept = accept[owners]
+            terms[where[kept]] = new[kept]
+        return int(np.count_nonzero(accept))
 
 
 def anneal_map(
@@ -261,7 +265,7 @@ def anneal_map(
 ) -> FitResult:
     """Simulated-annealing MAP search started from the windowed-mode path."""
     state = init_state(data, spec.segments, m)
-    engine = _KnotPosterior(m, state.knots, spec, data, sigma)
+    engine = _Blocked(m, state.knots, spec, data, sigma)
     current = engine.total()
     best = current
     best_knots = np.array(engine.knots, copy=True)
@@ -271,15 +275,16 @@ def anneal_map(
     temperature = cfg.initial_temperature
     while True:
         step_time = cfg.proposal_time * temperature / cfg.initial_temperature
-        for _ in range(cfg.steps_per_temperature):
-            iteration += 1
-            if _metropolis_step(engine, m, step_time, temperature, rng):
-                accepted += 1
+        for updates, block_accepted in engine.advance(cfg.steps_per_temperature, step_time, temperature, rng):
+            if block_accepted:
+                accepted += block_accepted
                 current = engine.total()
                 if current > best:
                     best = current
                     best_knots = np.array(engine.knots, copy=True)
-            trace.append((iteration, current))
+            # every update of a block records the total after the block
+            trace.extend((iteration + i, current) for i in range(1, updates + 1))
+            iteration += updates
         if temperature * cfg.cooling_factor < cfg.temperature_floor:
             break
         temperature *= cfg.cooling_factor
@@ -321,17 +326,20 @@ def mh_sample(
     """
     if prior_only:
         state = sample_prior_path(spec, m, rng)
-        engine = _KnotPosterior(m, state.knots, spec, None, None)
+        engine = _Blocked(m, state.knots, spec, None, None)
     else:
         if data is None or sigma is None:
             raise ValueError("data and sigma are required unless prior_only")
         state = init_state(data, spec.segments, m)
-        engine = _KnotPosterior(m, state.knots, spec, data, sigma)
+        engine = _Blocked(m, state.knots, spec, data, sigma)
+
+    def run(count: int) -> int:
+        return sum(accepted for _, accepted in engine.advance(count, cfg.proposal_time, 1.0, rng))
+
+    accepted = run(cfg.burn_in)
     samples = []
-    accepted = 0
-    for iteration in range(1, cfg.iterations + 1):
-        if _metropolis_step(engine, m, cfg.proposal_time, 1.0, rng):
-            accepted += 1
-        if iteration > cfg.burn_in and (iteration - cfg.burn_in) % cfg.thinning == 0:
-            samples.append(PiecewiseGeodesicPath(m, np.array(engine.knots, copy=True)))
+    for _ in range((cfg.iterations - cfg.burn_in) // cfg.thinning):
+        accepted += run(cfg.thinning)
+        samples.append(PiecewiseGeodesicPath(m, np.array(engine.knots, copy=True)))
+    accepted += run((cfg.iterations - cfg.burn_in) % cfg.thinning)
     return SampleResult(samples=samples, acceptance_rate=accepted / cfg.iterations)

@@ -225,6 +225,22 @@ class TestMarginalBound:
         assert all(b == 3.0 for cells in seen for b in cells)
 
 
+class TestIgnoredOption:
+    def test_option_the_command_does_not_take_is_config_error(self, workdir, monkeypatch, capsys):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the command ran despite an option it does not take")
+
+        monkeypatch.setattr(cli, "run_cells", no_fit)
+        monkeypatch.setattr(cli, "run_contract", no_fit)
+        sweep = ["sweep", "--axis", "c", "--values", "0.01,0.1", "--rate-epsilon", "0.2"]
+        assert run_cli(*sweep) == 2
+        assert "--rate-epsilon" in capsys.readouterr().err
+        assert run_cli("contract", "--n-values", "50,100,200", "--grid-K", "7") == 2
+        assert "--grid-K" in capsys.readouterr().err
+        (workdir / "cfg.json").write_text(json.dumps({"grid_K": 7}))
+        assert run_cli("contract", "--n-values", "50,100,200", "--config", "cfg.json") == 2
+
+
 class TestCheckKernels:
     def test_clean_run_passes(self, capsys):
         assert run_cli("check-kernels") == 0

@@ -7,20 +7,23 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bmreg import inference
 from bmreg.data import Dataset, EmptyDatasetError
+from bmreg.experiments import default_truth
 from bmreg.inference import (
     AnnealConfig,
     K_FINE,
     McmcConfig,
+    _Blocked,
     anneal_map,
     fit_cbm,
     init_state,
     mh_sample,
 )
-from bmreg.manifolds import Circle, Sphere, signed_angle_gap, wrap_angle
+from bmreg.manifolds import Circle, Manifold, Sphere, make_manifold, signed_angle_gap, wrap_angle
 from bmreg.metrics import PredictorDensity, dinf_distance, generate_dataset
-from bmreg.paths import PriorSpec, log_prior
-from bmreg.posterior import KnownVariance, log_posterior
+from bmreg.paths import PiecewiseGeodesicPath, PriorSpec, log_prior
+from bmreg.posterior import KnownVariance, MarginalVariance, log_posterior
 
 
 def _circle_data(ts, points):
@@ -263,3 +266,123 @@ def test_mh_prior_only_matches_direct_prior_sampling_level():
 
     direct_lp = np.mean([log_prior(sample_prior_path(spec, m, rng), spec) for _ in range(500)])
     assert abs(chain_lp - direct_lp) < 1.5
+
+
+# ---------------------------------------------------------------- blocked engine
+
+
+def _engine_problem(kind, sigma, seed=17, n=30, K=12):
+    m = make_manifold(kind)
+    rng = np.random.default_rng(seed)
+    data = generate_dataset(default_truth(kind), n, 0.1, PredictorDensity.uniform(), m, rng)
+    spec = PriorSpec.from_segments(K, 0.05)
+    knots = init_state(data, K, m).knots
+    # move every knot off the windowed modes so no term sits at a special value
+    knots = m.sample_heat_kernel_many(0.02, knots, rng)
+    return m, data, spec, _Blocked(m, knots, spec, data, sigma), rng
+
+
+SIGMAS = [KnownVariance(0.1), MarginalVariance(3.0)]
+
+
+@pytest.mark.parametrize("sigma", SIGMAS, ids=["known", "marginal"])
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+def test_block_delta_matches_single_knot_log_posterior_change(kind, sigma):
+    m, data, spec, engine, rng = _engine_problem(kind, sigma)
+    base = log_posterior(PiecewiseGeodesicPath(m, engine.knots), data, sigma, spec)
+    for ks in engine.colours:
+        values = m.sample_heat_kernel_many(0.05, engine.knots[ks], rng)
+        delta, _, _ = engine._score(ks, values)
+        for position, k in enumerate(ks):
+            moved = np.array(engine.knots, copy=True)
+            moved[k] = values[position]
+            expected = log_posterior(PiecewiseGeodesicPath(m, moved), data, sigma, spec) - base
+            assert abs(delta[position] - expected) <= 1e-9
+
+
+@pytest.mark.parametrize("sigma", SIGMAS, ids=["known", "marginal"])
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+def test_cached_terms_match_fresh_evaluation_after_updates(kind, sigma):
+    m, data, spec, engine, rng = _engine_problem(kind, sigma)
+    # a short anneal, then a short chain at temperature 1; 37 cuts colour blocks
+    accepted = 0
+    for temperature in (1.0, 0.5, 0.25, 1.0, 1.0):
+        accepted += sum(a for _, a in engine.advance(37, 0.05 * temperature, temperature, rng))
+    assert accepted > 0
+    path = PiecewiseGeodesicPath(m, engine.knots)
+    assert_allclose(engine.prior_terms, spec.log_steps(m, path.knots[:-1], path.knots[1:]), rtol=0, atol=1e-9)
+    assert_allclose(engine.obs_terms, sigma.log_density(m, path.at_many(data.ts), data.points), rtol=0, atol=1e-9)
+    assert abs(engine.total() - log_posterior(path, data, sigma, spec)) <= 1e-9
+
+
+def _annealed_levels(cfg):
+    # the level count of perfbench/derive.anneal_updates
+    levels, temperature = 1, cfg.initial_temperature
+    while temperature * cfg.cooling_factor >= cfg.temperature_floor:
+        temperature *= cfg.cooling_factor
+        levels += 1
+    return levels
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts proposal draws and records every colour block the engine scores."""
+    record = {"draws": 0, "blocks": []}
+    draw, update_block = Manifold.sample_heat_kernel, _Blocked._update_block
+
+    def counting_draw(self, *args, **kwargs):
+        record["draws"] += 1
+        return draw(self, *args, **kwargs)
+
+    def recording_update(self, ks, *args, **kwargs):
+        record["blocks"].append(np.array(ks, copy=True))
+        return update_block(self, ks, *args, **kwargs)
+
+    monkeypatch.setattr(Manifold, "sample_heat_kernel", counting_draw)
+    monkeypatch.setattr(_Blocked, "_update_block", recording_update)
+    return record
+
+
+def _assert_blocks_are_colour_runs(blocks, K):
+    # no block holds two adjacent knots, and the blocks walk even, odd, even, ...
+    for ks in blocks:
+        assert len(ks) and np.all(np.diff(ks) == 2) and np.all((ks >= 0) & (ks <= K))
+    sweep = np.concatenate([np.arange(0, K + 1, 2), np.arange(1, K + 1, 2)])
+    walked = np.concatenate(blocks)
+    assert np.array_equal(walked, np.resize(sweep, len(walked)))
+
+
+@pytest.mark.parametrize("K", [1, 40, 200])
+def test_update_counts_guard_the_benchmark(K, counted):
+    """The benchmark divides fit time by these counts (`updates_per_probe`)."""
+    m, data, _, sigma = _example_problem(n=20)
+    spec = PriorSpec.from_segments(K, 0.01)
+    cfg = AnnealConfig(cooling_factor=0.5, steps_per_temperature=37, temperature_floor=0.05)
+    fit = anneal_map(data, sigma, spec, cfg, m, np.random.default_rng(4))
+    updates = _annealed_levels(cfg) * cfg.steps_per_temperature
+    assert counted["draws"] == updates
+    assert len(fit.trace) == updates + 1
+    assert [i for i, _ in fit.trace] == list(range(updates + 1))
+    _assert_blocks_are_colour_runs(counted["blocks"], K)
+
+    counted["draws"], counted["blocks"] = 0, []
+    mcmc = McmcConfig(iterations=1_003, burn_in=101, thinning=7, proposal_time=0.05)
+    res = mh_sample(data, sigma, spec, mcmc, m, np.random.default_rng(4))
+    assert counted["draws"] == mcmc.iterations
+    assert len(res) == (mcmc.iterations - mcmc.burn_in) // mcmc.thinning
+    _assert_blocks_are_colour_runs(counted["blocks"], K)
+
+
+def test_mh_stores_the_state_after_each_thinning_interval(counted, monkeypatch):
+    seen = []
+
+    def stored_path(m, knots):
+        seen.append(counted["draws"])
+        return PiecewiseGeodesicPath(m, knots)
+
+    monkeypatch.setattr(inference, "PiecewiseGeodesicPath", stored_path)
+    m, data, spec, sigma = _example_problem(n=20)
+    mcmc = McmcConfig(iterations=500, burn_in=45, thinning=13, proposal_time=0.05)
+    mh_sample(data, sigma, spec, mcmc, m, np.random.default_rng(6))
+    # the first path is the initial state
+    assert seen == [0] + list(range(45 + 13, 501, 13))
