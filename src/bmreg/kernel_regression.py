@@ -61,8 +61,6 @@ def frechet_mean_weighted(
         raise ValueError("weights must be nonnegative with a positive sum")
     total = float(np.sum(w))
     x = pts[int(np.argmax(w))]
-    if m.kind == "circle":
-        x = float(x)
     for _ in range(max_iterations):
         step = (w @ m.log_map(x, pts)) / total
         if float(np.linalg.norm(step)) <= tolerance:

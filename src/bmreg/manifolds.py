@@ -9,6 +9,11 @@ time-t kernel is the wrapped normal with variance t.  Two circle
 representations are kept (image sum for small t, eigenfunction sum for large t)
 and cross-checked in the test suite; the sphere kernel is a Legendre series
 with eigenvalues l*(l+1); the torus kernel is a product of circle kernels.
+
+Each manifold has one broadcasting log_map/exp_map pair.  Geodesic
+interpolation is exp_map(x, s * log_map(x, y)) on every manifold, and the
+sphere's heat-kernel sampler shoots exp_map along a tangent step drawn in
+polar coordinates, so a discretized Brownian path is a geodesic random walk.
 """
 
 from __future__ import annotations
@@ -197,23 +202,28 @@ class Manifold(ABC):
         """Geodesic distance between points or rows of stacked points."""
 
     @abstractmethod
-    def interpolate_pairwise(self, xs, ys, s):
-        """Point a fraction s in [0, 1] along the minimizing geodesic x->y.
+    def log_map(self, xs, ys):
+        """Tangent vector at x pointing to y along the minimizing geodesic, of length dist(x, y).
 
-        Takes single points or stacked rows; s may be scalar or one per row.
         Antipodal pairs take a documented deterministic tie-break rather than
-        raising: counterclockwise arc on the circle (per coordinate on the
-        torus); on the sphere the great circle through the axis-fixed fallback
-        direction.
+        raising: the counterclockwise arc on the circle (per coordinate on the
+        torus); on the sphere the great circle through the first frame
+        direction of x (_sphere_frame).  Coincident points map to zero.
         """
 
     @abstractmethod
-    def log_map(self, x, ys):
-        """Tangent vectors at x pointing to ys, of length dist(x, y)."""
-
-    @abstractmethod
-    def exp_map(self, x, v):
+    def exp_map(self, xs, vs):
         """Geodesic exponential of tangent vector v at x."""
+
+    def interpolate_pairwise(self, xs, ys, s):
+        """Point a fraction s in [0, 1] along the minimizing geodesic x->y.
+
+        s may be scalar or one per row; antipodal pairs follow log_map's
+        tie-break.
+        """
+        s = np.asarray(s, dtype=float)
+        s = s.reshape(s.shape + (1,) * len(self.point_shape))
+        return self.exp_map(xs, s * self.log_map(xs, ys))
 
     # -- heat kernel ---------------------------------------------------------
 
@@ -279,15 +289,11 @@ class Circle(Manifold):
     def distance(self, xs, ys):
         return np.abs(signed_angle_gap(np.asarray(xs, dtype=float), ys))
 
-    def interpolate_pairwise(self, xs, ys, s):
-        xs = np.asarray(xs, dtype=float)
-        return wrap_angle(xs + np.asarray(s) * signed_angle_gap(xs, ys))
+    def log_map(self, xs, ys):
+        return signed_angle_gap(np.asarray(xs, dtype=float), ys)
 
-    def log_map(self, x, ys):
-        return signed_angle_gap(float(x), np.asarray(ys, dtype=float))
-
-    def exp_map(self, x, v):
-        return wrap_angle(x + v)
+    def exp_map(self, xs, vs):
+        return wrap_angle(np.asarray(xs, dtype=float) + vs)
 
     # Kernel gaps use |y - x| of the raw difference rather than the signed
     # wrap: subtraction is exactly antisymmetric in floats, so the gap (and
@@ -313,14 +319,27 @@ class Circle(Manifold):
         return points, weights
 
 
-def _sphere_frame(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal pair completing x to a right-handed frame."""
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(x)))] = 1.0
-    e1 = axis - np.dot(axis, x) * x
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(x, e1)
-    return e1, e2
+# Row-wise 3-vector helpers.  On the one or few rows of a per-knot proposal,
+# ndarray methods and take beat np.sum, np.linalg.norm and np.cross, whose
+# Python-level set-up dominates there; the bits are the same.
+_AXES = np.eye(3)
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
+def _row_norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt((v * v).sum(axis=-1, keepdims=True))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a.take(_NEXT, axis=-1) * b.take(_PREV, axis=-1) - a.take(_PREV, axis=-1) * b.take(_NEXT, axis=-1)
+
+
+def _sphere_frame(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic orthonormal pair completing each row of xs to a right-handed frame."""
+    axis = _AXES.take(np.abs(xs).argmin(axis=-1), axis=0)
+    e1 = axis - (axis * xs).sum(axis=-1, keepdims=True) * xs
+    e1 = e1 / _row_norm(e1)
+    return e1, _cross(xs, e1)
 
 
 class Sphere(Manifold):
@@ -346,54 +365,24 @@ class Sphere(Manifold):
     def distance(self, xs, ys):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
-        cross = np.linalg.norm(np.cross(xs, ys), axis=-1)
-        dot = np.sum(xs * ys, axis=-1)
-        return np.arctan2(cross, dot)
+        return np.arctan2(_row_norm(_cross(xs, ys))[..., 0], (xs * ys).sum(axis=-1))
 
-    def interpolate_pairwise(self, xs, ys, s):
-        single = np.ndim(xs) == 1
-        xs = self.stack(xs)
-        ys = self.stack(ys)
-        s = np.broadcast_to(np.asarray(s, dtype=float), xs.shape[:1])
-        gamma = self.distance(xs, ys)
-        sin_g = np.sin(gamma)
-        degenerate = sin_g < self._DEGENERATE
-        u = ys - np.cos(gamma)[:, None] * xs
-        for i in np.flatnonzero(degenerate):
-            e1, _ = _sphere_frame(xs[i])
-            u[i] = e1
-        u = u / np.linalg.norm(u, axis=1, keepdims=True)
-        near_start = gamma < self._DEGENERATE
-        ang = s * gamma
-        out = np.cos(ang)[:, None] * xs + np.sin(ang)[:, None] * u
-        out[near_start] = xs[near_start]
-        out = out / np.linalg.norm(out, axis=1, keepdims=True)
-        return out[0] if single else out
-
-    def log_map(self, x, ys):
-        x = np.asarray(x, dtype=float)
-        single = np.ndim(ys) == 1
-        ys = self.stack(ys)
-        gamma = self.distance(np.broadcast_to(x, ys.shape), ys)
-        u = ys - np.cos(gamma)[:, None] * x[None, :]
+    def log_map(self, xs, ys):
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        gamma = self.distance(xs, ys)[..., None]
+        u = ys - np.cos(gamma) * xs
         degenerate = np.sin(gamma) < self._DEGENERATE
         if np.any(degenerate):
-            e1, _ = _sphere_frame(x)
-            u[degenerate] = e1
-        u = u / np.linalg.norm(u, axis=1, keepdims=True)
-        out = gamma[:, None] * u
-        out[gamma < self._DEGENERATE] = 0.0
-        return out[0] if single else out
+            u = np.where(degenerate, _sphere_frame(xs)[0], u)
+        return np.where(gamma < self._DEGENERATE, 0.0, gamma * (u / _row_norm(u)))
 
-    def exp_map(self, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            return x.copy()
-        u = v / norm
-        out = math.cos(norm) * x + math.sin(norm) * u
-        return out / np.linalg.norm(out)
+    def exp_map(self, xs, vs):
+        xs = np.asarray(xs, dtype=float)
+        vs = np.asarray(vs, dtype=float)
+        angle = _row_norm(vs)
+        out = np.cos(angle) * xs + np.sin(angle) * (vs / np.where(angle > 0.0, angle, 1.0))
+        return out / _row_norm(out)
 
     def heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
         # one BLAS dot per pair, the same bits as np.dot on two points
@@ -418,28 +407,16 @@ class Sphere(Manifold):
         self._cdf_cache[key] = (theta, cdf)
         return theta, cdf
 
-    def _from_polar(self, x: np.ndarray, theta, phi) -> np.ndarray:
-        e1, e2 = _sphere_frame(np.asarray(x, dtype=float))
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        sin_t = np.sin(theta)
-        out = (
-            np.multiply.outer(sin_t * np.cos(phi), e1)
-            + np.multiply.outer(sin_t * np.sin(phi), e2)
-            + np.multiply.outer(np.cos(theta), np.asarray(x, dtype=float))
-        )
-        return out / np.linalg.norm(out, axis=-1, keepdims=True)
-
     def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
         t = _check_time(t)
         centers = self.stack(centers)
         theta_grid, cdf = self._polar_cdf(t)
-        out = np.empty_like(centers)
-        for i, c in enumerate(centers):
-            theta = np.interp(rng.uniform(), cdf, theta_grid)
-            phi = rng.uniform(0.0, TWO_PI)
-            out[i] = self._from_polar(c, theta, phi)[0]
-        return out
+        # per centre a polar then an azimuth uniform, in row order
+        u = rng.uniform(size=(len(centers), 2))
+        theta = np.interp(u[:, :1], cdf, theta_grid)
+        phi = TWO_PI * u[:, 1:]
+        e1, e2 = _sphere_frame(centers)
+        return self.exp_map(centers, theta * (np.cos(phi) * e1 + np.sin(phi) * e2))
 
     def sample_uniform_many(self, n: int, rng: np.random.Generator):
         z = rng.uniform(-1.0, 1.0, size=n)
@@ -487,18 +464,11 @@ class Torus(Manifold):
         gaps = signed_angle_gap(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
         return np.linalg.norm(gaps, axis=-1)
 
-    def interpolate_pairwise(self, xs, ys, s):
-        xs = np.asarray(xs, dtype=float)
-        s = np.asarray(s, dtype=float)
-        if s.ndim == 1:
-            s = s[:, None]
-        return wrap_angle(xs + s * signed_angle_gap(xs, np.asarray(ys, dtype=float)))
+    def log_map(self, xs, ys):
+        return signed_angle_gap(np.asarray(xs, dtype=float), ys)
 
-    def log_map(self, x, ys):
-        return signed_angle_gap(np.asarray(x, dtype=float), np.asarray(ys, dtype=float))
-
-    def exp_map(self, x, v):
-        return wrap_angle(np.asarray(x, dtype=float) + np.asarray(v, dtype=float))
+    def exp_map(self, xs, vs):
+        return wrap_angle(np.asarray(xs, dtype=float) + vs)
 
     def heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
         # As on the circle, gaps are |y - x| per axis so the kernel is bitwise

@@ -126,10 +126,15 @@ def test_log_map_many_matches_scalar():
     rng = np.random.default_rng(23)
     for m in (Circle(), Sphere(), Torus()):
         x = m.canonical(m.sample_uniform(rng))
+        xs = m.sample_uniform_many(12, rng)
         ys = m.stack([m.sample_uniform(rng) for _ in range(12)])
         many = m.log_map(x, ys)
+        rows = m.log_map(xs, ys)
+        shot = m.exp_map(xs, 0.5 * rows)
         for i in range(12):
             assert_allclose(many[i], m.log_map(x, ys[i]), rtol=0, atol=1e-12)
+            assert_allclose(rows[i], m.log_map(xs[i], ys[i]), rtol=0, atol=1e-12)
+            assert_allclose(shot[i], m.exp_map(xs[i], 0.5 * rows[i]), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- regression

@@ -257,6 +257,13 @@ def test_exp_log_round_trip(kind):
         x, y = m.sample_uniform(rng), m.sample_uniform(rng)
         z = m.exp_map(x, m.log_map(x, y))
         assert m.points_close(z, y, tol=1e-9)
+    # stacked rows: rows against rows, and one point against rows
+    xs, ys = m.sample_uniform_many(50, rng), m.sample_uniform_many(50, rng)
+    for starts in (xs, xs[0]):
+        zs = m.exp_map(starts, m.log_map(starts, ys))
+        assert zs.shape == ys.shape
+        for z, y in zip(zs, ys):
+            assert m.points_close(z, y, tol=1e-9)
 
 
 def test_interpolate_pairwise_matches_scalar():
@@ -266,6 +273,10 @@ def test_interpolate_pairwise_matches_scalar():
         xs = m.sample_uniform_many(20, rng)
         ys = m.sample_uniform_many(20, rng)
         s = rng.uniform(0.0, 1.0, size=20)
+        if kind == "sphere":
+            # an antipodal and a coincident row take the single-point tie-break
+            ys[3] = -xs[3]
+            ys[8] = xs[8]
         batch = m.interpolate_pairwise(xs, ys, s)
         for i in range(20):
             single = m.interpolate_pairwise(xs[i], ys[i], s[i])
@@ -302,6 +313,18 @@ def test_single_point_forms_match_broadcast_bodies(kind, t):
 
 
 # ---------------------------------------------------------------- sampling
+
+
+def test_sphere_many_draws_keep_the_sequential_stream():
+    # one call over 64 centres consumes the generator exactly as 64 one-centre
+    # calls do: per centre its polar uniform, then its azimuth uniform
+    m = Sphere()
+    centers = m.sample_uniform_many(64, np.random.default_rng(71))
+    batch_rng, single_rng = np.random.default_rng(72), np.random.default_rng(72)
+    batch = m.sample_heat_kernel_many(0.05, centers, batch_rng)
+    singles = np.stack([m.sample_heat_kernel(0.05, c, single_rng) for c in centers])
+    assert_allclose(batch, singles, rtol=0, atol=1e-15)
+    assert batch_rng.uniform() == single_rng.uniform()
 
 
 def test_circle_sampler_resultant_length():
