@@ -39,6 +39,7 @@ from bmreg.metrics import (
     density_distance,
     dinf_distance,
     dq_distance,
+    dq_distances,
     generate_dataset,
     knot_total_variation,
     l1_error,
@@ -85,6 +86,7 @@ __all__ = [
     "density_distance",
     "dinf_distance",
     "dq_distance",
+    "dq_distances",
     "fit_cbm",
     "frechet_mean_weighted",
     "generate_dataset",

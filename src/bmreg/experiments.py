@@ -31,7 +31,7 @@ from bmreg.kernel_regression import KernelFit, frechet_mean_weighted
 from bmreg.manifolds import Manifold, make_manifold
 from bmreg.metrics import (
     PredictorDensity,
-    dq_distance,
+    dq_distances,
     generate_dataset,
     theorem_rate_sidelength,
 )
@@ -211,10 +211,8 @@ def run_cell(cell: ExperimentCell):
     start = time.perf_counter()
     mcmc = cell.mcmc or default_mcmc_config(cell.n, cell.K, cell.sigma2)
     fitted, K, _ = fit_method(cell.method, data, sigma, cell.K, cell.c, m, rng, cell.anneal, mcmc)
-    if cell.method == "mcmc":
-        error = float(np.mean([dq_distance(p, f0, 1.0, density, m) for p in fitted]))
-    else:
-        error = dq_distance(fitted, f0, 1.0, density, m)
+    scored = fitted if cell.method == "mcmc" else [fitted]
+    error = float(np.mean(dq_distances(scored, f0, 1.0, density, m)))
     runtime_ms = int(round((time.perf_counter() - start) * 1000.0))
     row = ExperimentResult(
         run_id=cell.run_id,

@@ -84,6 +84,8 @@ class McmcConfig:
             raise ValueError("burn_in must lie in [0, iterations)")
         if self.thinning < 1:
             raise ValueError("thinning must be positive")
+        if self.thinning > self.iterations - self.burn_in:
+            raise ValueError("thinning must not exceed iterations - burn_in, or no sample is stored")
         if self.proposal_time <= 0.0:
             raise ValueError("proposal_time must be positive")
 

@@ -60,7 +60,8 @@ def frechet_mean_weighted(
     if np.any(w < 0.0) or not np.any(w > 0.0):
         raise ValueError("weights must be nonnegative with a positive sum")
     total = float(np.sum(w))
-    x = pts[int(np.argmax(w))]
+    # a copy, so the estimate never aliases the caller's points
+    x = pts[int(np.argmax(w))].copy()
     for _ in range(max_iterations):
         step = (w @ m.log_map(x, pts)) / total
         if float(np.linalg.norm(step)) <= tolerance:

@@ -119,6 +119,32 @@ def _check_order(q: float) -> float:
     return q
 
 
+def dq_distances(
+    fs,
+    g,
+    q: float,
+    density: PredictorDensity,
+    m: Manifold,
+    grid: QuadratureGrid = QuadratureGrid(),
+) -> np.ndarray:
+    """Weighted L_q distance from each regression function in fs to g.
+
+    g and the quadrature weight are evaluated once and shared by every f,
+    so scoring many posterior samples against one truth evaluates the
+    truth once.  Each f is scored on its own, which keeps the memory of
+    one path's grid values.
+    """
+    q = _check_order(q)
+    ts = grid.times()
+    gv = eval_path_like(g, ts, m)
+    weight = grid.weights() * density.weight(ts)
+    out = []
+    for f in fs:
+        dist = m.distance(eval_path_like(f, ts, m), gv)
+        out.append(float(np.sum(weight * dist**q)) ** (1.0 / q))
+    return np.array(out, dtype=float)
+
+
 def dq_distance(
     f,
     g,
@@ -128,11 +154,7 @@ def dq_distance(
     grid: QuadratureGrid = QuadratureGrid(),
 ) -> float:
     """Weighted L_q distance between two regression functions."""
-    q = _check_order(q)
-    ts = grid.times()
-    dist = m.distance(eval_path_like(f, ts, m), eval_path_like(g, ts, m))
-    total = float(np.sum(grid.weights() * density.weight(ts) * dist**q))
-    return total ** (1.0 / q)
+    return float(dq_distances([f], g, q, density, m, grid)[0])
 
 
 def dinf_distance(f, g, m: Manifold, grid: QuadratureGrid = QuadratureGrid()) -> float:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import bmreg.experiments as experiments
 from bmreg.experiments import (
     CSV_HEADER,
     ContractReport,
@@ -26,6 +27,7 @@ from bmreg.experiments import (
 )
 from bmreg.inference import AnnealConfig, K_FINE, McmcConfig, SampleResult
 from bmreg.kernel_regression import KernelFit
+from bmreg.metrics import QuadratureGrid
 
 FAST_ANNEAL = AnnealConfig(
     initial_temperature=1.0,
@@ -157,6 +159,24 @@ class TestRunCell:
         assert row.K == 5
         assert isinstance(fitted, SampleResult)
         assert len(fitted) == 10
+
+    def test_mcmc_scores_samples_against_one_truth_evaluation(self, monkeypatch):
+        calls = []
+        truth = default_truth("circle")
+
+        def counting_truth(kind):
+            def f0(t):
+                calls.append(t)
+                return truth(t)
+
+            return f0
+
+        monkeypatch.setattr(experiments, "default_truth", counting_truth)
+        cell = make_cell("mcmc", mcmc=FAST_MCMC)
+        _, fitted = run_cell(cell)
+        assert len(fitted) == 10
+        # generate_dataset plus one quadrature-grid evaluation
+        assert len(calls) <= cell.n + QuadratureGrid().nodes
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

@@ -54,6 +54,10 @@ def test_mcmc_config_validation():
         McmcConfig(iterations=0, burn_in=0, thinning=1, proposal_time=0.1)
     with pytest.raises(ValueError):
         McmcConfig(iterations=10, burn_in=0, thinning=0, proposal_time=0.1)
+    # a chain that would store no sample
+    with pytest.raises(ValueError):
+        McmcConfig(iterations=100, burn_in=95, thinning=10, proposal_time=0.1)
+    McmcConfig(iterations=100, burn_in=90, thinning=10, proposal_time=0.1)
 
 
 # ---------------------------------------------------------------- init_state

@@ -112,6 +112,15 @@ def test_frechet_local_minimality():
             assert sphere_objective(bumped) >= base - 1e-12
 
 
+def test_frechet_early_exit_returns_a_copy():
+    # equal rows settle on the first step; the estimate must not alias them
+    for m, p in ((Torus(), [0.4, 1.1]), (Sphere(), [0.0, 0.6, 0.8])):
+        pts = np.array([p, p])
+        out = frechet_mean_weighted(pts, [1.0, 1.0], m)
+        assert not np.shares_memory(out, pts)
+        assert_allclose(out, p, rtol=0, atol=0)
+
+
 def test_frechet_validation_and_budget():
     m = Circle()
     with pytest.raises(ValueError):

@@ -7,19 +7,20 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
-from bmreg.manifolds import Circle, Sphere, make_manifold
+from bmreg.manifolds import Circle, Sphere, Torus, make_manifold
 from bmreg.metrics import (
     PredictorDensity,
     QuadratureGrid,
     density_distance,
     dinf_distance,
     dq_distance,
+    dq_distances,
     generate_dataset,
     knot_total_variation,
     l1_error,
     theorem_rate_sidelength,
 )
-from bmreg.paths import PiecewiseGeodesicPath
+from bmreg.paths import PiecewiseGeodesicPath, eval_path_like
 
 
 def _circle_path(knots):
@@ -123,6 +124,44 @@ def test_dq_triangle_inequality():
         assert dq_distance(f, h, 2.0, uniform, m) <= (
             dq_distance(f, g, 2.0, uniform, m) + dq_distance(g, h, 2.0, uniform, m) + 1e-10
         )
+
+
+def _dq_reference(f, g, q, density, m, grid=QuadratureGrid()):
+    # d_q of one pair, evaluating both functions on the grid
+    ts = grid.times()
+    dist = m.distance(eval_path_like(f, ts, m), eval_path_like(g, ts, m))
+    return float(np.sum(grid.weights() * density.weight(ts) * dist**q)) ** (1.0 / q)
+
+
+def test_dq_distances_equals_per_path_dq_distance_bitwise():
+    rng = np.random.default_rng(29)
+    triangle = PredictorDensity.piecewise_linear([0.0, 0.3, 1.0], [0.5, 1.5, 0.5], threshold=0.7)
+    truths = {
+        "circle": lambda t: (t + 0.5) ** 2,
+        "torus": lambda t: np.array([(t + 0.5) ** 2, 0.5 * (t + 0.5) ** 2]),
+        "sphere": lambda t: np.array([math.cos(3 * t), math.sin(3 * t), 0.0]),
+    }
+    for m in (Circle(), Sphere(), Torus()):
+        paths = [
+            PiecewiseGeodesicPath(m, m.sample_uniform_many(int(k), rng))
+            for k in rng.integers(2, 9, size=4)
+        ]
+        for g in (truths[m.kind], paths[0]):
+            for density in (PredictorDensity.uniform(), triangle):
+                for q in (1.0, 2.0, 4.0):
+                    batch = dq_distances(paths, g, q, density, m)
+                    assert batch.dtype == np.float64
+                    assert batch.tolist() == [dq_distance(f, g, q, density, m) for f in paths]
+                    assert batch.tolist() == [_dq_reference(f, g, q, density, m) for f in paths]
+
+
+def test_dq_distances_empty_and_invalid_order():
+    m = Circle()
+    g = lambda t: t
+    empty = dq_distances([], g, 1.0, PredictorDensity.uniform(), m)
+    assert empty.shape == (0,) and empty.dtype == np.float64
+    with pytest.raises(ValueError):
+        dq_distances([], g, 0.5, PredictorDensity.uniform(), m)
 
 
 def test_dinf_includes_knot_times():
