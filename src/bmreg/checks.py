@@ -2,10 +2,12 @@
 
 Each check recomputes an identity that the heat kernels must satisfy
 (normalization, symmetry, the semigroup property, agreement of the two
-circle representations) or a frozen metric oracle.  The perturbation hook
-adds a constant to every kernel evaluation inside the checks; any nonzero
-value must break the normalization identity, which gives the command an
-easily injected self-test of its own failure path.
+circle representations, log kernels against their oracles) or a frozen
+metric oracle.  The perturbation hook adds a constant to every kernel
+evaluation inside the checks, log kernels included (as log(p + c)); any
+nonzero value must break the normalization identity and the log-kernel
+check, which gives the command an easily injected self-test of its own
+failure path.
 """
 
 from __future__ import annotations
@@ -16,11 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from bmreg.manifolds import (
+    TWO_PI,
     Circle,
     Sphere,
     Torus,
     circle_heat_eigen,
     circle_heat_wrapped,
+    sphere_heat_series,
+    sphere_log_heat_expansion,
 )
 from bmreg.metrics import (
     PredictorDensity,
@@ -31,6 +36,20 @@ from bmreg.metrics import (
 from bmreg.paths import PiecewiseGeodesicPath
 
 CHECK_TIMES = (0.05, 0.1, 0.5, 2.0)
+# the log-kernel check reaches down to the prior steps and proposals
+CHECK_LOG_TIMES = (1e-5, 5e-5, 2.5e-4, 1e-3, 0.05, 0.1)
+# (manifold, t, gap, log p_t) from 50-digit references: the image sum on the
+# circle, the Mehler-Dirichlet integral of the Legendre series on the sphere
+FROZEN_LOG_KERNELS = (
+    ("circle", 5e-5, math.pi, -98691.31805846996),
+    ("sphere", 1e-5, math.pi, -493462.7248736678),
+    ("sphere", 2.5e-4, 0.2, -73.5404479424825),
+    ("sphere", 1e-3, 0.1, 0.0708785211147582),
+    ("sphere", 1e-3, 3.1, -4797.773250046801),
+    ("sphere", 0.05, 2.5, -60.6166654747117),
+    ("sphere", 0.1, 2.8, -37.6463218176007),
+    ("sphere", 0.1, 3.0, -42.9591363289175),
+)
 
 
 @dataclass(frozen=True)
@@ -103,15 +122,81 @@ def check_symmetry(perturbation: float = 0.0) -> CheckResult:
     return CheckResult("symmetry", worst == 0.0, f"max asymmetry {worst:.3e}")
 
 
+def _perturbed_log(log_values, perturbation: float):
+    """log(p + perturbation) of log kernel values log p."""
+    if perturbation == 0.0:
+        return log_values
+    with np.errstate(invalid="ignore"):
+        return np.log(np.exp(log_values) + perturbation)
+
+
 def check_positivity(perturbation: float = 0.0) -> CheckResult:
-    """Kernel values stay strictly positive, antipodes included."""
+    """Kernel values stay strictly positive, antipodes included: their logs are finite."""
     lowest = math.inf
     for m in _manifolds():
         points, _ = m.quadrature()
         x = m.canonical(points[0])
         for t in (0.01, 0.05, 0.5):
-            lowest = min(lowest, float(np.min(m.heat_kernel_pairwise(t, x, points) + perturbation)))
-    return CheckResult("positivity", lowest > 0.0, f"min value {lowest:.3e}")
+            logs = _perturbed_log(m.log_heat_kernel_pairwise(t, x, points), perturbation)
+            lowest = min(lowest, float(np.min(logs)) if np.all(np.isfinite(logs)) else -math.inf)
+    return CheckResult("positivity", lowest > -math.inf, f"min log value {lowest:.4g}")
+
+
+def _log_kernel_at(kind: str, t: float, gaps, perturbation: float) -> np.ndarray:
+    """log p_t between a base point and points at the given gaps (per axis on the torus)."""
+    gaps = np.asarray(gaps, dtype=float)
+    if kind == "circle":
+        values = Circle().log_heat_kernel_pairwise(t, 0.0, gaps)
+    elif kind == "torus":
+        values = Torus().log_heat_kernel_pairwise(t, np.zeros(2), np.stack([gaps, gaps[::-1]], axis=-1))
+    else:
+        ends = np.stack([np.sin(gaps), np.zeros_like(gaps), np.cos(gaps)], axis=-1)
+        values = Sphere().log_heat_kernel_pairwise(t, np.array([0.0, 0.0, 1.0]), ends)
+    return _perturbed_log(values, perturbation)
+
+
+def check_log_kernels(perturbation: float = 0.0) -> CheckResult:
+    """Log kernels are finite on gaps [0, pi] at every CHECK_LOG_TIMES and match their oracles.
+
+    Errors are taken relative to each oracle's tolerance:
+    - circle: log of circle_heat_eigen where it is >= 1e-6, within 1e-9; and
+      the two nearest images, -log(2 pi t)/2 + logaddexp(-g^2/(2t),
+      -(2 pi - g)^2/(2t)), everywhere, within 1e-12 relative;
+    - torus: the sum of that two-image form over both axes, likewise;
+    - sphere: log of the Legendre series where gamma^2/(2t) <= 20, within
+      1e-6; the expansion everywhere, within 0.03 t + 1e-6;
+    - the frozen references, within 0.03 t + 1e-6.
+    """
+    gaps = np.linspace(0.0, math.pi, 65)
+    finite = True
+    worst = 0.0
+
+    def score(got, want, tol) -> None:
+        nonlocal worst
+        worst = max(worst, float(np.max(np.abs(got - want) / tol, initial=0.0)))
+
+    for t in CHECK_LOG_TIMES:
+        two_images = -0.5 * math.log(TWO_PI * t) + np.logaddexp(-(gaps**2) / (2 * t), -((TWO_PI - gaps) ** 2) / (2 * t))
+        circle = _log_kernel_at("circle", t, gaps, perturbation)
+        torus = _log_kernel_at("torus", t, gaps, perturbation)
+        sphere = _log_kernel_at("sphere", t, gaps, perturbation)
+        finite = finite and all(bool(np.all(np.isfinite(v))) for v in (circle, torus, sphere))
+        eigen = circle_heat_eigen(gaps, t)
+        resolved = eigen >= 1e-6
+        score(circle[resolved], np.log(eigen[resolved]), 1e-9)
+        score(circle, two_images, 1e-12 * np.abs(two_images))
+        torus_want = two_images + two_images[::-1]
+        score(torus, torus_want, 1e-12 * np.abs(torus_want))
+        conditioned = gaps**2 <= 40.0 * t
+        score(sphere[conditioned], np.log(sphere_heat_series(np.cos(gaps[conditioned]), t)), 1e-6)
+        score(sphere, sphere_log_heat_expansion(gaps, t), 0.03 * t + 1e-6)
+    for kind, t, gap, want in FROZEN_LOG_KERNELS:
+        got = _log_kernel_at(kind, t, np.array([gap]), perturbation)
+        finite = finite and bool(np.all(np.isfinite(got)))
+        score(got, want, 0.03 * t + 1e-6)
+    return CheckResult(
+        "log-kernels", finite and worst <= 1.0, f"max error / tolerance {worst:.3g}, all finite: {finite}"
+    )
 
 
 def check_metric_oracles(perturbation: float = 0.0) -> CheckResult:
@@ -154,6 +239,7 @@ ALL_CHECKS = (
     check_semigroup,
     check_symmetry,
     check_positivity,
+    check_log_kernels,
     check_metric_oracles,
     check_density_sampler,
 )

@@ -5,15 +5,37 @@ a unit vector in R^3 on the sphere, and an angle pair on the torus.
 
 Heat kernels follow the Delta/2 generator convention: an eigenvalue lam of the
 Laplace-Beltrami operator contributes exp(-lam * t / 2), so on the circle the
-time-t kernel is the wrapped normal with variance t.  Two circle
-representations are kept (image sum for small t, eigenfunction sum for large t)
-and cross-checked in the test suite; the sphere kernel is a Legendre series
-with eigenvalues l*(l+1); the torus kernel is a product of circle kernels.
+time-t kernel is the wrapped normal with variance t.  Each manifold has one
+kernel body, log_heat_kernel_pairwise, finite at every t > 0 and every pair;
+heat_kernel_pairwise is its exp.  Sums keep every term down to
+SERIES_TOLERANCE (1e-14), with term counts taken from t, never capped.
+
+- Circle, all t: the image sum in log form, the k = 0 image in closed form
+  plus log1p of the others relative to it, with the gap folded into [0, pi].
+  The eigenfunction sum is kept as its oracle.  The torus adds the logs of
+  its two circle factors.
+- Sphere, t < SPHERE_SEAM_TIME (1e-3): the small-time expansion
+  (Minakshisundaram-Pleijel; Varadhan 1967) to first order in t, with a
+  caustic factor at the antipode (sphere_log_heat_expansion).
+- Sphere, t >= SPHERE_SEAM_TIME: the Legendre series with eigenvalues
+  l*(l+1), coefficients cached per t.  It cancels where the kernel is tiny
+  against its peak, so beyond sphere_series_edge(t), where its roundoff
+  passes the expansion's error, the expansion is used instead; at t = 0.1
+  that is gamma > 2.35.
+- Near gamma = pi the expansion's factor sqrt(gamma / sin gamma) diverges;
+  the caustic factor sqrt(2 pi z) I0(z) e^{-z}, z = pi (pi - gamma) / t,
+  cancels the divergence, so the log kernel stays finite at the antipode.
+  Its log error there is at most 0.026 t; elsewhere the log kernel is
+  within about 1e-8 + 0.015 t^2 of a 50-digit reference.
 
 Each manifold has one broadcasting log_map/exp_map pair.  Geodesic
 interpolation is exp_map(x, s * log_map(x, y)) on every manifold, and the
-sphere's heat-kernel sampler shoots exp_map along a tangent step drawn in
-polar coordinates, so a discretized Brownian path is a geodesic random walk.
+sphere's heat-kernel sampler shoots exp_map along a tangent step, so a
+discretized Brownian path is a geodesic random walk.  At or above the seam
+the step is drawn in polar coordinates from the kernel's polar CDF; below it
+the step is an isotropic tangent Gaussian with variance t per axis.  That
+step is symmetric in its two end points, as a Metropolis proposal needs, and
+its density differs from p_t by a relative O(t).
 """
 
 from __future__ import annotations
@@ -24,11 +46,6 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-# Smallest positive float; series results are floored here so the strict
-# positivity of the exact kernel survives roundoff cancellation.
-_POSITIVE_FLOOR = np.finfo(float).tiny
-
 
 class InvalidTimeError(ValueError):
     """Heat-kernel time must be strictly positive."""
@@ -70,12 +87,15 @@ def unit_vector(v) -> np.ndarray:
     return v / norm
 
 
-# Series settings shared by all kernels: at most TRUNCATION_ORDER terms, an
-# adaptive stop once the next term falls below SERIES_TOLERANCE, and on the
-# circle the image sum below SWITCH_TIME, the eigenfunction sum at or above.
-TRUNCATION_ORDER = 200
+# Kernel settings.  Series and image sums keep every term down to
+# SERIES_TOLERANCE; their term counts follow from t and the tolerance, so no
+# cap truncates them.  Below SPHERE_SEAM_TIME the sphere kernel is its
+# small-time expansion; at or above it the Legendre series, except beyond
+# sphere_series_edge(t), where the series has cancelled and the expansion
+# takes over.
 SERIES_TOLERANCE = 1e-14
-SWITCH_TIME = 1.0
+SPHERE_SEAM_TIME = 1e-3
+_LOG_TOL = math.log(1.0 / SERIES_TOLERANCE)
 
 
 def _check_time(t: float) -> float:
@@ -85,85 +105,175 @@ def _check_time(t: float) -> float:
     return t
 
 
-def circle_heat_wrapped(gap, t):
-    """Circle heat kernel via the wrapped-Gaussian image sum.
+def _scalar_or_array(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
 
-    (1/sqrt(2*pi*t)) * sum_k exp(-(gap + 2*pi*k)^2 / (2*t)), truncated once
-    the next image term falls below SERIES_TOLERANCE.  Accurate for small t.
+
+def circle_log_heat(gap, t):
+    """log p_t on the circle by the wrapped-Gaussian image sum, in log form.
+
+    The gap is folded into [0, pi].  The k = 0 image is kept in closed form,
+    -log(2 pi t)/2 - gap^2/(2t), and the others enter relative to it through
+    log1p, so nothing underflows.  Images |k| <= K are kept with
+    2 pi^2 K (K + 1) / t >= log(1 / SERIES_TOLERANCE).
     """
     t = _check_time(t)
-    gap = np.abs(signed_angle_gap(0.0, gap))
-    pref = 1.0 / math.sqrt(TWO_PI * t)
-    total = np.exp(-np.square(gap) / (2.0 * t))
-    for k in range(1, TRUNCATION_ORDER + 1):
-        shift = TWO_PI * k
-        term = np.exp(-np.square(gap + shift) / (2.0 * t))
-        term = term + np.exp(-np.square(gap - shift) / (2.0 * t))
-        total = total + term
-        if pref * np.max(term) < SERIES_TOLERANCE:
-            break
-    return np.maximum(pref * total, _POSITIVE_FLOOR)
+    g = np.mod(np.abs(np.asarray(gap, dtype=float)), TWO_PI)
+    g = np.minimum(g, TWO_PI - g)
+    images = max(1, math.ceil(0.5 * (math.sqrt(1.0 + 2.0 * _LOG_TOL * t / math.pi**2) - 1.0)))
+    rest = 0.0
+    for k in range(1, images + 1):
+        # images -k and +k over image 0: exp(-2 pi k (pi k -/+ gap) / t)
+        rest = rest + np.exp((TWO_PI * k / t) * (g - math.pi * k)) + np.exp((-TWO_PI * k / t) * (g + math.pi * k))
+    return _scalar_or_array(-0.5 * math.log(TWO_PI * t) - g * g / (2.0 * t) + np.log1p(rest))
+
+
+def circle_heat_wrapped(gap, t):
+    """Circle heat kernel by the wrapped-Gaussian image sum: exp(circle_log_heat)."""
+    return np.exp(circle_log_heat(gap, t))
 
 
 def circle_heat_eigen(gap, t):
     """Circle heat kernel via the eigenfunction sum.
 
-    (1/(2*pi)) * (1 + 2 * sum_m exp(-m^2 t / 2) cos(m*gap)); accurate for
-    large t where few harmonics survive.
+    (1/(2*pi)) * (1 + 2 * sum_m exp(-m^2 t / 2) cos(m*gap)) over every
+    harmonic with 2 exp(-m^2 t / 2) / (2 pi) >= SERIES_TOLERANCE.  Few
+    harmonics survive at large t; at small t it needs about sqrt(62 / t) and
+    loses relative accuracy where the kernel is small, so it is the oracle
+    of the image sum, not a kernel body.
     """
     t = _check_time(t)
     gap = np.asarray(gap, dtype=float)
+    harmonics = math.ceil(math.sqrt(2.0 * math.log(1.0 / (math.pi * SERIES_TOLERANCE)) / t))
     total = np.ones(gap.shape)
-    for m in range(1, TRUNCATION_ORDER + 1):
-        damp = 2.0 * math.exp(-0.5 * m * m * t)
-        total = total + damp * np.cos(m * gap)
-        if damp / TWO_PI < SERIES_TOLERANCE:
-            break
-    result = np.maximum(total / TWO_PI, _POSITIVE_FLOOR)
-    if gap.ndim == 0:
-        return float(result)
-    return result
+    for m in range(1, harmonics + 1):
+        total = total + 2.0 * math.exp(-0.5 * m * m * t) * np.cos(m * gap)
+    return _scalar_or_array(total / TWO_PI)
 
 
-def _circle_heat(gap, t):
-    """Circle kernel by the representation suited to t."""
-    if t < SWITCH_TIME:
-        return circle_heat_wrapped(gap, t)
-    return circle_heat_eigen(gap, t)
+_LEGENDRE_CACHE: dict[float, np.ndarray] = {}
+
+
+def _legendre_coefficients(t: float) -> np.ndarray:
+    """((2l+1)/(4 pi)) exp(-l(l+1) t/2) for l = 0, 1, ..., cached per t.
+
+    Coefficients rise before they decay for small t; the series keeps them
+    through the first one past the peak below SERIES_TOLERANCE.
+    """
+    hit = _LEGENDRE_CACHE.get(t)
+    if hit is not None:
+        return hit
+    # l(l+1) t / 2 >= log(1/tol) + log((2l+1)/(4 pi)) holds by this bound
+    ell = np.arange(int(math.sqrt(2.0 * (_LOG_TOL + 0.5 * math.log(1.0 / t) + 5.0) / t)) + 12)
+    coefs = (2 * ell + 1) / (4.0 * math.pi) * np.exp(-0.5 * ell * (ell + 1) * t)
+    last = np.flatnonzero((ell > np.argmax(coefs)) & (coefs < SERIES_TOLERANCE))[0]
+    if len(_LEGENDRE_CACHE) >= 512:
+        _LEGENDRE_CACHE.clear()
+    _LEGENDRE_CACHE[t] = coefs = coefs[: last + 1]
+    return coefs
 
 
 def sphere_heat_series(cos_gamma, t):
     """Sphere heat kernel as a Legendre series in cos of the geodesic angle.
 
-    sum_l ((2l+1)/(4*pi)) * exp(-l*(l+1)*t/2) * P_l(cos_gamma) with P_l by the
-    three-term recurrence.  Coefficients rise before they decay for small t,
-    so the adaptive stop also requires the coefficient to be past its peak.
+    sum_l ((2l+1)/(4*pi)) * exp(-l*(l+1)*t/2) * P_l(cos_gamma), summed by
+    Clenshaw's recurrence on P_{l+1} = ((2l+1) x P_l - l P_{l-1}) / (l+1).
+    Its terms reach about 1/(2 pi t), so roundoff of about
+    1e-16 e^{gamma^2/(2t)} relative remains; where the kernel is that small
+    the sum may even come out negative (see sphere_series_edge).
+    """
+    coefs = _legendre_coefficients(_check_time(t))
+    x = np.clip(np.asarray(cos_gamma, dtype=float), -1.0, 1.0)
+    b1 = b2 = 0.0
+    for ell in range(len(coefs) - 1, -1, -1):
+        b1, b2 = coefs[ell] + ((2 * ell + 1) / (ell + 1)) * x * b1 - ((ell + 1) / (ell + 2)) * b2, b1
+    return _scalar_or_array(b1)
+
+
+# Below this z = pi (pi - gamma) / t the caustic factor takes I0(z) e^{-z}
+# by the trapezoid rule on I0(z) = (1/2pi) int exp(z cos phi) dphi: with 64
+# nodes, folded by symmetry to 33, it is exact to 4e-15 for z <= 50.
+_CAUSTIC_Z = 50.0
+_I0_COS = np.cos(np.arange(33) * (math.pi / 32)) - 1.0
+_I0_WEIGHTS = np.concatenate([[1.0], np.full(31, 2.0), [1.0]]) / 64.0
+
+
+def sphere_log_heat_expansion(gamma, t):
+    """Small-time expansion of log p_t on the sphere at geodesic angle(s) gamma.
+
+    -log(2 pi t) - gamma^2/(2t) + log(gamma / sin gamma)/2 + log1p(a t) is the
+    Minakshisundaram-Pleijel expansion (Varadhan 1967) to first order, with
+    a(gamma) = 1/8 + (1 - gamma cot gamma) / (8 gamma^2), which is 1/6 at 0.
+    Near the antipode the factor gamma / sin gamma diverges, so the expansion
+    carries a caustic factor sqrt(2 pi z) I0(z) e^{-z}, z = pi (pi - gamma)/t,
+    taken from the two geodesics that meet there.  It tends to 1 away from
+    pi, where it is summed asymptotically, and its 1/(8z) term is removed
+    from a, so the first order is unchanged.  The result is finite on
+    [0, pi] for t < pi^2 / 50.  Against a 50-digit reference its log error
+    is at most 0.015 t^2 + 1e-9 away from the antipode and 0.026 t near it.
     """
     t = _check_time(t)
-    x = np.clip(np.asarray(cos_gamma, dtype=float), -1.0, 1.0)
+    g = np.asarray(gamma, dtype=float)
+    shape = g.shape
+    g = g.reshape(-1)
+    eps = math.pi - g
+    z = (math.pi / t) * eps
+    # f(x) = (1 - x cot x) / x^2 at x = min(gamma, pi - gamma) <= pi/2; held
+    # at f(1e-3) below 1e-3, which is within 2.2e-8 of f(x) and keeps 0 finite
+    x = np.maximum(np.minimum(g, eps), 1e-3)
+    f = (1.0 - x / np.tan(x)) / (x * x)
+    # a(gamma) - 1/(8 pi (pi - gamma)), written without the pole on each half
+    slope = 0.125 + f / 8.0 - 1.0 / (8.0 * math.pi * np.maximum(eps, 0.5 * math.pi))
+    far = np.flatnonzero(g > 0.5 * math.pi)
+    if far.size:
+        gf, ef = g[far], eps[far]
+        slope[far] = 0.125 + 1.0 / (8.0 * gf * gf) + 1.0 / (8.0 * math.pi * gf) - ef * f[far] / (8.0 * gf)
+    # log(gamma / sin gamma)/2 plus the caustic factor, summed asymptotically:
+    # sqrt(2 pi z) I0(z) e^{-z} = 1 + w + 4.5 w^2 + 37.5 w^3 + ..., w = 1/(8z)
+    w = 1.0 / (8.0 * np.maximum(z, _CAUSTIC_Z))
+    caustic_excess = w * (1.0 + 4.5 * w * (1.0 + (25.0 / 3.0) * w * (1.0 + 12.25 * w)))
+    gs = np.maximum(g, 1e-300)
+    van_vleck = 0.5 * np.log(gs / np.sin(gs)) + np.log1p(caustic_excess)
+    caustic = np.flatnonzero(z < _CAUSTIC_Z)
+    if caustic.size:
+        gc, ec, zc = g[caustic], eps[caustic], z[caustic]
+        i0e = (np.exp(zc[:, None] * _I0_COS) * _I0_WEIGHTS).sum(axis=1)
+        van_vleck[caustic] = 0.5 * np.log(2.0 * math.pi**2 * gc / (t * np.sinc(ec / math.pi))) + np.log(i0e)
+    out = -math.log(TWO_PI * t) - g * g / (2.0 * t) + van_vleck + np.log1p(t * slope)
+    return _scalar_or_array(out.reshape(shape))
 
-    coefs = []
-    prev = math.inf
-    for ell in range(TRUNCATION_ORDER + 1):
-        c = (2 * ell + 1) / (4.0 * math.pi) * math.exp(-0.5 * ell * (ell + 1) * t)
-        coefs.append(c)
-        if ell >= 1 and c < SERIES_TOLERANCE and c <= prev:
-            break
-        prev = c
 
-    p_prev = np.ones(x.shape)  # P_0
-    total = coefs[0] * p_prev
-    if len(coefs) > 1:
-        p_curr = x.copy()  # P_1
-        total = total + coefs[1] * p_curr
-        for ell in range(1, len(coefs) - 1):
-            p_next = ((2 * ell + 1) * x * p_curr - ell * p_prev) / (ell + 1)
-            total = total + coefs[ell + 1] * p_next
-            p_prev, p_curr = p_curr, p_next
-    result = np.maximum(total, _POSITIVE_FLOOR)
-    if x.ndim == 0:
-        return float(result)
-    return result
+def sphere_series_edge(t: float) -> float:
+    """Geodesic angle beyond which the sphere's Legendre series gives way to the expansion.
+
+    The series loses about 1e-16 e^{gamma^2/(2t)} of the kernel to roundoff,
+    and the expansion is within about 0.015 t^2 away from the antipode, so
+    the expansion is used where e^{gamma^2/(2t)} > t^2 / SERIES_TOLERANCE:
+    gamma > 0.19 at t = 1e-3, 2.35 at t = 0.1, beyond pi from t = 0.18 on.
+    """
+    return math.sqrt(2.0 * t * max(_LOG_TOL + 2.0 * math.log(t), 0.0))
+
+
+def sphere_log_heat(gamma, t):
+    """log p_t on the sphere at geodesic angle(s) gamma in [0, pi].
+
+    Below SPHERE_SEAM_TIME: sphere_log_heat_expansion.  At or above it: the
+    log of sphere_heat_series up to sphere_series_edge(t), and the expansion
+    beyond it, where the series has lost its digits to cancellation.
+    """
+    t = _check_time(t)
+    g = np.asarray(gamma, dtype=float)
+    if t < SPHERE_SEAM_TIME:
+        return sphere_log_heat_expansion(g, t)
+    tail = g > sphere_series_edge(t)
+    if not np.any(tail):
+        return np.log(sphere_heat_series(np.cos(g), t))
+    if np.all(tail):
+        return sphere_log_heat_expansion(g, t)
+    out = np.empty(g.shape)
+    out[tail] = sphere_log_heat_expansion(g[tail], t)
+    out[~tail] = np.log(sphere_heat_series(np.cos(g[~tail]), t))
+    return out
 
 
 class Manifold(ABC):
@@ -231,9 +341,13 @@ class Manifold(ABC):
         """p_t(x, y) for two single points: the scalar form of heat_kernel_pairwise."""
         return float(self.heat_kernel_pairwise(t, x, y))
 
-    @abstractmethod
     def heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
-        """p_t(x, y) > 0, symmetric in x, y, over broadcast arrays of points.
+        """p_t(x, y), the exp of log_heat_kernel_pairwise; it underflows to 0 far out in the tail."""
+        return np.exp(self.log_heat_kernel_pairwise(t, xs, ys))
+
+    @abstractmethod
+    def log_heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
+        """log p_t(x, y), finite and bitwise symmetric in x, y, over broadcast arrays of points.
 
         Leading shapes broadcast: rows pair row by row, a single point goes
         against every row, and xs[:, None] against ys[None] is the full
@@ -298,10 +412,10 @@ class Circle(Manifold):
     # Kernel gaps use |y - x| of the raw difference rather than the signed
     # wrap: subtraction is exactly antisymmetric in floats, so the gap (and
     # hence the kernel) is bitwise symmetric under swapping x and y.  The
-    # series reduce mod 2*pi themselves, so unwrapped gaps are fine.
+    # image sum folds the gap into [0, pi] itself, so unwrapped gaps are fine.
 
-    def heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
-        return _circle_heat(np.abs(np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float)), t)
+    def log_heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
+        return circle_log_heat(np.abs(np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float)), t)
 
     def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
         t = _check_time(t)
@@ -384,22 +498,19 @@ class Sphere(Manifold):
         out = np.cos(angle) * xs + np.sin(angle) * (vs / np.where(angle > 0.0, angle, 1.0))
         return out / _row_norm(out)
 
-    def heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
-        # one BLAS dot per pair, the same bits as np.dot on two points
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        return sphere_heat_series((xs[..., None, :] @ ys[..., :, None])[..., 0, 0], t)
+    def log_heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
+        return sphere_log_heat(self.distance(xs, ys), t)
 
     # -- polar sampling ------------------------------------------------------
 
     def _polar_cdf(self, t: float, nodes: int = 2048) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative trapezoid of the polar density ~ p_t(cos th) * sin th."""
+        """Cumulative trapezoid of the polar density ~ p_t(th) * sin th."""
         key = (float(t), nodes)
         hit = self._cdf_cache.get(key)
         if hit is not None:
             return hit
         theta = np.linspace(0.0, math.pi, nodes)
-        density = sphere_heat_series(np.cos(theta), t) * np.sin(theta)
+        density = np.exp(sphere_log_heat(theta, t)) * np.sin(theta)
         cdf = np.concatenate([[0.0], np.cumsum((density[1:] + density[:-1]) * 0.5 * np.diff(theta))])
         cdf /= cdf[-1]
         if len(self._cdf_cache) >= 512:
@@ -410,12 +521,16 @@ class Sphere(Manifold):
     def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
         t = _check_time(t)
         centers = self.stack(centers)
+        e1, e2 = _sphere_frame(centers)
+        if t < SPHERE_SEAM_TIME:
+            # an isotropic tangent Gaussian, variance t per axis, per centre in row order
+            step = math.sqrt(t) * rng.standard_normal((len(centers), 2))
+            return self.exp_map(centers, step[:, :1] * e1 + step[:, 1:] * e2)
         theta_grid, cdf = self._polar_cdf(t)
         # per centre a polar then an azimuth uniform, in row order
         u = rng.uniform(size=(len(centers), 2))
         theta = np.interp(u[:, :1], cdf, theta_grid)
         phi = TWO_PI * u[:, 1:]
-        e1, e2 = _sphere_frame(centers)
         return self.exp_map(centers, theta * (np.cos(phi) * e1 + np.sin(phi) * e2))
 
     def sample_uniform_many(self, n: int, rng: np.random.Generator):
@@ -470,13 +585,11 @@ class Torus(Manifold):
     def exp_map(self, xs, vs):
         return wrap_angle(np.asarray(xs, dtype=float) + vs)
 
-    def heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
+    def log_heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
         # As on the circle, gaps are |y - x| per axis so the kernel is bitwise
-        # symmetric in its two points; the factor series reduce mod 2*pi.
-        parts = _circle_heat(np.abs(np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float)), t)
-        # The factor product can underflow to 0 even though both factors are
-        # floored, so the floor is applied once more to keep logs finite.
-        return np.maximum(parts[..., 0] * parts[..., 1], _POSITIVE_FLOOR)
+        # symmetric in its two points; the log factors add.
+        parts = circle_log_heat(np.abs(np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float)), t)
+        return parts[..., 0] + parts[..., 1]
 
     def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
         t = _check_time(t)

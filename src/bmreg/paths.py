@@ -149,7 +149,7 @@ class PriorSpec:
 
     def log_steps(self, m: Manifold, starts, ends) -> np.ndarray:
         """log p_{c*h}(start, end) of prior increments, broadcast like points."""
-        return np.log(m.heat_kernel_pairwise(self.step_time, starts, ends))
+        return m.log_heat_kernel_pairwise(self.step_time, starts, ends)
 
     @staticmethod
     def from_segments(segments: int, scale: float = 1.0) -> "PriorSpec":

@@ -5,7 +5,9 @@ f, so the log likelihood is sum_i log p_{sigma^2}(f(t_i), x_i).  The noise
 level is either known or marginalized over a uniform prior on [1/A, A] via
 fixed Gauss-Legendre quadrature:
 
-    log sum_j w_j p_{s_j}(f(t_i), x_i) / (A - 1/A)
+    log sum_j w_j p_{s_j}(f(t_i), x_i) / (A - 1/A),
+
+summed as a log-sum-exp of the log kernels, so no node underflows.
 
 The (unnormalized) log posterior adds the discretized Brownian-motion log
 prior; factors p(t_i) of the predictor density do not depend on f and are
@@ -37,7 +39,7 @@ class KnownVariance:
 
     def log_density(self, m: Manifold, values, points) -> np.ndarray:
         """Per-observation log p_{sigma^2}(value_i, point_i)."""
-        return np.log(m.heat_kernel_pairwise(self.sigma2, values, points))
+        return m.log_heat_kernel_pairwise(self.sigma2, values, points)
 
 
 @dataclass(frozen=True)
@@ -67,10 +69,8 @@ class MarginalVariance:
     def log_density(self, m: Manifold, values, points) -> np.ndarray:
         """Per-observation log of the band-averaged kernel density."""
         times, weights = self._rule
-        acc = np.zeros(len(points))
-        for t_j, w_j in zip(times, weights):
-            acc += w_j * m.heat_kernel_pairwise(float(t_j), values, points)
-        return np.log(acc / float(np.sum(weights)))
+        terms = [m.log_heat_kernel_pairwise(float(t_j), values, points) for t_j in times]
+        return np.logaddexp.reduce(np.stack(terms) + np.log(weights / np.sum(weights))[:, None], axis=0)
 
 
 SigmaMode = Union[KnownVariance, MarginalVariance]

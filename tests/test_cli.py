@@ -245,14 +245,21 @@ class TestCheckKernels:
     def test_clean_run_passes(self, capsys):
         assert run_cli("check-kernels") == 0
         out = capsys.readouterr().out
-        assert "7/7 checks passed" in out
+        assert "8/8 checks passed" in out
         assert "FAIL" not in out
         assert "semigroup" in out
+        assert "PASS log-kernels" in out
+        assert "PASS positivity" in out
 
     def test_perturbation_fails_normalization(self, capsys):
         assert run_cli("check-kernels", "--inject-kernel-perturbation", "0.001") == 1
         out = capsys.readouterr().out
         assert "FAIL normalization" in out
+
+    @pytest.mark.parametrize("perturbation", ["0.001", "1e-12", "-1e-12"])
+    def test_perturbation_fails_log_kernels(self, capsys, perturbation):
+        assert run_cli("check-kernels", f"--inject-kernel-perturbation={perturbation}") == 1
+        assert "FAIL log-kernels" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

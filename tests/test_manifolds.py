@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bmreg.manifolds import (
+    SPHERE_SEAM_TIME,
     Circle,
     InvalidTimeError,
     Sphere,
@@ -24,6 +25,8 @@ from bmreg.manifolds import (
     make_manifold,
     signed_angle_gap,
     sphere_heat_series,
+    sphere_log_heat_expansion,
+    sphere_series_edge,
     unit_vector,
     wrap_angle,
 )
@@ -146,6 +149,94 @@ def test_torus_kernel_is_product_of_circles():
     for t in [0.05, 0.7, 1.4]:
         want = Circle().heat_kernel(t, x[0], y[0]) * Circle().heat_kernel(t, x[1], y[1])
         assert_allclose(m.heat_kernel(t, x, y), want, rtol=0, atol=1e-15)
+
+
+# ---------------------------------------------------------------- log kernels
+
+# log p_t from 50-digit references: the image sum on the circle, and on the
+# sphere the Mehler-Dirichlet integral of the Legendre series (it agrees with
+# the 50-digit series itself where that resolves the value).  The tolerance
+# is the stated accuracy of the representation used there: the series or the
+# expansion away from the antipode, the expansion's caustic factor near it.
+FROZEN_LOG_KERNELS = [
+    # manifold, t, gap, log p_t, tolerance
+    ("circle", 5e-5, math.pi, -98691.31805846996, 1e-9),
+    ("sphere", 2.5e-4, 0.2, -73.5404479424825, 1e-8),
+    ("sphere", 1e-3, 0.1, 0.0708785211147582, 1e-8),
+    ("sphere", 0.1, 2.8, -37.6463218176007, 5e-4),
+    ("sphere", 0.1, 3.0, -42.9591363289175, 5e-4),
+    ("sphere", 0.05, 2.5, -60.6166654747117, 1e-4),
+]
+
+
+def _pair_at_gap(kind, gap):
+    if kind == "circle":
+        return 0.0, gap
+    return np.array([0.0, 0.0, 1.0]), np.array([math.sin(gap), 0.0, math.cos(gap)])
+
+
+@pytest.mark.parametrize("kind, t, gap, want, tol", FROZEN_LOG_KERNELS)
+def test_log_kernel_matches_frozen_reference(kind, t, gap, want, tol):
+    m = make_manifold(kind)
+    x, y = _pair_at_gap(kind, gap)
+    got = m.log_heat_kernel_pairwise(t, x, y)
+    assert abs(got - want) <= tol
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+def test_log_kernel_finite_and_bitwise_symmetric(kind):
+    m = make_manifold(kind)
+    rng = np.random.default_rng(19)
+    xs, ys = m.sample_uniform_many(200, rng), m.sample_uniform_many(200, rng)
+    if kind == "sphere":
+        ys[:3] = -xs[:3]  # antipodes
+    for t in [1e-5, 5e-5, 2.5e-4, SPHERE_SEAM_TIME, 0.05, 0.1, 2.0]:
+        forward = m.log_heat_kernel_pairwise(t, xs, ys)
+        assert np.all(np.isfinite(forward))
+        assert np.array_equal(forward, m.log_heat_kernel_pairwise(t, ys, xs))
+
+
+def test_torus_log_kernel_is_sum_of_circle_logs():
+    x, y = np.array([0.3, 5.1]), np.array([2.9, 1.9])
+    for t in [5e-5, 0.05, 1.4]:
+        want = Circle().log_heat_kernel_pairwise(t, x[0], y[0]) + Circle().log_heat_kernel_pairwise(t, x[1], y[1])
+        assert Torus().log_heat_kernel_pairwise(t, x, y) == want
+
+
+def test_circle_log_kernel_matches_eigen_oracle():
+    gaps = np.linspace(0.0, math.pi, 65)
+    for t in [1e-5, 2.5e-4, 0.05, 0.5, 2.0, 5.0]:
+        eigen = circle_heat_eigen(gaps, t)
+        resolved = eigen >= 1e-6
+        got = Circle().log_heat_kernel_pairwise(t, 0.0, gaps)
+        assert_allclose(got[resolved], np.log(eigen[resolved]), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("t", [SPHERE_SEAM_TIME * (1.0 - 1e-9), SPHERE_SEAM_TIME, 0.01, 0.05, 0.1])
+def test_sphere_series_meets_expansion(t):
+    # where the series resolves the kernel (gamma^2/(2t) <= 20) the two
+    # representations agree to the expansion's accuracy, on both sides of the seam
+    gaps = np.linspace(0.0, min(math.pi, math.sqrt(40.0 * t)), 41)
+    series = np.log(sphere_heat_series(np.cos(gaps), t))
+    expansion = sphere_log_heat_expansion(gaps, t)
+    assert_allclose(expansion, series, rtol=0, atol=1e-7 + 0.015 * t * t)
+
+
+def test_sphere_log_kernel_continuous_across_its_switches():
+    m = Sphere()
+    x = np.array([0.0, 0.0, 1.0])
+    # the seam in t, at gaps from 0 to the antipode
+    gaps = np.linspace(0.0, math.pi, 33)
+    ys = np.stack([np.sin(gaps), np.zeros_like(gaps), np.cos(gaps)], axis=1)
+    below = m.log_heat_kernel_pairwise(SPHERE_SEAM_TIME * (1.0 - 1e-12), x, ys)
+    at = m.log_heat_kernel_pairwise(SPHERE_SEAM_TIME, x, ys)
+    assert_allclose(below, at, rtol=0, atol=1e-6)
+    # the series-to-expansion switch in gamma, at the seam and at noise times
+    for t in [SPHERE_SEAM_TIME, 0.05, 0.1]:
+        edge = sphere_series_edge(t)
+        near = np.array([edge * (1.0 - 1e-9), edge * (1.0 + 1e-9)])
+        values = m.log_heat_kernel_pairwise(t, x, np.stack([np.sin(near), np.zeros(2), np.cos(near)], axis=1))
+        assert abs(values[1] - values[0]) < 0.015 * t * t + 1e-6
 
 
 # ---------------------------------------------------------------- normalization
@@ -323,6 +414,31 @@ def test_sphere_many_draws_keep_the_sequential_stream():
     batch_rng, single_rng = np.random.default_rng(72), np.random.default_rng(72)
     batch = m.sample_heat_kernel_many(0.05, centers, batch_rng)
     singles = np.stack([m.sample_heat_kernel(0.05, c, single_rng) for c in centers])
+    assert_allclose(batch, singles, rtol=0, atol=1e-15)
+    assert batch_rng.uniform() == single_rng.uniform()
+
+
+@pytest.mark.parametrize("t", [5e-5, 2.5e-4])
+def test_sphere_proposals_below_the_seam_take_brownian_steps(t):
+    # below the seam a draw is a tangent Gaussian with variance t per axis, so
+    # its geodesic step is Rayleigh with mean sqrt(pi t / 2)
+    m = Sphere()
+    n = 20_000
+    centers = m.sample_uniform_many(n, np.random.default_rng(5))
+    steps = m.distance(centers, m.sample_heat_kernel_many(t, centers, np.random.default_rng(6)))
+    se = float(np.std(steps)) / math.sqrt(n)
+    assert abs(float(np.mean(steps)) - math.sqrt(math.pi * t / 2.0)) < 3.0 * se
+
+
+def test_sphere_many_draws_keep_the_sequential_stream_below_the_seam():
+    # below the seam one call over 64 centres consumes the generator exactly
+    # as 64 one-centre calls do: per centre its two tangent normals
+    m = Sphere()
+    t = 2.5e-4
+    centers = m.sample_uniform_many(64, np.random.default_rng(73))
+    batch_rng, single_rng = np.random.default_rng(74), np.random.default_rng(74)
+    batch = m.sample_heat_kernel_many(t, centers, batch_rng)
+    singles = np.stack([m.sample_heat_kernel(t, c, single_rng) for c in centers])
     assert_allclose(batch, singles, rtol=0, atol=1e-15)
     assert batch_rng.uniform() == single_rng.uniform()
 

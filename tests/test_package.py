@@ -3,6 +3,7 @@ benchmark's microbenchmarks still find every method they call by name."""
 
 import inspect
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,14 @@ def test_benchmark_microbenchmarks_run(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # bmreg imports numpy only; scipy (used lazily by check-kernels) would
+    # add hundreds of milliseconds to every CLI start
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, bmreg.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

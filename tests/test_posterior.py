@@ -133,6 +133,19 @@ def test_marginal_degenerates_to_known_as_bound_shrinks():
     assert abs(tight - fixed) < 1e-3
 
 
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+def test_marginal_log_sum_exp_matches_linear_average(kind):
+    # the log-sum-exp over the nodes is the log of the weighted kernel average
+    m = make_manifold(kind)
+    rng = np.random.default_rng(29)
+    values, points = m.sample_uniform_many(40, rng), m.sample_uniform_many(40, rng)
+    marg = MarginalVariance(bound=5.0)
+    times, weights = marg.quadrature()
+    average = sum(w * m.heat_kernel_pairwise(float(s), values, points) for s, w in zip(times, weights))
+    want = np.log(average / np.sum(weights))
+    assert_allclose(marg.log_density(m, values, points), want, rtol=0, atol=1e-12)
+
+
 def test_marginal_quadrature_covers_interval():
     marg = MarginalVariance(bound=3.0)
     times, weights = marg.quadrature()
