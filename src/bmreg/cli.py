@@ -261,7 +261,7 @@ def _append_row(path: str, row: ExperimentResult) -> None:
 def cmd_fit(cfg: RunConfig, dataset_path: str) -> int:
     try:
         data = Dataset.load_csv(dataset_path, cfg.manifold)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError includes EmptyDatasetError
         raise ConfigError(f"cannot read dataset: {exc}") from exc
     m = data.manifold()
     f0 = default_truth(cfg.manifold)

@@ -8,11 +8,12 @@ and 2*pi - 0.2 is -0.1 and not pi - 0.1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from bmreg.data import Dataset, EmptyDatasetError
+from bmreg.data import Dataset
 from bmreg.manifolds import Manifold
 
 
@@ -52,32 +53,54 @@ def frechet_mean_weighted(
     Starts at the highest-weight point, repeatedly maps all points to the
     tangent space at the current estimate, and steps to the exponential of
     the weighted mean tangent vector until the step is below tolerance.
+    Weights of shape (q, n) give q means in one array pass; each row stops
+    at its own tolerance, and any row unsettled after max_iterations fails.
     """
     pts = m.stack(points)
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or len(w) != len(pts):
+    if w.ndim not in (1, 2) or w.shape[-1] != len(pts) or w.size == 0:
         raise ValueError("weights must be one per point")
-    if np.any(w < 0.0) or not np.any(w > 0.0):
-        raise ValueError("weights must be nonnegative with a positive sum")
-    total = float(np.sum(w))
-    # a copy, so the estimate never aliases the caller's points
-    x = pts[int(np.argmax(w))].copy()
+    # a contiguous (q, 1, n) stack sums and multiplies each row as a 1-d call would
+    rows = np.ascontiguousarray(w.reshape(-1, 1, len(pts)))
+    totals = rows.sum(axis=2, keepdims=True)
+    if not (rows.min() >= 0.0 and totals.min() > 0.0 and totals.max() < math.inf):
+        raise ValueError("weights must be finite and nonnegative with a positive sum")
+    # fancy indexing copies, so no estimate aliases the caller's points
+    x = pts[rows.argmax(axis=2)[:, 0]]
+    # once some rows settle before others: the estimates, and the rows x still holds
+    out = live = None
     for _ in range(max_iterations):
-        step = (w @ m.log_map(x, pts)) / total
-        if float(np.linalg.norm(step)) <= tolerance:
-            return x
-        x = m.exp_map(x, step)
-    raise NoConvergenceError(f"no convergence after {max_iterations} iterations")
+        # a lone row broadcasts as one point, numpy's cheaper path
+        tangents = m.log_map(x if len(x) == 1 else x[:, None], pts)
+        step = (np.matmul(rows, tangents.reshape(len(x), len(pts), -1)) / totals)[:, 0]
+        squared = np.vecdot(step, step)
+        if squared.min() <= tolerance * tolerance:
+            settled = squared <= tolerance * tolerance
+            if settled.all():
+                break
+            if out is None:
+                out, live = x, np.arange(len(x))
+            out[live[settled]] = x[settled]
+            keep = ~settled
+            live, x, rows, totals, step = live[keep], x[keep], rows[keep], totals[keep], step[keep]
+        x = m.exp_map(x, step.reshape(x.shape))
+    else:
+        raise NoConvergenceError(f"no convergence after {max_iterations} iterations")
+    if out is not None:
+        out[live] = x
+        x = out
+    return x if w.ndim == 2 else x[0]
+
+
+def _gaussian_weights(data: Dataset, ts, bandwidth: float) -> np.ndarray:
+    if not bandwidth > 0.0:
+        raise ValueError("bandwidth must be positive")
+    return np.exp(-0.5 * ((ts - data.ts) / bandwidth) ** 2)
 
 
 def kernel_regress(data: Dataset, t: float, bandwidth: float, m: Manifold):
     """Nadaraya-Watson estimate at time t with a Gaussian kernel in t."""
-    if data.n == 0:
-        raise EmptyDatasetError("dataset has no observations")
-    if bandwidth <= 0.0:
-        raise ValueError("bandwidth must be positive")
-    weights = np.exp(-0.5 * ((float(t) - data.ts) / bandwidth) ** 2)
-    return frechet_mean_weighted(data.points, weights, m)
+    return frechet_mean_weighted(data.points, _gaussian_weights(data, float(t), bandwidth), m)
 
 
 @dataclass(frozen=True)
@@ -88,7 +111,7 @@ class KernelFit:
     data: Dataset
 
     def __post_init__(self):
-        if self.bandwidth <= 0.0:
+        if not self.bandwidth > 0.0:
             raise ValueError("bandwidth must be positive")
         object.__setattr__(self, "_manifold", self.data.manifold())
 
@@ -98,3 +121,8 @@ class KernelFit:
 
     def __call__(self, t: float):
         return kernel_regress(self.data, t, self.bandwidth, self._manifold)
+
+    def at_many(self, ts) -> np.ndarray:
+        """Estimates at an array of times: one weight row per time, one batched Frechet mean."""
+        weights = _gaussian_weights(self.data, np.asarray(ts, dtype=float)[:, None], self.bandwidth)
+        return frechet_mean_weighted(self.data.points, weights, self._manifold)

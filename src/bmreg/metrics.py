@@ -14,6 +14,7 @@ manifold quadrature rules.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +23,8 @@ import numpy as np
 from bmreg.data import Dataset
 from bmreg.manifolds import Manifold
 from bmreg.paths import PiecewiseGeodesicPath, eval_path_like
+
+_SCORE_CHUNK = 32  # paths per array pass in dq_distances
 
 
 @dataclass(frozen=True)
@@ -131,17 +134,20 @@ def dq_distances(
 
     g and the quadrature weight are evaluated once and shared by every f,
     so scoring many posterior samples against one truth evaluates the
-    truth once.  Each f is scored on its own, which keeps the memory of
-    one path's grid values.
+    truth once.  Runs of consecutive same-K paths are evaluated as knot
+    stacks of at most _SCORE_CHUNK paths, one array pass each; any other f
+    is evaluated on its own.
     """
     q = _check_order(q)
     ts = grid.times()
     gv = eval_path_like(g, ts, m)
     weight = grid.weights() * density.weight(ts)
     out = []
-    for f in fs:
-        dist = m.distance(eval_path_like(f, ts, m), gv)
-        out.append(float(np.sum(weight * dist**q)) ** (1.0 / q))
+    for K, run in itertools.groupby(fs, lambda f: f.segments if isinstance(f, PiecewiseGeodesicPath) else None):
+        run, size = list(run), _SCORE_CHUNK if K else 1
+        for chunk in (run[i : i + size] for i in range(0, len(run), size)):
+            values = chunk[0].at_many(ts, [f.knots for f in chunk]) if K else eval_path_like(chunk[0], ts, m)[None]
+            out.extend(float(np.sum(weight * dist**q)) ** (1.0 / q) for dist in m.distance(values, gv))
     return np.array(out, dtype=float)
 
 

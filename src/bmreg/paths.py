@@ -66,19 +66,24 @@ class PiecewiseGeodesicPath:
         k = min(int(math.floor(pos)), self.segments - 1)
         return self.manifold.interpolate_pairwise(self.knots[k], self.knots[k + 1], pos - k)
 
-    def at_many(self, ts) -> np.ndarray:
-        """Vectorized evaluation; same snapping rule as at()."""
+    def at_many(self, ts, knots=None) -> np.ndarray:
+        """Vectorized evaluation; same snapping rule as at().  Given knots, a
+        (p, K+1, ...) stack with this path's K, returns all p paths' values."""
+        stack = self.knots if knots is None else np.asarray(knots, dtype=float)
+        # knots and values run along the axis before the coordinate axes
+        coords = (slice(None),) * len(self.manifold.point_shape)
+        axis = -1 - len(coords)
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
             raise OutOfDomainError("path times outside [0, 1]")
         pos = ts * self.segments
         k = np.minimum(np.floor(pos).astype(int), self.segments - 1)
         s = pos - k
-        out = self.manifold.interpolate_pairwise(self.knots[k], self.knots[k + 1], s)
+        out = self.manifold.interpolate_pairwise(stack.take(k, axis), stack.take(k + 1, axis), s)
         nearest = np.rint(pos).astype(int)
         snap = np.abs(pos - nearest) <= _KNOT_SNAP * self.segments
         if np.any(snap):
-            out[snap] = self.knots[nearest[snap]]
+            out[(..., snap) + coords] = stack.take(nearest[snap], axis)
         return out
 
     def copy(self) -> "PiecewiseGeodesicPath":
@@ -178,8 +183,8 @@ def sample_prior_path(prior: PriorSpec, manifold: Manifold, rng: np.random.Gener
 
 
 def eval_path_like(f, ts, manifold: Manifold) -> np.ndarray:
-    """Evaluate a path or a callable t -> point on an array of times."""
+    """Evaluate f on an array of times: by its at_many if it has one, else one f(t) per time."""
     ts = np.asarray(ts, dtype=float)
-    if isinstance(f, PiecewiseGeodesicPath):
+    if hasattr(f, "at_many"):
         return f.at_many(ts)
     return np.asarray([f(float(t)) for t in ts], dtype=float)

@@ -124,10 +124,28 @@ class TestFit:
     def test_missing_dataset_is_config_error(self, workdir):
         assert run_cli("fit", "nope.csv", "--method", "ker") == 2
 
-    def test_malformed_dataset_is_runtime_failure(self, workdir):
+    def test_malformed_dataset_is_config_error(self, workdir):
         bad = workdir / "bad.csv"
         bad.write_text("t,coord1\nnot,numbers\n")
-        assert run_cli("fit", str(bad), "--method", "ker") == 3
+        assert run_cli("fit", str(bad), "--method", "ker") == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "t,coord1\n0.5,nan\n",
+            "t,coord1\n1.5,0.3\n",
+            "t,coord1\n0.5,abc\n",
+            "",
+            "t,coord1,coord2\n0.5,0.3,0.4\n",
+            "t,coord1\n0.5,0.3,0.4\n",
+        ],
+        ids=["nan-coordinate", "t-outside-unit-interval", "non-numeric", "empty-file", "torus-header", "column-count"],
+    )
+    def test_invalid_dataset_is_config_error(self, workdir, capsys, text):
+        bad = workdir / "bad.csv"
+        bad.write_text(text)
+        assert run_cli("fit", str(bad), "--manifold", "circle", "--method", "ker") == 2
+        assert "cannot read dataset" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 """Bandwidth rule, Frechet means, and kernel regression tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,80 @@ def test_frechet_validation_and_budget():
         frechet_mean_weighted([0.0, 1.0], [1.0, 1.0], m, max_iterations=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_frechet_nonfinite_weights_fail_before_iterating(bad):
+    # a NaN or inf weight used to run the whole budget on NaN steps and then
+    # report no convergence; it is invalid input, in every row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            frechet_mean_weighted([0.1, 0.2], [1.0, bad], Circle())
+        with pytest.raises(ValueError, match="finite"):
+            frechet_mean_weighted([0.1, 0.2], [[1.0, 1.0], [bad, 1.0]], Circle())
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+def _iterations(pts, w, m):
+    # fewest iterations after which one row's fixed point settles
+    for budget in range(101):
+        try:
+            frechet_mean_weighted(pts, w, m, max_iterations=budget)
+            return budget
+        except NoConvergenceError:
+            pass
+    raise AssertionError("row never settled")
+
+
+def _weight_rows(m, rng):
+    if m.kind == "sphere":
+        # a cap around the north pole, so every weighted mean is unique
+        pts = m.exp_map(np.array([0.0, 0.0, 1.0]), 0.6 * rng.standard_normal((12, 3)) * [1.0, 1.0, 0.0])
+    else:
+        pts = m.sample_uniform_many(12, rng)
+    one_hot = np.zeros(12)
+    one_hot[4] = 1.0
+    rows = np.vstack([rng.uniform(0.0, 1.0, (5, 12)), np.ones(12), one_hot, rng.uniform(0.0, 1.0, 12) ** 8])
+    return pts, rows
+
+
+@pytest.mark.parametrize("m", [Circle(), Sphere(), Torus()], ids=lambda m: m.kind)
+def test_frechet_batch_matches_one_row_calls_bitwise(m):
+    rng = np.random.default_rng(41)
+    pts, rows = _weight_rows(m, rng)
+    batch = frechet_mean_weighted(pts, rows, m)
+    single = np.array([frechet_mean_weighted(pts, w, m) for w in rows])
+    assert batch.shape == (len(rows),) + m.point_shape
+    assert np.array_equal(_bits(batch), _bits(single))
+    # the one-hot row settles on its first step; the others take longer and differ
+    counts = [_iterations(pts, w, m) for w in rows]
+    assert counts[6] == 1 and len(set(counts)) > 2
+    assert not np.shares_memory(batch, pts)
+    batch[6] = batch[0]
+    assert np.array_equal(_bits(pts[4]), _bits(single[6]))
+
+
+@pytest.mark.parametrize("m", [Circle(), Sphere(), Torus()], ids=lambda m: m.kind)
+def test_frechet_batch_validation_and_budget(m):
+    rng = np.random.default_rng(43)
+    pts, rows = _weight_rows(m, rng)
+    counts = [_iterations(pts, w, m) for w in rows]
+    # the budget settles the fastest rows but not the slowest one
+    with pytest.raises(NoConvergenceError):
+        frechet_mean_weighted(pts, rows, m, max_iterations=max(counts) - 1)
+    assert frechet_mean_weighted(pts, rows, m, max_iterations=max(counts)).shape[0] == len(rows)
+    zero_row = rows.copy()
+    zero_row[2] = 0.0
+    with pytest.raises(ValueError, match="positive sum"):
+        frechet_mean_weighted(pts, zero_row, m)
+    with pytest.raises(ValueError, match="one per point"):
+        frechet_mean_weighted(pts, rows[:, :-1], m)
+    with pytest.raises(ValueError, match="one per point"):
+        frechet_mean_weighted(pts, rows[None], m)
+
+
 def test_log_map_many_matches_scalar():
     rng = np.random.default_rng(23)
     for m in (Circle(), Sphere(), Torus()):
@@ -196,6 +271,33 @@ def test_kernel_fit_wrapper():
     assert_allclose(fit(0.4), kernel_regress(data, 0.4, fit.bandwidth, m), rtol=0, atol=0)
     with pytest.raises(ValueError):
         KernelFit(0.0, data)
+
+
+def test_nan_bandwidth_is_rejected_up_front():
+    # NaN <= 0 is False, so a NaN bandwidth used to construct and then fail
+    # later with a misleading message about the weights
+    data = _dataset([0.1, 0.4, 0.9], [0.2, 0.6, 1.0])
+    with pytest.raises(ValueError, match="bandwidth"):
+        KernelFit(math.nan, data)
+    with pytest.raises(ValueError, match="bandwidth"):
+        kernel_regress(data, 0.5, math.nan, Circle())
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+def test_kernel_fit_at_many_matches_scalar_calls_bitwise(kind):
+    m = {"circle": Circle(), "sphere": Sphere(), "torus": Torus()}[kind]
+    rng = np.random.default_rng(47)
+    truths = {
+        "circle": lambda t: (t + 0.5) ** 2,
+        "torus": lambda t: np.array([(t + 0.5) ** 2, 0.5 * (t + 0.5) ** 2]),
+        "sphere": lambda t: np.array([math.cos(3 * t), math.sin(3 * t), 0.0]),
+    }
+    data = generate_dataset(truths[kind], 30, 0.1, PredictorDensity.uniform(), m, rng)
+    fit = KernelFit.from_rule(data)
+    ts = np.concatenate([np.linspace(0.0, 1.0, 97), [-0.2, 1.3]])
+    many = fit.at_many(ts)
+    assert many.shape == (len(ts),) + m.point_shape
+    assert np.array_equal(_bits(many), _bits([fit(t) for t in ts]))
 
 
 def test_kernel_fit_tracks_smooth_truth():

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from bmreg.kernel_regression import KernelFit
 from bmreg.manifolds import Circle, Sphere, Torus, make_manifold
 from bmreg.metrics import (
     PredictorDensity,
@@ -20,7 +21,7 @@ from bmreg.metrics import (
     l1_error,
     theorem_rate_sidelength,
 )
-from bmreg.paths import PiecewiseGeodesicPath, eval_path_like
+from bmreg.paths import PiecewiseGeodesicPath
 
 
 def _circle_path(knots):
@@ -126,10 +127,17 @@ def test_dq_triangle_inequality():
         )
 
 
+def _grid_values(f, ts):
+    # one path at a time, and any other function one time at a time
+    if isinstance(f, PiecewiseGeodesicPath):
+        return f.at_many(ts)
+    return np.asarray([f(float(t)) for t in ts], dtype=float)
+
+
 def _dq_reference(f, g, q, density, m, grid=QuadratureGrid()):
     # d_q of one pair, evaluating both functions on the grid
     ts = grid.times()
-    dist = m.distance(eval_path_like(f, ts, m), eval_path_like(g, ts, m))
+    dist = m.distance(_grid_values(f, ts), _grid_values(g, ts))
     return float(np.sum(grid.weights() * density.weight(ts) * dist**q)) ** (1.0 / q)
 
 
@@ -153,6 +161,31 @@ def test_dq_distances_equals_per_path_dq_distance_bitwise():
                     assert batch.dtype == np.float64
                     assert batch.tolist() == [dq_distance(f, g, q, density, m) for f in paths]
                     assert batch.tolist() == [_dq_reference(f, g, q, density, m) for f in paths]
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+def test_dq_distances_stacked_runs_match_reference_bitwise(kind):
+    # 40 same-K paths cross a chunk edge; other K, a kernel fit and a
+    # callable break the runs
+    m = make_manifold(kind)
+    rng = np.random.default_rng(31)
+    truth = {
+        "circle": lambda t: (t + 0.5) ** 2,
+        "torus": lambda t: np.array([(t + 0.5) ** 2, 0.5 * (t + 0.5) ** 2]),
+        "sphere": lambda t: np.array([math.cos(3 * t), math.sin(3 * t), 0.0]),
+    }[kind]
+    fit = KernelFit.from_rule(generate_dataset(truth, 30, 0.1, PredictorDensity.uniform(), m, rng))
+    same_k = [PiecewiseGeodesicPath(m, m.sample_uniform_many(6, rng)) for _ in range(40)]
+    fs = (
+        same_k[:35]
+        + [PiecewiseGeodesicPath(m, m.sample_uniform_many(4, rng)), fit]
+        + same_k[35:38]
+        + [lambda t: truth(0.5 * t)]
+        + same_k[38:]
+    )
+    for q in (1.0, 2.0, 4.0):
+        batch = dq_distances(fs, truth, q, PredictorDensity.uniform(), m)
+        assert batch.tolist() == [_dq_reference(f, truth, q, PredictorDensity.uniform(), m) for f in fs]
 
 
 def test_dq_distances_empty_and_invalid_order():

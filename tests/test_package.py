@@ -37,6 +37,31 @@ def test_benchmark_microbenchmarks_run(tmp_path):
     assert json.loads(out.read_text())
 
 
+def test_benchmark_traced_fit_counts_every_knot_update(tmp_path):
+    # the traced benchmark pass counts a knot update per sample_heat_kernel
+    # span directly under the Metropolis loop; drawing a block's proposals in
+    # one call would leave it none to count, and the benchmark run would fail
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    launch = [sys.executable, str(bench / "launch.py")]
+    generate = ["generate", "--manifold", "circle", "--n", "30", "--sigma2", "0.1", "--seed", "3", "--out", "data.csv"]
+    fit = ["fit", "data.csv", "--manifold", "circle", "--method", "dbm", "--grid-K", "40", "--c", "0.01", "--sigma2", "0.1"]
+    for argv in ([*launch, "--", *generate], [*launch, "--spans", "spans.json", "--", *fit]):
+        proc = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+    sys.path.insert(0, str(bench))
+    try:
+        import derive
+    finally:
+        sys.path.remove(str(bench))
+    config = bmreg.AnnealConfig()
+    expected = derive.anneal_updates(
+        config.initial_temperature, config.cooling_factor, config.temperature_floor, config.steps_per_temperature
+    )
+    assert expected == 27_000
+    spans = json.loads((tmp_path / "spans.json").read_text())
+    assert spans["metropolis"]["attempts"] == expected
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # bmreg imports numpy only; scipy (used lazily by check-kernels) would
     # add hundreds of milliseconds to every CLI start

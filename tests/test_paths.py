@@ -79,6 +79,23 @@ def test_at_many_matches_scalar_eval():
             assert m.points_close(batch[i], path.at(t), tol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+def test_at_many_knot_stack_matches_each_path_bitwise(kind):
+    m = make_manifold(kind)
+    rng = np.random.default_rng(17)
+    K = 6
+    stack = np.stack([m.sample_uniform_many(K + 1, rng) for _ in range(5)])
+    ts = np.concatenate([rng.uniform(0, 1, size=40), np.arange(K + 1) / K])
+    path = PiecewiseGeodesicPath(m, stack[0])
+    values = path.at_many(ts, stack)
+    assert values.shape == (5, len(ts)) + m.point_shape
+    for knots, row in zip(stack, values):
+        expected = PiecewiseGeodesicPath(m, knots).at_many(ts)
+        assert np.array_equal(row.view(np.uint64), expected.view(np.uint64))
+    with pytest.raises(OutOfDomainError):
+        path.at_many([0.5, 1.5], stack)
+
+
 def test_constant_path_everywhere_equal():
     for kind in ["circle", "sphere", "torus"]:
         m = make_manifold(kind)
