@@ -128,6 +128,8 @@ class RunConfig:
             raise ConfigError(f"rate-epsilon must be in (0, 1/4), got {self.rate_epsilon}")
         if self.grid_K is not None and self.grid_K < 1:
             raise ConfigError("grid-K must be >= 1")
+        if not 0 <= self.seed < 2**63:
+            raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if self.workers < 1:

@@ -118,7 +118,8 @@ def circle_log_heat(gap, t):
     2 pi^2 K (K + 1) / t >= log(1 / SERIES_TOLERANCE).
     """
     t = _check_time(t)
-    g = np.mod(np.abs(np.asarray(gap, dtype=float)), TWO_PI)
+    # fmod equals mod bit for bit on nonnegative input, and is faster
+    g = np.fmod(np.abs(np.asarray(gap, dtype=float)), TWO_PI)
     g = np.minimum(g, TWO_PI - g)
     images = max(1, math.ceil(0.5 * (math.sqrt(1.0 + 2.0 * _LOG_TOL * t / math.pi**2) - 1.0)))
     rest = 0.0
@@ -296,10 +297,6 @@ class Manifold(ABC):
     def canonical(self, point):
         """Validated canonical representation of a point."""
 
-    @abstractmethod
-    def points_close(self, x, y, tol: float = 1e-12) -> bool:
-        """Coordinatewise equality after canonical wrap."""
-
     def stack(self, points) -> np.ndarray:
         """Coordinate array of stacked points; a single point gains a leading axis."""
         arr = np.asarray(points, dtype=float)
@@ -358,7 +355,7 @@ class Manifold(ABC):
 
     def sample_heat_kernel(self, t: float, x, rng: np.random.Generator):
         """One draw from p_t(x, .): the single-center form of sample_heat_kernel_many."""
-        return self.sample_heat_kernel_many(t, self.stack([x]), rng)[0]
+        return self.sample_heat_kernel_many(t, self.stack(x), rng)[0]
 
     @abstractmethod
     def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
@@ -396,9 +393,6 @@ class Circle(Manifold):
         if not math.isfinite(theta):
             raise ValueError("angle must be finite")
         return wrap_angle(theta)
-
-    def points_close(self, x, y, tol: float = 1e-12) -> bool:
-        return bool(self.distance(x, y) <= tol)
 
     def distance(self, xs, ys):
         return np.abs(signed_angle_gap(np.asarray(xs, dtype=float), ys))
@@ -469,12 +463,10 @@ class Sphere(Manifold):
 
     def __init__(self):
         self._cdf_cache: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._frame_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     def canonical(self, point):
         return unit_vector(point)
-
-    def points_close(self, x, y, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(np.asarray(x) - np.asarray(y))) <= tol)
 
     def distance(self, xs, ys):
         xs = np.asarray(xs, dtype=float)
@@ -518,10 +510,28 @@ class Sphere(Manifold):
         self._cdf_cache[key] = (theta, cdf)
         return theta, cdf
 
+    def _frame(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """_sphere_frame(centers), kept read-only per centre for one-row calls.
+
+        A rejected proposal leaves its knot, so the next one shoots from the
+        same centre; multi-row calls rarely repeat a centre set.
+        """
+        if len(centers) != 1:
+            return _sphere_frame(centers)
+        key = centers.tobytes()
+        hit = self._frame_cache.get(key)
+        if hit is None:
+            if len(self._frame_cache) >= 512:
+                self._frame_cache.clear()
+            hit = self._frame_cache[key] = _sphere_frame(centers)
+            for e in hit:
+                e.flags.writeable = False
+        return hit
+
     def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
         t = _check_time(t)
         centers = self.stack(centers)
-        e1, e2 = _sphere_frame(centers)
+        e1, e2 = self._frame(centers)
         if t < SPHERE_SEAM_TIME:
             # an isotropic tangent Gaussian, variance t per axis, per centre in row order
             step = math.sqrt(t) * rng.standard_normal((len(centers), 2))
@@ -570,10 +580,6 @@ class Torus(Manifold):
         if not np.all(np.isfinite(arr)):
             raise ValueError("angles must be finite")
         return wrap_angle(arr)
-
-    def points_close(self, x, y, tol: float = 1e-12) -> bool:
-        gaps = signed_angle_gap(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return bool(np.max(np.abs(gaps)) <= tol)
 
     def distance(self, xs, ys):
         gaps = signed_angle_gap(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))

@@ -299,6 +299,20 @@ def test_bad_option_value_is_config_error(dataset, argv):
     assert run_cli(*argv) == 2
 
 
+@pytest.mark.parametrize("seed", [-1, 2**63])
+@pytest.mark.parametrize("command", ["generate", "fit", "contract"])
+def test_out_of_range_seed_is_config_error(dataset, capsys, command, seed):
+    # every seed must fit the 8-byte packing of experiments.fnv1a_mix and numpy's generators
+    argv = {
+        "generate": ["generate", "--n", "5"],
+        "fit": ["fit", str(dataset), "--method", "ker"],
+        "contract": ["contract", "--n-values", "50,100,200"],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--seed", str(seed)) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_file_supplies_options(self, workdir):
         (workdir / "cfg.json").write_text(json.dumps({"n": 6, "seed": 11, "out": "c.csv"}))

@@ -20,8 +20,10 @@ from bmreg.manifolds import (
     Sphere,
     Torus,
     TWO_PI,
+    _sphere_frame,
     circle_heat_eigen,
     circle_heat_wrapped,
+    circle_log_heat,
     make_manifold,
     signed_angle_gap,
     sphere_heat_series,
@@ -203,6 +205,20 @@ def test_torus_log_kernel_is_sum_of_circle_logs():
         assert Torus().log_heat_kernel_pairwise(t, x, y) == want
 
 
+@pytest.mark.parametrize("t", [5e-5, 2.5e-4, 0.05, 2.0])
+def test_log_kernel_fold_matches_mod_at_edge_gaps(t):
+    # the gap fold takes fmod of |gap|; on a nonnegative input that equals
+    # np.mod bit for bit, so the kernel matches a gap pre-folded by np.mod
+    k = np.arange(1.0, 6.0)
+    wide = np.random.default_rng(23).uniform(-1e9, 1e9, size=200)
+    gaps = np.concatenate([[0.0, -0.0, 1e300, -1e300, -0.5, -math.pi], TWO_PI * k, -TWO_PI * k, 1e6 * TWO_PI * k, wide])
+    want = circle_log_heat(np.mod(np.abs(gaps), TWO_PI), t)
+    assert np.array_equal(Circle().log_heat_kernel_pairwise(t, 0.0, gaps), want)
+    pairs = np.stack([gaps, gaps[::-1]], axis=1)
+    torus = Torus().log_heat_kernel_pairwise(t, np.zeros(2), pairs)
+    assert np.array_equal(torus, want + want[::-1])
+
+
 def test_circle_log_kernel_matches_eigen_oracle():
     gaps = np.linspace(0.0, math.pi, 65)
     for t in [1e-5, 2.5e-4, 0.05, 0.5, 2.0, 5.0]:
@@ -347,14 +363,14 @@ def test_exp_log_round_trip(kind):
     for _ in range(100):
         x, y = m.sample_uniform(rng), m.sample_uniform(rng)
         z = m.exp_map(x, m.log_map(x, y))
-        assert m.points_close(z, y, tol=1e-9)
+        assert m.distance(z, y) <= 1e-9
     # stacked rows: rows against rows, and one point against rows
     xs, ys = m.sample_uniform_many(50, rng), m.sample_uniform_many(50, rng)
     for starts in (xs, xs[0]):
         zs = m.exp_map(starts, m.log_map(starts, ys))
         assert zs.shape == ys.shape
         for z, y in zip(zs, ys):
-            assert m.points_close(z, y, tol=1e-9)
+            assert m.distance(z, y) <= 1e-9
 
 
 def test_interpolate_pairwise_matches_scalar():
@@ -371,7 +387,7 @@ def test_interpolate_pairwise_matches_scalar():
         batch = m.interpolate_pairwise(xs, ys, s)
         for i in range(20):
             single = m.interpolate_pairwise(xs[i], ys[i], s[i])
-            assert m.points_close(batch[i], single, tol=1e-12)
+            assert m.distance(batch[i], single) <= 1e-12
 
 
 def test_distance_pairwise_matches_scalar():
@@ -443,6 +459,72 @@ def test_sphere_many_draws_keep_the_sequential_stream_below_the_seam():
     assert batch_rng.uniform() == single_rng.uniform()
 
 
+def _metropolis_like_centres(m, n, seed):
+    # a centre stays put for several draws, as a rejected proposal leaves it
+    rng = np.random.default_rng(seed)
+    current, centres = m.sample_uniform(rng), []
+    for _ in range(n):
+        if rng.uniform() < 0.2:
+            current = m.sample_uniform(rng)
+        centres.append(current)
+    return centres
+
+
+def _cold_draws(t, centres, rng):
+    # the reference builds every frame with _sphere_frame, keeping none
+    ref = Sphere()
+    ref._frame = _sphere_frame
+    return np.stack([ref.sample_heat_kernel(t, c, rng) for c in centres])
+
+
+@pytest.mark.parametrize("t", [2.5e-4, 0.05])
+def test_sphere_frame_cache_keeps_draws_and_stream(t):
+    m = Sphere()
+    centres = _metropolis_like_centres(m, 300, 81)
+    warm_rng, cold_rng = np.random.default_rng(82), np.random.default_rng(82)
+    warm = np.stack([m.sample_heat_kernel(t, c, warm_rng) for c in centres])
+    assert np.array_equal(warm, _cold_draws(t, centres, cold_rng))
+    assert warm_rng.bit_generator.state == cold_rng.bit_generator.state
+    assert 0 < len(m._frame_cache) < len(centres)
+
+
+@pytest.mark.parametrize("t", [2.5e-4, 0.05])
+def test_sphere_frame_cache_keeps_draws_across_a_clear(t):
+    # 600 distinct centres, each drawn twice, then the first 50 again after the clear
+    m = Sphere()
+    distinct = list(m.sample_uniform_many(600, np.random.default_rng(83)))
+    centres = [c for c in distinct for _ in range(2)] + distinct[:50]
+    warm_rng, cold_rng = np.random.default_rng(84), np.random.default_rng(84)
+    warm = np.stack([m.sample_heat_kernel(t, c, warm_rng) for c in centres])
+    assert np.array_equal(warm, _cold_draws(t, centres, cold_rng))
+    assert warm_rng.bit_generator.state == cold_rng.bit_generator.state
+    assert len(m._frame_cache) <= 512
+
+
+def test_sphere_frame_cache_skips_many_row_calls():
+    m = Sphere()
+    centers = m.sample_uniform_many(5, np.random.default_rng(85))
+    m.sample_heat_kernel_many(0.05, centers, np.random.default_rng(86))
+    m.sample_heat_kernel_many(2.5e-4, centers[:2], np.random.default_rng(86))
+    assert m._frame_cache == {}
+
+
+def test_sphere_cached_frames_are_read_only():
+    m = Sphere()
+    center = m.sample_uniform(np.random.default_rng(87))
+    for e in m._frame(m.stack(center)):
+        assert not e.flags.writeable
+        with pytest.raises(ValueError):
+            e[0, 0] = 1.0
+    # neither a returned draw nor the caller's centre array aliases the cache
+    mutable = center.copy()
+    draw = m.sample_heat_kernel(0.05, mutable, np.random.default_rng(88))
+    draw[:] = 0.0
+    mutable[:] = [0.0, 0.0, 1.0]
+    again = m.sample_heat_kernel(0.05, center, np.random.default_rng(88))
+    assert np.array_equal(again, Sphere().sample_heat_kernel(0.05, center, np.random.default_rng(88)))
+
+
 def test_circle_sampler_resultant_length():
     # first circular moment of the time-t kernel is exp(-t/2)
     m = Circle()
@@ -503,7 +585,8 @@ def test_sampling_deterministic_given_seed():
         m = make_manifold(kind)
         a = m.sample_heat_kernel(0.3, m.sample_uniform(np.random.default_rng(1)), np.random.default_rng(2))
         b = m.sample_heat_kernel(0.3, m.sample_uniform(np.random.default_rng(1)), np.random.default_rng(2))
-        assert m.points_close(a, b, tol=0.0)
+        # b repeats a's centre, so on the sphere b reads a's cached frame
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------- invariance

@@ -76,7 +76,7 @@ def test_at_many_matches_scalar_eval():
         ts = np.concatenate([rng.uniform(0, 1, size=40), path.knot_times()])
         batch = path.at_many(ts)
         for i, t in enumerate(ts):
-            assert m.points_close(batch[i], path.at(t), tol=1e-12)
+            assert m.distance(batch[i], path.at(t)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
@@ -102,7 +102,7 @@ def test_constant_path_everywhere_equal():
         x = m.sample_uniform(np.random.default_rng(5))
         path = constant_path(m, x, segments=4)
         for t in [0.0, 0.3, 0.77, 1.0]:
-            assert m.points_close(path.at(t), x, tol=1e-12)
+            assert m.distance(path.at(t), x) <= 1e-12
 
 
 # ---------------------------------------------------------------- serialization
