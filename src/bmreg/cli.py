@@ -1,10 +1,11 @@
 """Command-line surface: dataset generation, fitting, method comparisons,
 sweeps, the contraction-rate study, and kernel self-checks.
 
-Every option can also come from a JSON config file (--config); explicit
-flags override file values, which override the built-in defaults.  Exit
-codes: 0 success, 1 failed self-check, 2 configuration error, 3 runtime
-failure during inference or I/O.
+Each command takes only the options it reads, as flags or as keys of a
+JSON config file (--config); explicit flags override file values, which
+override the built-in defaults.  Exit codes: 0 success, 1 failed
+self-check, 2 configuration error, 3 runtime failure during inference or
+I/O.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 from bmreg.checks import run_checks
 from bmreg.data import Dataset
 from bmreg.experiments import (
+    CONTRACT_DEFAULTS,
     CSV_HEADER,
     DEFAULTS,
     ExperimentResult,
@@ -52,32 +54,23 @@ _METHODS = ("dbm", "cbm", "ker")
 # the estimators of `bmreg compare`, the constant-path baseline included
 _COMPARE_METHODS = ("dbm", "cbm", "ker", "const")
 
-_DEFAULTS = {
-    "manifold": DEFAULTS["manifold"],
-    "method": "dbm",
-    "n": DEFAULTS["n"],
-    "sigma2": DEFAULTS["sigma2"],
-    "marginal_A": None,
-    "c": DEFAULTS["c"],
-    "grid_K": None,
-    "rate_epsilon": None,
-    "seed": 0,
-    "replicates": 10,
-    "out": None,
-    "anneal_t0": None,
-    "anneal_cool": None,
-    "anneal_steps": None,
-    "workers": 1,
-    "axis": None,
-    "values": None,
-    "n_values": None,
+_ANNEAL = ("anneal_t0", "anneal_cool", "anneal_steps")
+# the options each run command reads; any other flag or config key exits 2
+_TAKES = {
+    "generate": ("manifold", "n", "sigma2", "seed", "out"),
+    "fit": ("manifold", "method", "sigma2", "marginal_A", "c", "grid_K", "rate_epsilon", "seed", "out", *_ANNEAL),
+    "compare": (
+        "manifold", "n", "sigma2", "marginal_A", "c", "grid_K", "rate_epsilon", "seed", "replicates", "out",
+        "workers", *_ANNEAL,
+    ),
+    "sweep": (
+        "manifold", "method", "n", "sigma2", "marginal_A", "c", "grid_K", "seed", "replicates", "out", "workers",
+        *_ANNEAL, "axis", "values",
+    ),
+    "contract": (
+        "manifold", "n_values", "sigma2", "marginal_A", "c", "rate_epsilon", "seed", "replicates", "out", "workers",
+    ),
 }
-# the sweep default c=0.01 over-smooths the sampler, so the contraction
-# study defaults to c=1.0
-_CONTRACT_DEFAULTS = {**_DEFAULTS, "c": 1.0}
-
-_INT_KEYS = {"n", "grid_K", "seed", "replicates", "anneal_steps", "workers"}
-_FLOAT_KEYS = {"sigma2", "marginal_A", "c", "rate_epsilon", "anneal_t0", "anneal_cool"}
 
 
 class ConfigError(ValueError):
@@ -86,30 +79,33 @@ class ConfigError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Validated options shared by the run commands."""
+    """Every run-command option: its type, its default, and its checks."""
 
-    manifold: str
-    method: str
-    n: int
-    sigma2: float
-    marginal_A: float | None
-    c: float
-    grid_K: int | None
-    rate_epsilon: float | None
-    seed: int
-    replicates: int
-    out: str | None
-    anneal_t0: float | None
-    anneal_cool: float | None
-    anneal_steps: int | None
-    workers: int
+    manifold: str = DEFAULTS["manifold"]
+    method: str = "dbm"
+    n: int = DEFAULTS["n"]
+    sigma2: float = DEFAULTS["sigma2"]
+    marginal_A: float | None = None
+    c: float = DEFAULTS["c"]
+    grid_K: int | None = None
+    rate_epsilon: float | None = None
+    seed: int = 0
+    replicates: int = 10
+    out: str | None = None
+    anneal_t0: float | None = None
+    anneal_cool: float | None = None
+    anneal_steps: int | None = None
+    workers: int = 1
+    axis: str | None = None
+    values: str | list | None = dataclasses.field(default=None, metadata={"help": "comma-separated axis values"})
+    n_values: str | list | None = dataclasses.field(default=None, metadata={"help": "comma-separated sample sizes"})
     anneal: AnnealConfig = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        for key in sorted(_FLOAT_KEYS):
-            value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
+        for field in _OPTIONS.values():
+            value = getattr(self, field.name)
+            if field.type.startswith("float") and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, got {value}")
         if self.manifold not in _MANIFOLDS:
             raise ConfigError(f"manifold must be one of {_MANIFOLDS}, got {self.manifold!r}")
         if self.method not in _METHODS:
@@ -134,6 +130,8 @@ class RunConfig:
             raise ConfigError("replicates must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        object.__setattr__(self, "values", _parse_number_list(self.values, "values", integer=self.axis in ("K", "n")))
+        object.__setattr__(self, "n_values", _parse_number_list(self.n_values, "n-values", integer=True))
         schedule = {
             "initial_temperature": self.anneal_t0,
             "cooling_factor": self.anneal_cool,
@@ -160,16 +158,21 @@ class RunConfig:
         return KnownVariance(self.sigma2)
 
 
+# the options by name; each annotation reads "<type>[ | list][ | None]"
+_OPTIONS = {field.name: field for field in dataclasses.fields(RunConfig) if field.init}
+_TYPES = {"int": int, "float": float, "str": str}
+
+
 def _parse_number_list(value, kind: str, integer: bool = False):
     """Comma-separated string or JSON list into a list of numbers."""
     if value is None:
         return None
     if isinstance(value, str):
         parts = [p for p in value.split(",") if p.strip()]
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple)) and not any(isinstance(p, bool) for p in value):
         parts = list(value)
     else:
-        raise ConfigError(f"{kind} must be a comma-separated list, got {value!r}")
+        raise ConfigError(f"{kind} must be a comma-separated list of numbers, got {value!r}")
     try:
         numbers = [float(p) for p in parts]
     except (TypeError, ValueError) as exc:
@@ -183,28 +186,36 @@ def _parse_number_list(value, kind: str, integer: bool = False):
 
 
 def _coerce(key: str, value):
-    if value is None:
-        return None
-    try:
-        if key in _INT_KEYS:
-            coerced = int(value)
-            if isinstance(value, float) and value != coerced:
-                raise ValueError(f"{value!r} is not an integer")
-            return coerced
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key}: {exc}") from exc
-    return value
-
-
-def merge_options(args: argparse.Namespace, defaults: dict = _DEFAULTS) -> dict:
-    """defaults < config file < explicit flags, with type coercion."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
+    """A flag string or a config-file JSON value as its RunConfig field's type."""
+    names = [name for name in _OPTIONS[key].type.split(" | ") if name != "None"]
+    if isinstance(value, list) and "list" in names:
+        return value
+    kind = _TYPES[names[0]]
+    if kind is str:
+        if isinstance(value, str):
+            return value
+    elif not isinstance(value, bool):
         try:
-            with open(config_path) as fh:
+            coerced = kind(value)
+            # int() would truncate a fractional float
+            if not (kind is int and isinstance(value, float) and value != coerced):
+                return coerced
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{key} must be {' or '.join(names)}, got {value!r}")
+
+
+def merge_options(args: argparse.Namespace) -> dict:
+    """The options args.command takes, typed: defaults < config file < flags.
+
+    RunConfig holds the defaults; the contraction study overrides two."""
+    takes = _TAKES[args.command]
+    merged = {}
+    if args.command == "contract":
+        merged = {"c": CONTRACT_DEFAULTS["c"], "rate_epsilon": CONTRACT_DEFAULTS["epsilon"]}
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
                 loaded = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
@@ -214,24 +225,19 @@ def merge_options(args: argparse.Namespace, defaults: dict = _DEFAULTS) -> dict:
             raise ConfigError("config file must hold a JSON object")
         for raw_key, value in loaded.items():
             key = raw_key.replace("-", "_")
-            if key not in merged:
-                raise ConfigError(f"unknown config key {raw_key!r}")
-            merged[key] = _coerce(key, value)
-    for key in merged:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = _coerce(key, flag_value)
-    return merged
-
-
-def _run_config(merged: dict) -> RunConfig:
-    return RunConfig(**{field.name: merged[field.name] for field in dataclasses.fields(RunConfig) if field.init})
+            if key not in takes:
+                raise ConfigError(f"{args.command} does not take config key {raw_key!r}")
+            if value is not None:  # a null leaves the default
+                merged[key] = value
+    merged.update({key: getattr(args, key) for key in takes if getattr(args, key) is not None})
+    return {key: _coerce(key, value) for key, value in merged.items()}
 
 
 # -- subcommands -----------------------------------------------------------
 
 
 def cmd_generate(cfg: RunConfig) -> int:
+    """write a synthetic dataset CSV"""
     out = cfg.out or "dataset.csv"
     m = make_manifold(cfg.manifold)
     f0 = default_truth(cfg.manifold)
@@ -261,6 +267,7 @@ def _append_row(path: str, row: ExperimentResult) -> None:
 
 
 def cmd_fit(cfg: RunConfig, dataset_path: str) -> int:
+    """fit one estimator to a dataset CSV"""
     try:
         data = Dataset.load_csv(dataset_path, cfg.manifold)
     except (OSError, ValueError) as exc:  # ValueError includes EmptyDatasetError
@@ -304,6 +311,7 @@ def cmd_fit(cfg: RunConfig, dataset_path: str) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
+    """compare dbm, cbm, ker and const on shared datasets"""
     out = cfg.out or "comparison.csv"
     cells = comparison_cells(
         _COMPARE_METHODS,
@@ -326,23 +334,21 @@ def cmd_compare(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, axis, values) -> int:
-    if axis is None or values is None:
+def cmd_sweep(cfg: RunConfig) -> int:
+    """run a parameter sweep"""
+    if cfg.axis is None or cfg.values is None:
         raise ConfigError("sweep needs --axis and --values")
-    if cfg.rate_epsilon is not None:
-        raise ConfigError("sweep does not take --rate-epsilon; set K with --grid-K")
-    values = _parse_number_list(values, "values", integer=axis in ("K", "n"))
     out = cfg.out or "sweep.csv"
     try:
         cells = sweep_cells(
-            axis,
-            values,
+            cfg.axis,
+            cfg.values,
             base_seed=cfg.seed,
             replicates=cfg.replicates,
             method=cfg.method,
             manifold=cfg.manifold,
             n=cfg.n,
-            K=cfg.grid_K if cfg.grid_K is not None else DEFAULTS["K"],
+            K=cfg.segments(cfg.n),
             c=cfg.c,
             sigma2=cfg.sigma2,
             anneal=cfg.anneal,
@@ -352,25 +358,22 @@ def cmd_sweep(cfg: RunConfig, axis, values) -> int:
         raise ConfigError(str(exc)) from exc
     rows = run_cells(cells, cfg.workers)
     write_rows(out, rows)
-    for value in values:
-        matching = [r.l1_error for r in rows if getattr(r, axis) == value]
-        print(f"{axis}={value} mean_l1={repr(float(np.mean(matching)))}")
+    for value in cfg.values:
+        matching = [r.l1_error for r in rows if getattr(r, cfg.axis) == value]
+        print(f"{cfg.axis}={value} mean_l1={repr(float(np.mean(matching)))}")
     print(f"wrote {len(rows)} rows -> {out}")
     return EXIT_OK
 
 
-def cmd_contract(cfg: RunConfig, n_values) -> int:
-    n_values = _parse_number_list(n_values, "n-values", integer=True)
-    if n_values is None:
+def cmd_contract(cfg: RunConfig) -> int:
+    """posterior contraction-rate study"""
+    if cfg.n_values is None:
         raise ConfigError("contract needs --n-values")
-    if cfg.grid_K is not None:
-        raise ConfigError("contract does not take --grid-K; K follows the rate rule")
-    epsilon = cfg.rate_epsilon if cfg.rate_epsilon is not None else 0.05
     out = cfg.out or "contract.csv"
     try:
         report = run_contract(
-            n_values,
-            epsilon,
+            cfg.n_values,
+            cfg.rate_epsilon,
             base_seed=cfg.seed,
             replicates=cfg.replicates,
             workers=cfg.workers,
@@ -400,43 +403,23 @@ def cmd_check_kernels(perturbation: float) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
+_COMMANDS = {
+    "generate": cmd_generate, "fit": cmd_fit, "compare": cmd_compare, "sweep": cmd_sweep, "contract": cmd_contract,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="JSON file supplying any option; flags override")
-    shared.add_argument("--manifold", choices=_MANIFOLDS)
-    shared.add_argument("--method", choices=_METHODS)
-    shared.add_argument("--n", type=int)
-    shared.add_argument("--sigma2", type=float)
-    shared.add_argument("--marginal-A", dest="marginal_A", type=float)
-    shared.add_argument("--c", type=float)
-    shared.add_argument("--grid-K", dest="grid_K", type=int)
-    shared.add_argument("--rate-epsilon", dest="rate_epsilon", type=float)
-    shared.add_argument("--seed", type=int)
-    shared.add_argument("--replicates", type=int)
-    shared.add_argument("--out")
-    shared.add_argument("--anneal-t0", dest="anneal_t0", type=float)
-    shared.add_argument("--anneal-cool", dest="anneal_cool", type=float)
-    shared.add_argument("--anneal-steps", dest="anneal_steps", type=int)
-    shared.add_argument("--workers", type=int)
-
-    parser = argparse.ArgumentParser(prog="bmreg", description=__doc__)
+    parser = argparse.ArgumentParser(prog="bmreg", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, takes in _TAKES.items():
+        run = sub.add_parser(command, help=_COMMANDS[command].__doc__, allow_abbrev=False)
+        if command == "fit":
+            run.add_argument("dataset", help="dataset CSV path")
+        run.add_argument("--config", help="JSON file supplying any option below; flags override")
+        for key in takes:
+            run.add_argument("--" + key.replace("_", "-"), dest=key, help=_OPTIONS[key].metadata.get("help"))
 
-    sub.add_parser("generate", parents=[shared], help="write a synthetic dataset CSV")
-
-    fit = sub.add_parser("fit", parents=[shared], help="fit one estimator to a dataset CSV")
-    fit.add_argument("dataset", help="dataset CSV path")
-
-    sub.add_parser("compare", parents=[shared], help="compare dbm, cbm, ker and const on shared datasets")
-
-    sweep = sub.add_parser("sweep", parents=[shared], help="run a parameter sweep")
-    sweep.add_argument("--axis", choices=("c", "K", "n"))
-    sweep.add_argument("--values", help="comma-separated axis values")
-
-    contract = sub.add_parser("contract", parents=[shared], help="posterior contraction-rate study")
-    contract.add_argument("--n-values", dest="n_values", help="comma-separated sample sizes")
-
-    check = sub.add_parser("check-kernels", help="run kernel and metric self-checks")
+    check = sub.add_parser("check-kernels", help="run kernel and metric self-checks", allow_abbrev=False)
     check.add_argument(
         "--inject-kernel-perturbation",
         dest="perturbation",
@@ -459,19 +442,10 @@ def main(argv=None) -> int:
         return cmd_check_kernels(args.perturbation)
 
     try:
-        merged = merge_options(args, _CONTRACT_DEFAULTS if args.command == "contract" else _DEFAULTS)
-        cfg = _run_config(merged)
-        if args.command == "generate":
-            return cmd_generate(cfg)
+        cfg = RunConfig(**merge_options(args))
         if args.command == "fit":
             return cmd_fit(cfg, args.dataset)
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, merged["axis"], merged["values"])
-        if args.command == "contract":
-            return cmd_contract(cfg, merged["n_values"])
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

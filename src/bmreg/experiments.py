@@ -46,6 +46,9 @@ DEFAULTS = {
     "K": 40,
     "c": 0.01,
 }
+# the contraction study's: c = 0.01 over-smooths the sampler, and epsilon
+# sets K by the rate rule
+CONTRACT_DEFAULTS = {"c": 1.0, "epsilon": 0.05}
 
 CSV_HEADER = "run_id,method,n,K,c,sigma2,seed,l1_error,runtime_ms"
 
@@ -345,7 +348,7 @@ def contract_cells(
     replicates: int,
     manifold: str = DEFAULTS["manifold"],
     sigma2: float = DEFAULTS["sigma2"],
-    c: float = 1.0,
+    c: float = CONTRACT_DEFAULTS["c"],
     mcmc: McmcConfig | None = None,
     marginal_bound: float | None = None,
 ):

@@ -41,6 +41,8 @@ INIT_WINDOW = 0.05
 INIT_DENSITY_TIME = 0.05
 # fine grid used by the continuous-limit variant
 K_FINE = 200
+# annealing-trace points kept in a fit's JSON
+_MAX_TRACE = 256
 
 
 @dataclass(frozen=True)
@@ -99,10 +101,10 @@ class FitResult:
     trace: list = field(repr=False)
     acceptance_rate: float
 
-    def to_dict(self, max_trace: int = 256) -> dict:
+    def to_dict(self) -> dict:
         trace = self.trace
-        if len(trace) > max_trace:
-            keep = np.unique(np.linspace(0, len(trace) - 1, max_trace).round().astype(int))
+        if len(trace) > _MAX_TRACE:
+            keep = np.unique(np.linspace(0, len(trace) - 1, _MAX_TRACE).round().astype(int))
             trace = [trace[i] for i in keep]
         return {
             "path": self.path.to_dict(),
@@ -111,8 +113,8 @@ class FitResult:
             "trace_subsampled": [[int(i), float(v)] for i, v in trace],
         }
 
-    def to_json(self, max_trace: int = 256) -> str:
-        return json.dumps(self.to_dict(max_trace))
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 @dataclass

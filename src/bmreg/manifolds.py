@@ -129,11 +129,6 @@ def circle_log_heat(gap, t):
     return _scalar_or_array(-0.5 * math.log(TWO_PI * t) - g * g / (2.0 * t) + np.log1p(rest))
 
 
-def circle_heat_wrapped(gap, t):
-    """Circle heat kernel by the wrapped-Gaussian image sum: exp(circle_log_heat)."""
-    return np.exp(circle_log_heat(gap, t))
-
-
 def circle_heat_eigen(gap, t):
     """Circle heat kernel via the eigenfunction sum.
 
@@ -460,9 +455,11 @@ class Sphere(Manifold):
     point_shape = (3,)
     # below this sine of the geodesic angle the direction is degenerate
     _DEGENERATE = 1e-9
+    # polar grid points of the sampler's inverse CDF
+    _POLAR_NODES = 2048
 
     def __init__(self):
-        self._cdf_cache: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._cdf_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._frame_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     def canonical(self, point):
@@ -495,13 +492,13 @@ class Sphere(Manifold):
 
     # -- polar sampling ------------------------------------------------------
 
-    def _polar_cdf(self, t: float, nodes: int = 2048) -> tuple[np.ndarray, np.ndarray]:
+    def _polar_cdf(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Cumulative trapezoid of the polar density ~ p_t(th) * sin th."""
-        key = (float(t), nodes)
+        key = float(t)
         hit = self._cdf_cache.get(key)
         if hit is not None:
             return hit
-        theta = np.linspace(0.0, math.pi, nodes)
+        theta = np.linspace(0.0, math.pi, self._POLAR_NODES)
         density = np.exp(sphere_log_heat(theta, t)) * np.sin(theta)
         cdf = np.concatenate([[0.0], np.cumsum((density[1:] + density[:-1]) * 0.5 * np.diff(theta))])
         cdf /= cdf[-1]

@@ -55,26 +55,20 @@ class PiecewiseGeodesicPath:
         return np.arange(self.segments + 1) / self.segments
 
     def at(self, t: float):
-        """Value at time t in [0, 1]; exact knot value at grid times."""
-        t = float(t)
-        if not 0.0 <= t <= 1.0:
-            raise OutOfDomainError(f"path time {t} outside [0, 1]")
-        pos = t * self.segments
-        nearest = round(pos)
-        if abs(pos - nearest) <= _KNOT_SNAP * self.segments and 0 <= nearest <= self.segments:
-            return np.array(self.knots[int(nearest)], copy=True) if self.knots.ndim > 1 else float(self.knots[int(nearest)])
-        k = min(int(math.floor(pos)), self.segments - 1)
-        return self.manifold.interpolate_pairwise(self.knots[k], self.knots[k + 1], pos - k)
+        """Value at time t in [0, 1]: one row of at_many, a float on the circle."""
+        value = self.at_many([t])[0]
+        return float(value) if value.ndim == 0 else value
 
     def at_many(self, ts, knots=None) -> np.ndarray:
-        """Vectorized evaluation; same snapping rule as at().  Given knots, a
-        (p, K+1, ...) stack with this path's K, returns all p paths' values."""
+        """Values at times in [0, 1], exact knot values at grid times.  Given
+        knots, a (p, K+1, ...) stack with this path's K, returns all p paths'
+        values."""
         stack = self.knots if knots is None else np.asarray(knots, dtype=float)
         # knots and values run along the axis before the coordinate axes
         coords = (slice(None),) * len(self.manifold.point_shape)
         axis = -1 - len(coords)
         ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
+        if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):  # NaN too
             raise OutOfDomainError("path times outside [0, 1]")
         pos = ts * self.segments
         k = np.minimum(np.floor(pos).astype(int), self.segments - 1)

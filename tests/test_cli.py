@@ -1,8 +1,11 @@
 """End-to-end tests of the command-line interface via main()."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +316,129 @@ def test_out_of_range_seed_is_config_error(dataset, capsys, command, seed):
     assert "seed" in capsys.readouterr().err
 
 
+# a valid value of every run-command option
+OPTION_VALUES = {
+    "manifold": "torus", "method": "cbm", "n": 5, "sigma2": 0.2, "marginal-A": 3.0, "c": 0.1, "grid-K": 4,
+    "rate-epsilon": 0.1, "seed": 1, "replicates": 1, "out": "x.out", "anneal-t0": 1.0, "anneal-cool": 0.5,
+    "anneal-steps": 2, "workers": 1, "axis": "c", "values": "0.1,0.2", "n-values": "50,100,200",
+}
+ANNEAL = ["anneal-t0", "anneal-cool", "anneal-steps"]
+# the options each run command reads
+TAKES = {
+    "generate": ["manifold", "n", "sigma2", "seed", "out"],
+    "fit": ["manifold", "method", "sigma2", "marginal-A", "c", "grid-K", "rate-epsilon", "seed", "out", *ANNEAL],
+    "compare": [
+        "manifold", "n", "sigma2", "marginal-A", "c", "grid-K", "rate-epsilon", "seed", "replicates", "out",
+        "workers", *ANNEAL,
+    ],
+    "sweep": [
+        "manifold", "method", "n", "sigma2", "marginal-A", "c", "grid-K", "seed", "replicates", "out", "workers",
+        *ANNEAL, "axis", "values",
+    ],
+    "contract": [
+        "manifold", "n-values", "sigma2", "marginal-A", "c", "rate-epsilon", "seed", "replicates", "out", "workers",
+    ],
+}
+# the shortest command line of each that runs
+RUNS = {
+    "generate": ["generate"],
+    "fit": ["fit", "data.csv"],
+    "compare": ["compare"],
+    "sweep": ["sweep", "--axis", "c", "--values", "0.1,0.2"],
+    "contract": ["contract", "--n-values", "50,100,200"],
+}
+
+
+@pytest.fixture
+def no_run(dataset, monkeypatch):
+    """Every run command fails with exit 3 once it starts its work."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command started")
+
+    for name in ("generate_dataset", "fit_method", "run_cells", "run_contract"):
+        monkeypatch.setattr(cli, name, refuse)
+    return dataset.parent
+
+
+def parse(*argv):
+    return cli.RunConfig(**cli.merge_options(cli.build_parser().parse_args(list(argv))))
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("command", sorted(TAKES))
+    def test_each_option_taken_parses(self, command):
+        argv = ["fit", "data.csv"] if command == "fit" else [command]
+        for flag in TAKES[command]:
+            argv += [f"--{flag}", str(OPTION_VALUES[flag])]
+        merged = cli.merge_options(cli.build_parser().parse_args(argv))
+        assert set(merged) == {flag.replace("-", "_") for flag in TAKES[command]}
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(command, flag) for command in TAKES for flag in OPTION_VALUES if flag not in TAKES[command]],
+    )
+    def test_option_not_taken_exits_2(self, no_run, capsys, command, flag):
+        assert run_cli(*RUNS[command], f"--{flag}", str(OPTION_VALUES[flag])) == 2
+        assert f"--{flag}" in capsys.readouterr().err
+        (no_run / "cfg.json").write_text(json.dumps({flag: OPTION_VALUES[flag]}))
+        assert run_cli(*RUNS[command], "--config", "cfg.json") == 2
+        assert f"does not take config key {flag!r}" in capsys.readouterr().err
+
+    def test_the_commands_run_without_the_option(self, no_run):
+        # the runs above exit 2 for the option, not for the rest of the line
+        for argv in RUNS.values():
+            assert run_cli(*argv) == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["contract", "--n", "50,100,200"],
+            ["fit", "data.csv", "--grid", "40"],
+            ["compare", "--rep", "1"],
+            ["generate", "--se", "3"],
+            ["sweep", "--axis", "c", "--val", "0.1,0.2"],
+            ["generate", "--conf", "cfg.json"],
+        ],
+        ids=" ".join,
+    )
+    def test_abbreviated_flag_exits_2(self, no_run, argv):
+        (no_run / "cfg.json").write_text("{}")
+        assert run_cli(*argv) == 2
+
+    @pytest.mark.parametrize("method", ["dbm", "cbm", "ker"])
+    def test_benchmark_fit_line_parses(self, method):
+        cfg = parse(
+            "fit", "data.csv", "--manifold", "sphere", "--method", method, "--grid-K", "40", "--c", "0.01",
+            "--sigma2", "0.1", "--seed", "3", "--out", "fit.json",
+        )
+        assert (cfg.method, cfg.grid_K, cfg.c, cfg.sigma2, cfg.seed) == (method, 40, 0.01, 0.1, 3)
+
+    def test_benchmark_generate_and_contract_lines_parse(self):
+        cfg = parse("generate", "--manifold", "torus", "--n", "30", "--sigma2", "0.1", "--seed", "3", "--out", "d.csv")
+        assert (cfg.manifold, cfg.n, cfg.out) == ("torus", 30, "d.csv")
+        cfg = parse(
+            "contract", "--manifold", "torus", "--n-values", "50,200,800", "--replicates", "2", "--sigma2", "0.1",
+            "--workers", "2", "--seed", "3", "--out", "contract.csv",
+        )
+        assert (cfg.n_values, cfg.replicates, cfg.workers, cfg.c, cfg.rate_epsilon) == ([50, 200, 800], 2, 2, 1.0, 0.05)
+
+
+def readme_command_lines():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("bmreg ")]
+    return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+@pytest.mark.parametrize("argv", readme_command_lines(), ids=" ".join)
+def test_readme_command_line_parses(argv):
+    if argv[0] == "check-kernels":
+        cli.build_parser().parse_args(argv)
+    else:
+        parse(*argv)
+
+
 class TestConfigFile:
     def test_file_supplies_options(self, workdir):
         (workdir / "cfg.json").write_text(json.dumps({"n": 6, "seed": 11, "out": "c.csv"}))
@@ -334,6 +460,55 @@ class TestConfigFile:
 
     def test_missing_config_file_is_config_error(self, workdir):
         assert run_cli("generate", "--config", "nope.json") == 2
+
+    @pytest.mark.parametrize(
+        "argv,options",
+        [
+            (["generate"], {"out": 7}),
+            (["generate"], {"n": True, "seed": True}),
+            (["generate"], {"sigma2": True}),
+            (["generate"], {"n": float("inf")}),
+            (["generate"], {"manifold": ["circle"]}),
+            (["fit", "data.csv"], {"method": 1}),
+            (["sweep"], {"axis": True, "values": "0.1,0.2"}),
+            (["sweep"], {"axis": "c", "values": [True, 0.5]}),
+            (["contract"], {"n_values": [50, False, 200]}),
+        ],
+        ids=lambda value: json.dumps(value) if isinstance(value, dict) else " ".join(value),
+    )
+    def test_value_of_the_wrong_type_is_config_error(self, no_run, capsys, argv, options):
+        (no_run / "cfg.json").write_text(json.dumps(options))
+        assert run_cli(*argv, "--config", "cfg.json") == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_null_leaves_the_default(self, workdir):
+        (workdir / "cfg.json").write_text(json.dumps({"n": None, "out": "c.csv"}))
+        assert run_cli("generate", "--config", "cfg.json") == 0
+        assert Dataset.load_csv(str(workdir / "c.csv"), "circle").n == experiments.DEFAULTS["n"]
+
+    def test_number_lists_from_json_lists(self, workdir, monkeypatch):
+        seen = []
+
+        def fake_sweep_cells(axis, values, **kwargs):
+            seen.append(values)
+            return values
+
+        def fake_run_contract(n_values, epsilon, **kwargs):
+            seen.append(n_values)
+            return ContractReport(rows=(), per_n=(), slope=0.0)
+
+        monkeypatch.setattr(cli, "sweep_cells", fake_sweep_cells)
+        monkeypatch.setattr(
+            cli, "run_cells",
+            lambda cells, workers=1: [ExperimentResult("r", "dbm", 5, K, 0.1, 0.1, 0, 0.5, 0) for K in cells],
+        )
+        monkeypatch.setattr(cli, "run_contract", fake_run_contract)
+        (workdir / "sweep.json").write_text(json.dumps({"axis": "K", "values": [2, 4.0]}))
+        (workdir / "contract.json").write_text(json.dumps({"n-values": [50, 100, 200]}))
+        assert run_cli("sweep", "--config", "sweep.json") == 0
+        assert run_cli("contract", "--config", "contract.json") == 0
+        assert seen == [[2, 4], [50, 100, 200]]
+        assert all(type(v) is int for values in seen for v in values)
 
 
 class TestEntryPoint:

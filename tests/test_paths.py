@@ -43,11 +43,13 @@ def test_path_midpoint_interpolates():
 
 def test_path_rejects_outside_domain():
     path = _circle_path([0.0, 1.0])
-    for t in [-0.01, 1.01, 2.0]:
+    for t in [-0.01, 1.01, 2.0, math.nan]:
         with pytest.raises(OutOfDomainError):
             path.at(t)
     with pytest.raises(OutOfDomainError):
         path.at_many([0.5, 1.5])
+    with pytest.raises(OutOfDomainError):
+        path.at_many([0.2, math.nan])
 
 
 def test_path_needs_two_knots():
