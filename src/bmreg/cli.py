@@ -19,7 +19,6 @@ import time
 
 import numpy as np
 
-from bmreg.checks import run_checks
 from bmreg.data import Dataset
 from bmreg.experiments import (
     CONTRACT_DEFAULTS,
@@ -392,6 +391,8 @@ def cmd_contract(cfg: RunConfig) -> int:
 
 
 def cmd_check_kernels(perturbation: float) -> int:
+    from bmreg.checks import run_checks
+
     results = run_checks(perturbation)
     for result in results:
         print(result.line())
@@ -408,9 +409,19 @@ _COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which rejects a flag it does not take under its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bmreg", description=__doc__, allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command, takes in _TAKES.items():
         run = sub.add_parser(command, help=_COMMANDS[command].__doc__, allow_abbrev=False)
         if command == "fit":

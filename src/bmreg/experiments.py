@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,12 +234,20 @@ def _run_cell_row(cell: ExperimentCell) -> ExperimentResult:
     return run_cell(cell)[0]
 
 
+# the pool class of run_cells when set (perfbench's tracer sets a serial stand-in); when None,
+# run_cells imports the process pool itself, so a one-worker process never loads it
+ProcessPoolExecutor = None
+
+
 def run_cells(cells, workers: int = 1):
     """Run cells, optionally on a process pool; row order follows the input."""
     cells = list(cells)
     if workers <= 1 or len(cells) <= 1:
         return [_run_cell_row(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    executor = ProcessPoolExecutor
+    if executor is None:
+        from concurrent.futures import ProcessPoolExecutor as executor
+    with executor(max_workers=workers) as pool:
         return list(pool.map(_run_cell_row, cells))
 
 

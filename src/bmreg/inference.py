@@ -43,6 +43,8 @@ INIT_DENSITY_TIME = 0.05
 K_FINE = 200
 # annealing-trace points kept in a fit's JSON
 _MAX_TRACE = 256
+# colour-block index plans kept per engine
+_MAX_PLANS = 512
 
 
 @dataclass(frozen=True)
@@ -178,6 +180,14 @@ class _Blocked:
 
     Updates walk the even knots, then the odd knots, and so on, across calls
     of advance; colour and offset mark where the next update starts.
+
+    A block ks = colours[colour][offset:offset + len(ks)] is scored through
+    its index plan, which depends only on (colour, offset, len(ks)): the prior
+    terms it touches (pairs and pairs + 1, with each pair's owning position
+    in ks), the observations it touches with their owners, their left and
+    right knot indices, and their gathered fractions and points.  A chain
+    repeats few block shapes, so each plan is built on first use and kept, at
+    most _MAX_PLANS of them per engine.
     """
 
     def __init__(self, m: Manifold, knots: np.ndarray, prior: PriorSpec, data: Dataset | None, sigma: SigmaMode | None):
@@ -193,6 +203,7 @@ class _Blocked:
         self.colours = (np.arange(0, self.K + 1, 2), np.arange(1, self.K + 1, 2))
         self.colour = 0
         self.offset = 0
+        self._plans: dict[tuple[int, int, int], tuple] = {}
         if data is None:
             self.interval = np.zeros(0, dtype=int)
             self.obs_terms = np.zeros(0)
@@ -201,15 +212,16 @@ class _Blocked:
             self.interval = np.minimum(np.floor(pos).astype(int), self.K - 1)
             self.fractions = pos - self.interval
             self.points = m.stack(data.points)
-            self.obs_terms = self._obs_log_density(self.knots, slice(None))
+            self.obs_terms = self._obs_log_density(
+                self.knots, self.interval, self.interval + 1, self.fractions, self.points
+            )
 
     def total(self) -> float:
         return float(self.const + np.sum(self.prior_terms) + np.sum(self.obs_terms))
 
-    def _obs_log_density(self, knots: np.ndarray, obs) -> np.ndarray:
-        left = self.interval[obs]
-        values = self.m.interpolate_pairwise(knots[left], knots[left + 1], self.fractions[obs])
-        return self.sigma.log_density(self.m, values, self.points[obs])
+    def _obs_log_density(self, knots: np.ndarray, left, right, fractions, points) -> np.ndarray:
+        values = self.m.interpolate_pairwise(knots[left], knots[right], fractions)
+        return self.sigma.log_density(self.m, values, points)
 
     def advance(self, count: int, proposal_time: float, temperature: float, rng: np.random.Generator):
         """Make count knot updates in colour order; yields (updates, accepted) per block."""
@@ -223,28 +235,49 @@ class _Blocked:
             count -= len(ks)
             yield len(ks), accepted
 
+    def _plan(self, ks: np.ndarray) -> tuple:
+        """The cached index plan of the colour run ks, keyed by (colour, offset, len(ks))."""
+        first = int(ks[0])
+        key = (first % 2, first // 2, len(ks))
+        plan = self._plans.get(key)
+        if plan is None:
+            if len(self._plans) >= _MAX_PLANS:
+                self._plans.clear()
+            plan = self._plans[key] = self._build_plan(ks)
+        return plan
+
+    def _build_plan(self, ks: np.ndarray) -> tuple:
+        # owner[j]: position in ks of knot j, or -1; a pair or interval has at most one owner
+        owner = np.full(self.K + 1, -1)
+        owner[ks] = np.arange(len(ks))
+        pair_owner = np.maximum(owner[:-1], owner[1:])
+        pairs = np.flatnonzero(pair_owner >= 0)
+        obs_owner = np.maximum(owner[self.interval], owner[self.interval + 1])
+        obs = np.flatnonzero(obs_owner >= 0)
+        left = self.interval[obs]
+        gathered = (self.fractions[obs], self.points[obs]) if len(obs) else (None, None)
+        return (pairs, pairs + 1, pair_owner[pairs], obs, obs_owner[obs], left, left + 1, *gathered)
+
     def _score(self, ks: np.ndarray, values: np.ndarray):
         """Log-posterior change of moving each knot of ks (pairwise non-adjacent) alone to its value.
+
+        ks is a colour run.  Its plan (see _Blocked) supplies every index and
+        gathered observation, so a block only evaluates the prior and noise
+        kernels at the proposed end points and sums them per owner.
 
         Returns the per-knot changes and, for the prior and the observation
         terms, the (term indices, owning position in ks, new values) of the
         terms the block touches.
         """
         m = self.m
+        pairs, pair_next, pair_owner, obs, obs_owner, left, right, fractions, points = self._plan(ks)
         proposed = self.knots.copy()
         proposed[ks] = values
-        # owner[j]: position in ks of knot j, or -1; a pair or interval has at most one owner
-        owner = np.full(self.K + 1, -1)
-        owner[ks] = np.arange(len(ks))
-        pair_owner = np.maximum(owner[:-1], owner[1:])
-        pairs = np.flatnonzero(pair_owner >= 0)
-        new_prior = self.prior.log_steps(m, proposed[pairs], proposed[pairs + 1])
-        delta = np.bincount(pair_owner[pairs], weights=new_prior - self.prior_terms[pairs], minlength=len(ks))
-        obs_owner = np.maximum(owner[self.interval], owner[self.interval + 1])
-        obs = np.flatnonzero(obs_owner >= 0)
-        new_obs = self._obs_log_density(proposed, obs) if len(obs) else np.zeros(0)
-        delta += np.bincount(obs_owner[obs], weights=new_obs - self.obs_terms[obs], minlength=len(ks))
-        return delta, (pairs, pair_owner[pairs], new_prior), (obs, obs_owner[obs], new_obs)
+        new_prior = self.prior.log_steps(m, proposed[pairs], proposed[pair_next])
+        delta = np.bincount(pair_owner, weights=new_prior - self.prior_terms[pairs], minlength=len(ks))
+        new_obs = self._obs_log_density(proposed, left, right, fractions, points) if len(obs) else np.zeros(0)
+        delta += np.bincount(obs_owner, weights=new_obs - self.obs_terms[obs], minlength=len(ks))
+        return delta, (pairs, pair_owner, new_prior), (obs, obs_owner, new_obs)
 
     def _update_block(self, ks: np.ndarray, proposal_time: float, temperature: float, rng: np.random.Generator) -> int:
         """One proposal per knot of ks in order, one vectorized Metropolis test; returns the accepts."""
@@ -252,11 +285,13 @@ class _Blocked:
         u = rng.uniform(size=len(ks))
         delta, prior_change, obs_change = self._score(ks, values)
         accept = (delta >= 0.0) | (u < np.exp(np.minimum(delta, 0.0) / temperature))
-        self.knots[ks[accept]] = values[accept]
-        for terms, (where, owners, new) in ((self.prior_terms, prior_change), (self.obs_terms, obs_change)):
-            kept = accept[owners]
-            terms[where[kept]] = new[kept]
-        return int(np.count_nonzero(accept))
+        accepted = int(np.count_nonzero(accept))
+        if accepted:
+            self.knots[ks[accept]] = values[accept]
+            for terms, (where, owners, new) in ((self.prior_terms, prior_change), (self.obs_terms, obs_change)):
+                kept = accept[owners]
+                terms[where[kept]] = new[kept]
+        return accepted
 
 
 def anneal_map(

@@ -293,7 +293,7 @@ class TestCheckKernels:
         ["compare", "--anneal-cool", "1.5"],
         ["fit", "--sigma2", "nan"],
         ["fit", "--marginal-A", "inf"],
-        ["generate", "--c", "inf"],
+        ["fit", "--c", "inf"],
     ],
 )
 def test_bad_option_value_is_config_error(dataset, argv):
@@ -384,6 +384,14 @@ class TestOptionTable:
         (no_run / "cfg.json").write_text(json.dumps({flag: OPTION_VALUES[flag]}))
         assert run_cli(*RUNS[command], "--config", "cfg.json") == 2
         assert f"does not take config key {flag!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(TAKES))
+    def test_flag_not_taken_shows_the_command_usage(self, no_run, capsys, command):
+        flag = "n" if command == "contract" else next(f for f in OPTION_VALUES if f not in TAKES[command])
+        assert run_cli(*RUNS[command], f"--{flag}", "50") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: bmreg {command} ")
+        assert f"bmreg {command}: error: unrecognized arguments: --{flag} 50" in err
 
     def test_the_commands_run_without_the_option(self, no_run):
         # the runs above exit 2 for the option, not for the rest of the line

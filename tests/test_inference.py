@@ -390,3 +390,72 @@ def test_mh_stores_the_state_after_each_thinning_interval(counted, monkeypatch):
     mh_sample(data, sigma, spec, mcmc, m, np.random.default_rng(6))
     # the first path is the initial state
     assert seen == [0] + list(range(45 + 13, 501, 13))
+
+
+# ---------------------------------------------------------------- block plans
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _seeded_run(kind, case):
+    """Bits of a seeded run's outputs; case is "anneal", "prior" or a thinning."""
+    m = make_manifold(kind)
+    rng = np.random.default_rng(31)
+    data = generate_dataset(default_truth(kind), 25, 0.1, PredictorDensity.uniform(), m, rng)
+    spec, sigma = PriorSpec.from_segments(10, 0.1), KnownVariance(0.1)
+    if case == "anneal":
+        cfg = AnnealConfig(cooling_factor=0.5, steps_per_temperature=23, temperature_floor=0.05)
+        fit = anneal_map(data, sigma, spec, cfg, m, rng)
+        return _bits(fit.path.knots), _bits(fit.acceptance_rate), _bits(fit.best_log_posterior), _bits(fit.trace)
+    thinning = 10 if case == "prior" else case
+    cfg = McmcConfig(iterations=600, burn_in=37, thinning=thinning, proposal_time=0.05)
+    res = mh_sample(data, sigma, spec, cfg, m, rng, prior_only=case == "prior")
+    return _bits([p.knots for p in res]), _bits(res.acceptance_rate)
+
+
+@pytest.mark.parametrize("case", [1, 3, 10, "prior", "anneal"])
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+def test_plan_cache_leaves_every_output_bit_identical(kind, case, monkeypatch):
+    calls = {"built": 0, "scored": 0}
+    build, score = _Blocked._build_plan, _Blocked._score
+
+    def counting_build(self, ks):
+        calls["built"] += 1
+        return build(self, ks)
+
+    def counting_score(self, ks, values):
+        calls["scored"] += 1
+        return score(self, ks, values)
+
+    monkeypatch.setattr(_Blocked, "_build_plan", counting_build)
+    monkeypatch.setattr(_Blocked, "_score", counting_score)
+    cached = _seeded_run(kind, case)
+    assert 0 < calls["built"] < calls["scored"]
+
+    # every block builds its plan afresh
+    monkeypatch.setattr(_Blocked, "_plan", counting_build)
+    calls["built"] = calls["scored"] = 0
+    assert _seeded_run(kind, case) == cached
+    assert calls["built"] == calls["scored"]
+
+
+def test_plan_cache_never_holds_more_than_its_bound(monkeypatch):
+    assert inference._MAX_PLANS == 512
+    bound, sizes, keys = 4, [], set()
+    plan = _Blocked._plan
+
+    def watched_plan(self, ks):
+        keys.add((int(ks[0]), len(ks)))
+        result = plan(self, ks)
+        sizes.append(len(self._plans))
+        return result
+
+    monkeypatch.setattr(inference, "_MAX_PLANS", bound)
+    monkeypatch.setattr(_Blocked, "_plan", watched_plan)
+    m, data, spec, sigma = _example_problem(n=20)
+    cfg = McmcConfig(iterations=400, burn_in=13, thinning=3, proposal_time=0.05)
+    mh_sample(data, sigma, spec, cfg, m, np.random.default_rng(2))
+    assert len(keys) > bound
+    assert max(sizes) == bound

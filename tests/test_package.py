@@ -71,3 +71,13 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_pool_and_the_checks_unloaded():
+    # a one-worker run never starts the process pool, and only check-kernels runs the checks
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, bmreg.cli; print([m in sys.modules for m in ('concurrent.futures.process', 'bmreg.checks')])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False]"
