@@ -23,7 +23,6 @@ from bmreg.kernel_regression import (
     NoConvergenceError,
     bandwidth_rule,
     frechet_mean_weighted,
-    kernel_regress,
 )
 from bmreg.manifolds import (
     Circle,
@@ -91,7 +90,6 @@ __all__ = [
     "frechet_mean_weighted",
     "generate_dataset",
     "init_state",
-    "kernel_regress",
     "knot_total_variation",
     "l1_error",
     "log_likelihood",

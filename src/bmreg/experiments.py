@@ -294,6 +294,8 @@ def comparison_cells(
 
 
 SWEEP_AXES = ("c", "K", "n")
+# axes a method never reads: cbm fits on K_FINE intervals, ker and const have no grid and no prior
+_IGNORED_AXES = {"cbm": ("K",), "ker": ("K", "c"), "const": ("K", "c")}
 
 
 def sweep_cells(
@@ -318,6 +320,8 @@ def sweep_cells(
         raise ValueError("need at least two axis values")
     if len(set(values)) != len(values):
         raise ValueError("axis values must be distinct")
+    if axis in _IGNORED_AXES.get(method, ()):
+        raise ValueError(f"method {method} does not read {axis}; sweep an axis it reads")
     cells = []
     for index, value in enumerate(values):
         cell_n = int(value) if axis == "n" else n

@@ -24,6 +24,7 @@ running deltas), and the reported totals are full sums of the cached terms.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -96,7 +97,11 @@ class McmcConfig:
 
 @dataclass
 class FitResult:
-    """Best path found by an annealing run, with its search trace."""
+    """Best path found by an annealing run, with its search trace.
+
+    trace holds (updates made, log posterior) at the start and after each
+    colour block, so its update counts strictly increase.
+    """
 
     path: PiecewiseGeodesicPath
     best_log_posterior: float
@@ -104,15 +109,15 @@ class FitResult:
     acceptance_rate: float
 
     def to_dict(self) -> dict:
-        trace = self.trace
-        if len(trace) > _MAX_TRACE:
-            keep = np.unique(np.linspace(0, len(trace) - 1, _MAX_TRACE).round().astype(int))
-            trace = [trace[i] for i in keep]
+        # at most _MAX_TRACE update counts, evenly spaced; each reads the block that made it
+        ends = np.array([i for i, _ in self.trace])
+        keep = np.unique(np.linspace(0, ends[-1], _MAX_TRACE).round().astype(int))
+        blocks = np.searchsorted(ends, keep)
         return {
             "path": self.path.to_dict(),
             "best_log_posterior": float(self.best_log_posterior),
             "acceptance_rate": float(self.acceptance_rate),
-            "trace_subsampled": [[int(i), float(v)] for i, v in trace],
+            "trace_subsampled": [[int(i), float(self.trace[j][1])] for i, j in zip(keep, blocks)],
         }
 
     def to_json(self) -> str:
@@ -182,12 +187,12 @@ class _Blocked:
     of advance; colour and offset mark where the next update starts.
 
     A block ks = colours[colour][offset:offset + len(ks)] is scored through
-    its index plan, which depends only on (colour, offset, len(ks)): the prior
+    its index plan, which depends only on ks[0] and len(ks): the prior
     terms it touches (pairs and pairs + 1, with each pair's owning position
     in ks), the observations it touches with their owners, their left and
     right knot indices, and their gathered fractions and points.  A chain
-    repeats few block shapes, so each plan is built on first use and kept, at
-    most _MAX_PLANS of them per engine.
+    repeats few block shapes, so each engine keeps the _MAX_PLANS most
+    recently used plans.
     """
 
     def __init__(self, m: Manifold, knots: np.ndarray, prior: PriorSpec, data: Dataset | None, sigma: SigmaMode | None):
@@ -203,7 +208,7 @@ class _Blocked:
         self.colours = (np.arange(0, self.K + 1, 2), np.arange(1, self.K + 1, 2))
         self.colour = 0
         self.offset = 0
-        self._plans: dict[tuple[int, int, int], tuple] = {}
+        self._plan = functools.lru_cache(maxsize=_MAX_PLANS)(self._build_plan)
         if data is None:
             self.interval = np.zeros(0, dtype=int)
             self.obs_terms = np.zeros(0)
@@ -235,18 +240,8 @@ class _Blocked:
             count -= len(ks)
             yield len(ks), accepted
 
-    def _plan(self, ks: np.ndarray) -> tuple:
-        """The cached index plan of the colour run ks, keyed by (colour, offset, len(ks))."""
-        first = int(ks[0])
-        key = (first % 2, first // 2, len(ks))
-        plan = self._plans.get(key)
-        if plan is None:
-            if len(self._plans) >= _MAX_PLANS:
-                self._plans.clear()
-            plan = self._plans[key] = self._build_plan(ks)
-        return plan
-
-    def _build_plan(self, ks: np.ndarray) -> tuple:
+    def _build_plan(self, first: int, length: int) -> tuple:
+        ks = np.arange(first, first + 2 * length, 2)
         # owner[j]: position in ks of knot j, or -1; a pair or interval has at most one owner
         owner = np.full(self.K + 1, -1)
         owner[ks] = np.arange(len(ks))
@@ -270,7 +265,7 @@ class _Blocked:
         terms the block touches.
         """
         m = self.m
-        pairs, pair_next, pair_owner, obs, obs_owner, left, right, fractions, points = self._plan(ks)
+        pairs, pair_next, pair_owner, obs, obs_owner, left, right, fractions, points = self._plan(int(ks[0]), len(ks))
         proposed = self.knots.copy()
         proposed[ks] = values
         new_prior = self.prior.log_steps(m, proposed[pairs], proposed[pair_next])
@@ -321,9 +316,8 @@ def anneal_map(
                 if current > best:
                     best = current
                     best_knots = np.array(engine.knots, copy=True)
-            # every update of a block records the total after the block
-            trace.extend((iteration + i, current) for i in range(1, updates + 1))
             iteration += updates
+            trace.append((iteration, current))
         if temperature * cfg.cooling_factor < cfg.temperature_floor:
             break
         temperature *= cfg.cooling_factor

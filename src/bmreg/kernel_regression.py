@@ -92,17 +92,6 @@ def frechet_mean_weighted(
     return x if w.ndim == 2 else x[0]
 
 
-def _gaussian_weights(data: Dataset, ts, bandwidth: float) -> np.ndarray:
-    if not bandwidth > 0.0:
-        raise ValueError("bandwidth must be positive")
-    return np.exp(-0.5 * ((ts - data.ts) / bandwidth) ** 2)
-
-
-def kernel_regress(data: Dataset, t: float, bandwidth: float, m: Manifold):
-    """Nadaraya-Watson estimate at time t with a Gaussian kernel in t."""
-    return frechet_mean_weighted(data.points, _gaussian_weights(data, float(t), bandwidth), m)
-
-
 @dataclass(frozen=True)
 class KernelFit:
     """A dataset with its bandwidth; callable as an estimated function of t."""
@@ -120,9 +109,10 @@ class KernelFit:
         return KernelFit(bandwidth_rule(data.ts), data)
 
     def __call__(self, t: float):
-        return kernel_regress(self.data, t, self.bandwidth, self._manifold)
+        """Nadaraya-Watson estimate at time t: the one-time form of at_many."""
+        return self.at_many([t])[0]
 
     def at_many(self, ts) -> np.ndarray:
         """Estimates at an array of times: one weight row per time, one batched Frechet mean."""
-        weights = _gaussian_weights(self.data, np.asarray(ts, dtype=float)[:, None], self.bandwidth)
+        weights = np.exp(-0.5 * ((np.asarray(ts, dtype=float)[:, None] - self.data.ts) / self.bandwidth) ** 2)
         return frechet_mean_weighted(self.data.points, weights, self._manifold)

@@ -40,6 +40,7 @@ its density differs from p_t by a relative O(t).
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 
@@ -147,26 +148,18 @@ def circle_heat_eigen(gap, t):
     return _scalar_or_array(total / TWO_PI)
 
 
-_LEGENDRE_CACHE: dict[float, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=512)
 def _legendre_coefficients(t: float) -> np.ndarray:
     """((2l+1)/(4 pi)) exp(-l(l+1) t/2) for l = 0, 1, ..., cached per t.
 
     Coefficients rise before they decay for small t; the series keeps them
     through the first one past the peak below SERIES_TOLERANCE.
     """
-    hit = _LEGENDRE_CACHE.get(t)
-    if hit is not None:
-        return hit
     # l(l+1) t / 2 >= log(1/tol) + log((2l+1)/(4 pi)) holds by this bound
     ell = np.arange(int(math.sqrt(2.0 * (_LOG_TOL + 0.5 * math.log(1.0 / t) + 5.0) / t)) + 12)
     coefs = (2 * ell + 1) / (4.0 * math.pi) * np.exp(-0.5 * ell * (ell + 1) * t)
     last = np.flatnonzero((ell > np.argmax(coefs)) & (coefs < SERIES_TOLERANCE))[0]
-    if len(_LEGENDRE_CACHE) >= 512:
-        _LEGENDRE_CACHE.clear()
-    _LEGENDRE_CACHE[t] = coefs = coefs[: last + 1]
-    return coefs
+    return coefs[: last + 1]
 
 
 def sphere_heat_series(cos_gamma, t):
@@ -445,6 +438,31 @@ def _sphere_frame(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, _cross(xs, e1)
 
 
+@functools.lru_cache(maxsize=512)
+def _cached_frame(center: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """_sphere_frame of the one centre whose float64 bytes are center, read-only.
+
+    A rejected proposal leaves its knot, so the next one shoots from the
+    same centre.
+    """
+    frame = _sphere_frame(np.frombuffer(center).reshape(1, 3))
+    for e in frame:
+        e.flags.writeable = False
+    return frame
+
+
+# polar grid of the sphere sampler's inverse CDF
+_POLAR_THETA = np.linspace(0.0, math.pi, 2048)
+
+
+@functools.lru_cache(maxsize=512)
+def _polar_cdf(t: float) -> np.ndarray:
+    """Cumulative trapezoid over _POLAR_THETA of the polar density ~ p_t(th) * sin th."""
+    density = np.exp(sphere_log_heat(_POLAR_THETA, t)) * np.sin(_POLAR_THETA)
+    cdf = np.concatenate([[0.0], np.cumsum((density[1:] + density[:-1]) * 0.5 * np.diff(_POLAR_THETA))])
+    return cdf / cdf[-1]
+
+
 class Sphere(Manifold):
     """Unit 2-sphere; points are unit vectors in R^3."""
 
@@ -455,12 +473,6 @@ class Sphere(Manifold):
     point_shape = (3,)
     # below this sine of the geodesic angle the direction is degenerate
     _DEGENERATE = 1e-9
-    # polar grid points of the sampler's inverse CDF
-    _POLAR_NODES = 2048
-
-    def __init__(self):
-        self._cdf_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        self._frame_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
     def canonical(self, point):
         return unit_vector(point)
@@ -492,38 +504,10 @@ class Sphere(Manifold):
 
     # -- polar sampling ------------------------------------------------------
 
-    def _polar_cdf(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative trapezoid of the polar density ~ p_t(th) * sin th."""
-        key = float(t)
-        hit = self._cdf_cache.get(key)
-        if hit is not None:
-            return hit
-        theta = np.linspace(0.0, math.pi, self._POLAR_NODES)
-        density = np.exp(sphere_log_heat(theta, t)) * np.sin(theta)
-        cdf = np.concatenate([[0.0], np.cumsum((density[1:] + density[:-1]) * 0.5 * np.diff(theta))])
-        cdf /= cdf[-1]
-        if len(self._cdf_cache) >= 512:
-            self._cdf_cache.clear()
-        self._cdf_cache[key] = (theta, cdf)
-        return theta, cdf
-
-    def _frame(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """_sphere_frame(centers), kept read-only per centre for one-row calls.
-
-        A rejected proposal leaves its knot, so the next one shoots from the
-        same centre; multi-row calls rarely repeat a centre set.
-        """
-        if len(centers) != 1:
-            return _sphere_frame(centers)
-        key = centers.tobytes()
-        hit = self._frame_cache.get(key)
-        if hit is None:
-            if len(self._frame_cache) >= 512:
-                self._frame_cache.clear()
-            hit = self._frame_cache[key] = _sphere_frame(centers)
-            for e in hit:
-                e.flags.writeable = False
-        return hit
+    @staticmethod
+    def _frame(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """_sphere_frame(centers); only one-row calls read _cached_frame, as many rows rarely repeat."""
+        return _cached_frame(centers.tobytes()) if len(centers) == 1 else _sphere_frame(centers)
 
     def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
         t = _check_time(t)
@@ -533,10 +517,9 @@ class Sphere(Manifold):
             # an isotropic tangent Gaussian, variance t per axis, per centre in row order
             step = math.sqrt(t) * rng.standard_normal((len(centers), 2))
             return self.exp_map(centers, step[:, :1] * e1 + step[:, 1:] * e2)
-        theta_grid, cdf = self._polar_cdf(t)
         # per centre a polar then an azimuth uniform, in row order
         u = rng.uniform(size=(len(centers), 2))
-        theta = np.interp(u[:, :1], cdf, theta_grid)
+        theta = np.interp(u[:, :1], _polar_cdf(t), _POLAR_THETA)
         phi = TWO_PI * u[:, 1:]
         return self.exp_map(centers, theta * (np.cos(phi) * e1 + np.sin(phi) * e2))
 

@@ -187,6 +187,13 @@ class TestSweep:
         assert run_cli("sweep", "--axis", "K", "--values", "2.5,10") == 2
         assert run_cli("sweep", "--axis", "n", "--values", "20,30.5") == 2
 
+    @pytest.mark.parametrize("method, axis", [("cbm", "K"), ("ker", "K"), ("ker", "c")])
+    def test_axis_the_method_never_reads_is_config_error(self, workdir, capsys, method, axis):
+        argv = ["sweep", "--axis", axis, "--values", "1,40", "--method", method, "--replicates", "1", *FAST_ANNEAL]
+        assert run_cli(*argv) == 2
+        assert f"method {method} does not read {axis}" in capsys.readouterr().err
+        assert not (workdir / "sweep.csv").exists()
+
 
 class TestCompare:
     def test_four_rows_independent_of_pool_size(self, workdir, capsys):

@@ -109,6 +109,13 @@ class TestCellBuilders:
         with pytest.raises(ValueError):
             sweep_cells("c", [0.5, 0.5], base_seed=1, replicates=1)
 
+    @pytest.mark.parametrize("method, axis", [("cbm", "K"), ("ker", "K"), ("ker", "c"), ("const", "K"), ("const", "c")])
+    def test_sweep_rejects_an_axis_the_method_never_reads(self, method, axis):
+        # cbm fits on K_FINE intervals and ker and const on no grid, so every row would share one value
+        with pytest.raises(ValueError, match=f"does not read {axis}"):
+            sweep_cells(axis, [1, 40], base_seed=1, replicates=1, method=method)
+        assert len(sweep_cells("n", [20, 40], base_seed=1, replicates=1, method=method)) == 2
+
     def test_comparison_shares_everything_but_method(self):
         cells = comparison_cells(["dbm", "ker"], base_seed=3, replicates=2)
         assert len(cells) == 4

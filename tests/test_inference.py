@@ -20,7 +20,17 @@ from bmreg.inference import (
     init_state,
     mh_sample,
 )
-from bmreg.manifolds import Circle, Manifold, Sphere, make_manifold, signed_angle_gap, wrap_angle
+from bmreg.manifolds import (
+    Circle,
+    Manifold,
+    Sphere,
+    _cached_frame,
+    _legendre_coefficients,
+    _polar_cdf,
+    make_manifold,
+    signed_angle_gap,
+    wrap_angle,
+)
 from bmreg.metrics import PredictorDensity, dinf_distance, generate_dataset
 from bmreg.paths import PiecewiseGeodesicPath, PriorSpec, log_prior
 from bmreg.posterior import KnownVariance, MarginalVariance, log_posterior
@@ -180,6 +190,22 @@ def test_fit_result_json_subsamples_trace():
     assert payload["trace_subsampled"][0][0] == 0
     assert payload["trace_subsampled"][-1][0] == fit.trace[-1][0]
     assert payload["path"]["K"] == spec.segments
+
+
+@pytest.mark.parametrize("steps", [0, 7, 200])
+def test_trace_subsampled_reads_the_block_of_each_update(steps):
+    m, data, spec, sigma = _example_problem()
+    cfg = AnnealConfig(cooling_factor=0.5, steps_per_temperature=steps, temperature_floor=0.05)
+    fit = anneal_map(data, sigma, spec, cfg, m, np.random.default_rng(3))
+    # reference: one entry per update holding the total after its block, subsampled to 256 when longer
+    per_update = fit.trace[:1] + [
+        (i, v) for (start, _), (end, v) in zip(fit.trace, fit.trace[1:]) for i in range(start + 1, end + 1)
+    ]
+    keep = range(len(per_update))
+    if len(per_update) > 256:
+        keep = np.unique(np.linspace(0, len(per_update) - 1, 256).round().astype(int))
+    expected = [[int(per_update[k][0]), float(per_update[k][1])] for k in keep]
+    assert json.loads(fit.to_json())["trace_subsampled"] == expected
 
 
 # ---------------------------------------------------------------- sampler
@@ -365,8 +391,9 @@ def test_update_counts_guard_the_benchmark(K, counted):
     fit = anneal_map(data, sigma, spec, cfg, m, np.random.default_rng(4))
     updates = _annealed_levels(cfg) * cfg.steps_per_temperature
     assert counted["draws"] == updates
-    assert len(fit.trace) == updates + 1
-    assert [i for i, _ in fit.trace] == list(range(updates + 1))
+    # one trace entry per colour block, at the updates made so far
+    ends = [i for i, _ in fit.trace]
+    assert ends[0] == 0 and ends[-1] == updates and np.all(np.diff(ends) > 0)
     _assert_blocks_are_colour_runs(counted["blocks"], K)
 
     counted["draws"], counted["blocks"] = 0, []
@@ -421,9 +448,9 @@ def test_plan_cache_leaves_every_output_bit_identical(kind, case, monkeypatch):
     calls = {"built": 0, "scored": 0}
     build, score = _Blocked._build_plan, _Blocked._score
 
-    def counting_build(self, ks):
+    def counting_build(self, first, length):
         calls["built"] += 1
-        return build(self, ks)
+        return build(self, first, length)
 
     def counting_score(self, ks, values):
         calls["scored"] += 1
@@ -434,8 +461,8 @@ def test_plan_cache_leaves_every_output_bit_identical(kind, case, monkeypatch):
     cached = _seeded_run(kind, case)
     assert 0 < calls["built"] < calls["scored"]
 
-    # every block builds its plan afresh
-    monkeypatch.setattr(_Blocked, "_plan", counting_build)
+    # a bound of 0 caches nothing, so every block builds its plan afresh
+    monkeypatch.setattr(inference, "_MAX_PLANS", 0)
     calls["built"] = calls["scored"] = 0
     assert _seeded_run(kind, case) == cached
     assert calls["built"] == calls["scored"]
@@ -444,18 +471,28 @@ def test_plan_cache_leaves_every_output_bit_identical(kind, case, monkeypatch):
 def test_plan_cache_never_holds_more_than_its_bound(monkeypatch):
     assert inference._MAX_PLANS == 512
     bound, sizes, keys = 4, [], set()
-    plan = _Blocked._plan
+    score = _Blocked._score
 
-    def watched_plan(self, ks):
+    def watched_score(self, ks, values):
         keys.add((int(ks[0]), len(ks)))
-        result = plan(self, ks)
-        sizes.append(len(self._plans))
+        result = score(self, ks, values)
+        sizes.append(self._plan.cache_info().currsize)
         return result
 
     monkeypatch.setattr(inference, "_MAX_PLANS", bound)
-    monkeypatch.setattr(_Blocked, "_plan", watched_plan)
+    monkeypatch.setattr(_Blocked, "_score", watched_score)
     m, data, spec, sigma = _example_problem(n=20)
     cfg = McmcConfig(iterations=400, burn_in=13, thinning=3, proposal_time=0.05)
     mh_sample(data, sigma, spec, cfg, m, np.random.default_rng(2))
     assert len(keys) > bound
     assert max(sizes) == bound
+
+
+def test_every_memo_keeps_512_entries_and_manifolds_keep_none():
+    memos = [_legendre_coefficients, _polar_cdf, _cached_frame]
+    m, data, spec, sigma = _example_problem(n=20)
+    memos.append(_Blocked(m, init_state(data, spec.segments, m).knots, spec, data, sigma)._plan)
+    assert [memo.cache_parameters()["maxsize"] for memo in memos] == [512] * 4
+    # every instance shares the module memos, so none holds state of its own
+    for kind in ("circle", "sphere", "torus"):
+        assert vars(make_manifold(kind)) == {}

@@ -14,7 +14,6 @@ from bmreg.kernel_regression import (
     NoConvergenceError,
     bandwidth_rule,
     frechet_mean_weighted,
-    kernel_regress,
 )
 from bmreg.manifolds import Circle, Sphere, Torus, wrap_angle
 from bmreg.metrics import PredictorDensity, generate_dataset
@@ -228,17 +227,21 @@ def _dataset(ts, points):
     return Dataset("circle", np.asarray(ts, dtype=float), np.asarray(points, dtype=float))
 
 
+def _one_time_estimate(data, t, bandwidth, m):
+    # the reference: one Gaussian weight vector in t, one Frechet mean
+    return frechet_mean_weighted(data.points, np.exp(-0.5 * ((float(t) - data.ts) / bandwidth) ** 2), m)
+
+
 def test_kernel_regress_constant_responses():
     data = _dataset([0.1, 0.4, 0.9], [2.2, 2.2, 2.2])
-    m = Circle()
     for t in (0.0, 0.5, 1.0):
-        assert_allclose(kernel_regress(data, t, 0.3, m), 2.2, rtol=0, atol=1e-12)
+        assert_allclose(KernelFit(0.3, data)(t), 2.2, rtol=0, atol=1e-12)
 
 
 def test_kernel_regress_flat_limit_is_global_mean():
     data = _dataset([0.0, 0.5, 1.0], [0.2, 0.6, 1.0])
     m = Circle()
-    flat = kernel_regress(data, 0.25, 1e6, m)
+    flat = KernelFit(1e6, data)(0.25)
     global_mean = frechet_mean_weighted(data.points, np.ones(3), m)
     assert m.distance(flat, global_mean) < 1e-9
 
@@ -246,7 +249,7 @@ def test_kernel_regress_flat_limit_is_global_mean():
 def test_kernel_regress_narrow_limit_is_nearest_observation():
     data = _dataset([0.0, 0.5, 1.0], [0.2, 0.6, 1.0])
     m = Circle()
-    assert_allclose(kernel_regress(data, 0.5, 1e-6, m), 0.6, rtol=0, atol=1e-12)
+    assert_allclose(KernelFit(1e-6, data)(0.5), 0.6, rtol=0, atol=1e-12)
 
 
 def test_kernel_regress_rotation_equivariance():
@@ -257,8 +260,8 @@ def test_kernel_regress_rotation_equivariance():
     shifted = _dataset(data.ts, wrap_angle(data.points + shift))
     h = bandwidth_rule(data.ts)
     for t in (0.0, 0.3, 0.7, 1.0):
-        a = kernel_regress(data, t, h, m)
-        b = kernel_regress(shifted, t, h, m)
+        a = KernelFit(h, data)(t)
+        b = KernelFit(h, shifted)(t)
         assert m.distance(wrap_angle(a + shift), b) <= 1e-10
 
 
@@ -268,7 +271,7 @@ def test_kernel_fit_wrapper():
     data = generate_dataset(lambda t: (t + 0.5) ** 2, 40, 0.05, PredictorDensity.uniform(), m, rng)
     fit = KernelFit.from_rule(data)
     assert fit.bandwidth == bandwidth_rule(data.ts)
-    assert_allclose(fit(0.4), kernel_regress(data, 0.4, fit.bandwidth, m), rtol=0, atol=0)
+    assert_allclose(fit(0.4), _one_time_estimate(data, 0.4, fit.bandwidth, m), rtol=0, atol=0)
     with pytest.raises(ValueError):
         KernelFit(0.0, data)
 
@@ -279,8 +282,6 @@ def test_nan_bandwidth_is_rejected_up_front():
     data = _dataset([0.1, 0.4, 0.9], [0.2, 0.6, 1.0])
     with pytest.raises(ValueError, match="bandwidth"):
         KernelFit(math.nan, data)
-    with pytest.raises(ValueError, match="bandwidth"):
-        kernel_regress(data, 0.5, math.nan, Circle())
 
 
 @pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
@@ -297,7 +298,11 @@ def test_kernel_fit_at_many_matches_scalar_calls_bitwise(kind):
     ts = np.concatenate([np.linspace(0.0, 1.0, 97), [-0.2, 1.3]])
     many = fit.at_many(ts)
     assert many.shape == (len(ts),) + m.point_shape
-    assert np.array_equal(_bits(many), _bits([fit(t) for t in ts]))
+    reference = [_one_time_estimate(data, t, fit.bandwidth, m) for t in ts]
+    assert np.array_equal(_bits(many), _bits(reference))
+    for t, expected in zip(ts, reference):
+        got = fit(t)
+        assert type(got) is type(expected) and np.array_equal(_bits(got), _bits(expected))
 
 
 def test_kernel_fit_tracks_smooth_truth():

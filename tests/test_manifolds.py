@@ -20,6 +20,7 @@ from bmreg.manifolds import (
     Sphere,
     Torus,
     TWO_PI,
+    _cached_frame,
     _sphere_frame,
     circle_heat_eigen,
     circle_log_heat,
@@ -478,18 +479,21 @@ def _cold_draws(t, centres, rng):
 
 @pytest.mark.parametrize("t", [2.5e-4, 0.05])
 def test_sphere_frame_cache_keeps_draws_and_stream(t):
+    _cached_frame.cache_clear()
     m = Sphere()
     centres = _metropolis_like_centres(m, 300, 81)
     warm_rng, cold_rng = np.random.default_rng(82), np.random.default_rng(82)
     warm = np.stack([m.sample_heat_kernel(t, c, warm_rng) for c in centres])
     assert np.array_equal(warm, _cold_draws(t, centres, cold_rng))
     assert warm_rng.bit_generator.state == cold_rng.bit_generator.state
-    assert 0 < len(m._frame_cache) < len(centres)
+    info = _cached_frame.cache_info()
+    assert info.hits > 0 and 0 < info.currsize < len(centres)
 
 
 @pytest.mark.parametrize("t", [2.5e-4, 0.05])
-def test_sphere_frame_cache_keeps_draws_across_a_clear(t):
-    # 600 distinct centres, each drawn twice, then the first 50 again after the clear
+def test_sphere_frame_cache_keeps_draws_across_evictions(t):
+    # 600 distinct centres, each drawn twice, then the first 50 again after they were evicted
+    _cached_frame.cache_clear()
     m = Sphere()
     distinct = list(m.sample_uniform_many(600, np.random.default_rng(83)))
     centres = [c for c in distinct for _ in range(2)] + distinct[:50]
@@ -497,15 +501,17 @@ def test_sphere_frame_cache_keeps_draws_across_a_clear(t):
     warm = np.stack([m.sample_heat_kernel(t, c, warm_rng) for c in centres])
     assert np.array_equal(warm, _cold_draws(t, centres, cold_rng))
     assert warm_rng.bit_generator.state == cold_rng.bit_generator.state
-    assert len(m._frame_cache) <= 512
+    info = _cached_frame.cache_info()
+    assert info.currsize == info.maxsize == 512 and info.misses == 650
 
 
 def test_sphere_frame_cache_skips_many_row_calls():
+    _cached_frame.cache_clear()
     m = Sphere()
     centers = m.sample_uniform_many(5, np.random.default_rng(85))
     m.sample_heat_kernel_many(0.05, centers, np.random.default_rng(86))
     m.sample_heat_kernel_many(2.5e-4, centers[:2], np.random.default_rng(86))
-    assert m._frame_cache == {}
+    assert _cached_frame.cache_info().currsize == 0
 
 
 def test_sphere_cached_frames_are_read_only():
