@@ -3,11 +3,7 @@
 Each check recomputes an identity that the heat kernels must satisfy
 (normalization, symmetry, the semigroup property, agreement of the two
 circle representations, log kernels against their oracles) or a frozen
-metric oracle.  The perturbation hook adds a constant to every kernel
-evaluation inside the checks, log kernels included (as log(p + c)); any
-nonzero value must break the normalization identity and the log-kernel
-check, which gives the command an easily injected self-test of its own
-failure path.
+metric oracle.
 """
 
 from __future__ import annotations
@@ -67,46 +63,46 @@ def _manifolds():
     return [Circle(), Sphere(), Torus()]
 
 
-def check_circle_representations(perturbation: float = 0.0) -> CheckResult:
+def check_circle_representations() -> CheckResult:
     """Wrapped-image sum and eigenfunction sum agree on a (t, angle) grid."""
     gaps = np.linspace(-math.pi, math.pi, 64)
     worst = 0.0
     for t in np.linspace(0.01, 5.0, 24):
-        a = np.exp(circle_log_heat(gaps, float(t))) + perturbation
+        a = np.exp(circle_log_heat(gaps, float(t)))
         b = circle_heat_eigen(gaps, float(t))
         worst = max(worst, float(np.max(np.abs(a - b))))
     return CheckResult("circle-representations", worst <= 1e-10, f"max gap {worst:.3e}")
 
 
-def check_normalization(perturbation: float = 0.0) -> CheckResult:
+def check_normalization() -> CheckResult:
     """integral of p_t(x, .) over the manifold equals 1."""
     worst = 0.0
     for m in _manifolds():
         points, weights = m.quadrature()
-        x = m.canonical(points[len(points) // 3])
+        x = points[len(points) // 3]
         for t in CHECK_TIMES:
-            values = m.heat_kernel_pairwise(t, x, points) + perturbation
+            values = m.heat_kernel_pairwise(t, x, points)
             worst = max(worst, abs(float(values @ weights) - 1.0))
     return CheckResult("normalization", worst <= 1e-8, f"max |integral - 1| {worst:.3e}")
 
 
-def check_semigroup(perturbation: float = 0.0) -> CheckResult:
+def check_semigroup() -> CheckResult:
     """integral p_t(x,z) p_s(z,y) dz equals p_(t+s)(x,y)."""
     worst = 0.0
     for m in _manifolds():
         points, weights = m.quadrature()
-        x = m.canonical(points[0])
-        y = m.canonical(points[len(points) // 4])
+        x = points[0]
+        y = points[len(points) // 4]
         for t in CHECK_TIMES:
-            left = m.heat_kernel_pairwise(t / 2, x, points) + perturbation
-            right = m.heat_kernel_pairwise(t / 2, y, points) + perturbation
+            left = m.heat_kernel_pairwise(t / 2, x, points)
+            right = m.heat_kernel_pairwise(t / 2, y, points)
             composed = float((left * right) @ weights)
-            direct = m.heat_kernel(t, x, y) + perturbation
+            direct = m.heat_kernel(t, x, y)
             worst = max(worst, abs(composed - direct))
     return CheckResult("semigroup", worst <= 1e-6, f"max error {worst:.3e}")
 
 
-def check_symmetry(perturbation: float = 0.0) -> CheckResult:
+def check_symmetry() -> CheckResult:
     """Kernel is bitwise symmetric in its two points."""
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -115,47 +111,34 @@ def check_symmetry(perturbation: float = 0.0) -> CheckResult:
             x = m.sample_uniform(rng)
             y = m.sample_uniform(rng)
             t = float(rng.uniform(0.05, 2.0))
-            worst = max(
-                worst,
-                abs((m.heat_kernel(t, x, y) + perturbation) - (m.heat_kernel(t, y, x) + perturbation)),
-            )
+            worst = max(worst, abs(m.heat_kernel(t, x, y) - m.heat_kernel(t, y, x)))
     return CheckResult("symmetry", worst == 0.0, f"max asymmetry {worst:.3e}")
 
 
-def _perturbed_log(log_values, perturbation: float):
-    """log(p + perturbation) of log kernel values log p."""
-    if perturbation == 0.0:
-        return log_values
-    with np.errstate(invalid="ignore"):
-        return np.log(np.exp(log_values) + perturbation)
-
-
-def check_positivity(perturbation: float = 0.0) -> CheckResult:
+def check_positivity() -> CheckResult:
     """Kernel values stay strictly positive, antipodes included: their logs are finite."""
     lowest = math.inf
     for m in _manifolds():
         points, _ = m.quadrature()
-        x = m.canonical(points[0])
+        x = points[0]
         for t in (0.01, 0.05, 0.5):
-            logs = _perturbed_log(m.log_heat_kernel_pairwise(t, x, points), perturbation)
+            logs = m.log_heat_kernel_pairwise(t, x, points)
             lowest = min(lowest, float(np.min(logs)) if np.all(np.isfinite(logs)) else -math.inf)
     return CheckResult("positivity", lowest > -math.inf, f"min log value {lowest:.4g}")
 
 
-def _log_kernel_at(kind: str, t: float, gaps, perturbation: float) -> np.ndarray:
+def _log_kernel_at(kind: str, t: float, gaps) -> np.ndarray:
     """log p_t between a base point and points at the given gaps (per axis on the torus)."""
     gaps = np.asarray(gaps, dtype=float)
     if kind == "circle":
-        values = Circle().log_heat_kernel_pairwise(t, 0.0, gaps)
-    elif kind == "torus":
-        values = Torus().log_heat_kernel_pairwise(t, np.zeros(2), np.stack([gaps, gaps[::-1]], axis=-1))
-    else:
-        ends = np.stack([np.sin(gaps), np.zeros_like(gaps), np.cos(gaps)], axis=-1)
-        values = Sphere().log_heat_kernel_pairwise(t, np.array([0.0, 0.0, 1.0]), ends)
-    return _perturbed_log(values, perturbation)
+        return Circle().log_heat_kernel_pairwise(t, 0.0, gaps)
+    if kind == "torus":
+        return Torus().log_heat_kernel_pairwise(t, np.zeros(2), np.stack([gaps, gaps[::-1]], axis=-1))
+    ends = np.stack([np.sin(gaps), np.zeros_like(gaps), np.cos(gaps)], axis=-1)
+    return Sphere().log_heat_kernel_pairwise(t, np.array([0.0, 0.0, 1.0]), ends)
 
 
-def check_log_kernels(perturbation: float = 0.0) -> CheckResult:
+def check_log_kernels() -> CheckResult:
     """Log kernels are finite on gaps [0, pi] at every CHECK_LOG_TIMES and match their oracles.
 
     Errors are taken relative to each oracle's tolerance:
@@ -177,9 +160,9 @@ def check_log_kernels(perturbation: float = 0.0) -> CheckResult:
 
     for t in CHECK_LOG_TIMES:
         two_images = -0.5 * math.log(TWO_PI * t) + np.logaddexp(-(gaps**2) / (2 * t), -((TWO_PI - gaps) ** 2) / (2 * t))
-        circle = _log_kernel_at("circle", t, gaps, perturbation)
-        torus = _log_kernel_at("torus", t, gaps, perturbation)
-        sphere = _log_kernel_at("sphere", t, gaps, perturbation)
+        circle = _log_kernel_at("circle", t, gaps)
+        torus = _log_kernel_at("torus", t, gaps)
+        sphere = _log_kernel_at("sphere", t, gaps)
         finite = finite and all(bool(np.all(np.isfinite(v))) for v in (circle, torus, sphere))
         eigen = circle_heat_eigen(gaps, t)
         resolved = eigen >= 1e-6
@@ -191,7 +174,7 @@ def check_log_kernels(perturbation: float = 0.0) -> CheckResult:
         score(sphere[conditioned], np.log(sphere_heat_series(np.cos(gaps[conditioned]), t)), 1e-6)
         score(sphere, sphere_log_heat_expansion(gaps, t), 0.03 * t + 1e-6)
     for kind, t, gap, want in FROZEN_LOG_KERNELS:
-        got = _log_kernel_at(kind, t, np.array([gap]), perturbation)
+        got = _log_kernel_at(kind, t, np.array([gap]))
         finite = finite and bool(np.all(np.isfinite(got)))
         score(got, want, 0.03 * t + 1e-6)
     return CheckResult(
@@ -199,9 +182,8 @@ def check_log_kernels(perturbation: float = 0.0) -> CheckResult:
     )
 
 
-def check_metric_oracles(perturbation: float = 0.0) -> CheckResult:
+def check_metric_oracles() -> CheckResult:
     """Frozen function-space metric values and the rate rule."""
-    del perturbation  # no kernel evaluations in this check
     m = Circle()
     uniform = PredictorDensity.uniform()
     const0 = PiecewiseGeodesicPath(m, np.array([0.0, 0.0]))
@@ -216,15 +198,14 @@ def check_metric_oracles(perturbation: float = 0.0) -> CheckResult:
     return CheckResult("metric-oracles", worst <= 1e-10, f"max deviation {worst:.3e}")
 
 
-def check_density_sampler(perturbation: float = 0.0) -> CheckResult:
+def check_density_sampler() -> CheckResult:
     """Inverse-CDF predictor sampling matches its target distribution."""
     from scipy import stats
 
-    del perturbation  # no kernel evaluations in this check
     rng = np.random.default_rng(7)
     draws = PredictorDensity.uniform().sample(4000, rng)
     stat = float(stats.kstest(draws, "uniform").statistic)
-    triangle = PredictorDensity.piecewise_linear([0.0, 1.0], [0.0, 2.0])
+    triangle = PredictorDensity([0.0, 1.0], [0.0, 2.0])
     draws2 = triangle.sample(4000, rng)
     stat2 = float(stats.kstest(draws2, lambda x: x**2).statistic)
     worst = max(stat, stat2)
@@ -245,6 +226,6 @@ ALL_CHECKS = (
 )
 
 
-def run_checks(perturbation: float = 0.0) -> list[CheckResult]:
-    """Run every check; the perturbation is forwarded to each of them."""
-    return [check(perturbation) for check in ALL_CHECKS]
+def run_checks() -> list[CheckResult]:
+    """Run every check."""
+    return [check() for check in ALL_CHECKS]

@@ -34,6 +34,7 @@ from bmreg.experiments import (
     write_rows,
 )
 from bmreg.inference import AnnealConfig
+from bmreg.kernel_regression import bandwidth_rule
 from bmreg.manifolds import make_manifold
 from bmreg.metrics import (
     PredictorDensity,
@@ -269,6 +270,8 @@ def cmd_fit(cfg: RunConfig, dataset_path: str) -> int:
     """fit one estimator to a dataset CSV"""
     try:
         data = Dataset.load_csv(dataset_path, cfg.manifold)
+        if cfg.method == "ker":
+            bandwidth_rule(data.ts)  # fails on fewer than two times or a zero spread
     except (OSError, ValueError) as exc:  # ValueError includes EmptyDatasetError
         raise ConfigError(f"cannot read dataset: {exc}") from exc
     m = data.manifold()
@@ -312,18 +315,21 @@ def cmd_fit(cfg: RunConfig, dataset_path: str) -> int:
 def cmd_compare(cfg: RunConfig) -> int:
     """compare dbm, cbm, ker and const on shared datasets"""
     out = cfg.out or "comparison.csv"
-    cells = comparison_cells(
-        _COMPARE_METHODS,
-        base_seed=cfg.seed,
-        replicates=cfg.replicates,
-        manifold=cfg.manifold,
-        n=cfg.n,
-        K=cfg.segments(cfg.n),
-        c=cfg.c,
-        sigma2=cfg.sigma2,
-        anneal=cfg.anneal,
-        marginal_bound=cfg.marginal_A,
-    )
+    try:
+        cells = comparison_cells(
+            _COMPARE_METHODS,
+            base_seed=cfg.seed,
+            replicates=cfg.replicates,
+            manifold=cfg.manifold,
+            n=cfg.n,
+            K=cfg.segments(cfg.n),
+            c=cfg.c,
+            sigma2=cfg.sigma2,
+            anneal=cfg.anneal,
+            marginal_bound=cfg.marginal_A,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rows = run_cells(cells, cfg.workers)
     write_rows(out, rows)
     for method in _COMPARE_METHODS:
@@ -390,10 +396,10 @@ def cmd_contract(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_check_kernels(perturbation: float) -> int:
+def cmd_check_kernels() -> int:
     from bmreg.checks import run_checks
 
-    results = run_checks(perturbation)
+    results = run_checks()
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
@@ -430,14 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key in takes:
             run.add_argument("--" + key.replace("_", "-"), dest=key, help=_OPTIONS[key].metadata.get("help"))
 
-    check = sub.add_parser("check-kernels", help="run kernel and metric self-checks", allow_abbrev=False)
-    check.add_argument(
-        "--inject-kernel-perturbation",
-        dest="perturbation",
-        type=float,
-        default=0.0,
-        help=argparse.SUPPRESS,
-    )
+    sub.add_parser("check-kernels", help="run kernel and metric self-checks", allow_abbrev=False)
     return parser
 
 
@@ -450,7 +449,7 @@ def main(argv=None) -> int:
         return EXIT_OK if code == 0 else EXIT_CONFIG_ERROR
 
     if args.command == "check-kernels":
-        return cmd_check_kernels(args.perturbation)
+        return cmd_check_kernels()
 
     try:
         cfg = RunConfig(**merge_options(args))

@@ -47,7 +47,7 @@ class Dataset:
         got = 1 if self.points.ndim == 1 else self.points.shape[1]
         if got != cols:
             raise ValueError(f"{self.manifold_kind} points need {cols} coordinates, got {got}")
-        # the tolerance of manifolds.unit_vector
+        # a sphere point's norm may be off 1 by at most 1e-6
         if self.manifold_kind == "sphere" and np.any(np.abs(np.linalg.norm(self.points, axis=1) - 1.0) > 1e-6):
             raise ValueError("sphere points must be unit vectors")
 

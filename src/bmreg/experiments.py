@@ -247,7 +247,7 @@ def run_cells(cells, workers: int = 1):
     executor = ProcessPoolExecutor
     if executor is None:
         from concurrent.futures import ProcessPoolExecutor as executor
-    with executor(max_workers=workers) as pool:
+    with executor(max_workers=min(workers, len(cells))) as pool:
         return list(pool.map(_run_cell_row, cells))
 
 
@@ -257,6 +257,8 @@ def _cell(
     mcmc: McmcConfig | None = None,
 ) -> ExperimentCell:
     """A cell with its run id and its two seeds derived from the arguments."""
+    if method == "ker" and n < 2:
+        raise ValueError(f"ker needs at least two observations, got n={n}")
     return ExperimentCell(
         run_id=f"{method}-n{n}-K{K}-c{repr(float(c))}-r{replicate}",
         manifold=manifold,

@@ -180,6 +180,21 @@ def _density_mode(m: Manifold, candidates: np.ndarray):
     return candidates[int(np.argmax(scores))]
 
 
+def _block_plan(K: int, interval: np.ndarray, fractions, points, first: int, length: int) -> tuple:
+    """Index plan of the colour run first, first + 2, ... of length knots (see _Blocked)."""
+    ks = np.arange(first, first + 2 * length, 2)
+    # owner[j]: position in ks of knot j, or -1; a pair or interval has at most one owner
+    owner = np.full(K + 1, -1)
+    owner[ks] = np.arange(len(ks))
+    pair_owner = np.maximum(owner[:-1], owner[1:])
+    pairs = np.flatnonzero(pair_owner >= 0)
+    obs_owner = np.maximum(owner[interval], owner[interval + 1])
+    obs = np.flatnonzero(obs_owner >= 0)
+    left = interval[obs]
+    gathered = (fractions[obs], points[obs]) if len(obs) else (None, None)
+    return (pairs, pairs + 1, pair_owner[pairs], obs, obs_owner[obs], left, left + 1, *gathered)
+
+
 class _Blocked:
     """Cached log-posterior terms of one path's knots, updated one colour block at a time.
 
@@ -208,9 +223,9 @@ class _Blocked:
         self.colours = (np.arange(0, self.K + 1, 2), np.arange(1, self.K + 1, 2))
         self.colour = 0
         self.offset = 0
-        self._plan = functools.lru_cache(maxsize=_MAX_PLANS)(self._build_plan)
         if data is None:
             self.interval = np.zeros(0, dtype=int)
+            self.fractions = self.points = None
             self.obs_terms = np.zeros(0)
         else:
             pos = np.asarray(data.ts, dtype=float) * self.K
@@ -220,6 +235,9 @@ class _Blocked:
             self.obs_terms = self._obs_log_density(
                 self.knots, self.interval, self.interval + 1, self.fractions, self.points
             )
+        # the memo holds only the plan inputs, not the engine, so no cycle outlives a chain
+        plan = functools.partial(_block_plan, self.K, self.interval, self.fractions, self.points)
+        self._plan = functools.lru_cache(maxsize=_MAX_PLANS)(plan)
 
     def total(self) -> float:
         return float(self.const + np.sum(self.prior_terms) + np.sum(self.obs_terms))
@@ -239,19 +257,6 @@ class _Blocked:
                 self.colour, self.offset = 1 - self.colour, 0
             count -= len(ks)
             yield len(ks), accepted
-
-    def _build_plan(self, first: int, length: int) -> tuple:
-        ks = np.arange(first, first + 2 * length, 2)
-        # owner[j]: position in ks of knot j, or -1; a pair or interval has at most one owner
-        owner = np.full(self.K + 1, -1)
-        owner[ks] = np.arange(len(ks))
-        pair_owner = np.maximum(owner[:-1], owner[1:])
-        pairs = np.flatnonzero(pair_owner >= 0)
-        obs_owner = np.maximum(owner[self.interval], owner[self.interval + 1])
-        obs = np.flatnonzero(obs_owner >= 0)
-        left = self.interval[obs]
-        gathered = (self.fractions[obs], self.points[obs]) if len(obs) else (None, None)
-        return (pairs, pairs + 1, pair_owner[pairs], obs, obs_owner[obs], left, left + 1, *gathered)
 
     def _score(self, ks: np.ndarray, values: np.ndarray):
         """Log-posterior change of moving each knot of ks (pairwise non-adjacent) alone to its value.

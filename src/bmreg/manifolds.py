@@ -77,17 +77,6 @@ def signed_angle_gap(start, end):
     return gap
 
 
-def unit_vector(v) -> np.ndarray:
-    """Validate and renormalize a 3-vector that should be unit length."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {v.shape}")
-    norm = float(np.linalg.norm(v))
-    if not math.isfinite(norm) or abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"vector norm {norm} too far from 1")
-    return v / norm
-
-
 # Kernel settings.  Series and image sums keep every term down to
 # SERIES_TOLERANCE; their term counts follow from t and the tolerance, so no
 # cap truncates them.  Below SPHERE_SEAM_TIME the sphere kernel is its
@@ -281,10 +270,6 @@ class Manifold(ABC):
 
     # -- points ------------------------------------------------------------
 
-    @abstractmethod
-    def canonical(self, point):
-        """Validated canonical representation of a point."""
-
     def stack(self, points) -> np.ndarray:
         """Coordinate array of stacked points; a single point gains a leading axis."""
         arr = np.asarray(points, dtype=float)
@@ -375,12 +360,6 @@ class Circle(Manifold):
     volume = TWO_PI
     diameter = math.pi
     point_shape = ()
-
-    def canonical(self, point):
-        theta = float(point)
-        if not math.isfinite(theta):
-            raise ValueError("angle must be finite")
-        return wrap_angle(theta)
 
     def distance(self, xs, ys):
         return np.abs(signed_angle_gap(np.asarray(xs, dtype=float), ys))
@@ -474,9 +453,6 @@ class Sphere(Manifold):
     # below this sine of the geodesic angle the direction is degenerate
     _DEGENERATE = 1e-9
 
-    def canonical(self, point):
-        return unit_vector(point)
-
     def distance(self, xs, ys):
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
@@ -552,14 +528,6 @@ class Torus(Manifold):
     volume = TWO_PI * TWO_PI
     diameter = math.pi * math.sqrt(2.0)
     point_shape = (2,)
-
-    def canonical(self, point):
-        arr = np.asarray(point, dtype=float)
-        if arr.shape != (2,):
-            raise ValueError(f"expected an angle pair, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("angles must be finite")
-        return wrap_angle(arr)
 
     def distance(self, xs, ys):
         gaps = signed_angle_gap(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))

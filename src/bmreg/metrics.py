@@ -80,10 +80,6 @@ class PredictorDensity:
     def uniform(threshold: float = 0.0) -> "PredictorDensity":
         return PredictorDensity([0.0, 1.0], [1.0, 1.0], threshold)
 
-    @staticmethod
-    def piecewise_linear(grid, values, threshold: float = 0.0) -> "PredictorDensity":
-        return PredictorDensity(grid, values, threshold)
-
     def pdf(self, t):
         return np.interp(t, self.grid, self.values)
 

@@ -15,6 +15,7 @@ from bmreg.cli import main
 from bmreg.data import Dataset
 from bmreg.experiments import ContractReport, ExperimentResult
 from bmreg.kernel_regression import bandwidth_rule
+from bmreg.manifolds import Circle, Sphere, Torus
 
 FAST_ANNEAL = ["--anneal-steps", "20", "--anneal-cool", "0.5"]
 
@@ -150,6 +151,16 @@ class TestFit:
         assert run_cli("fit", str(bad), "--manifold", "circle", "--method", "ker") == 2
         assert "cannot read dataset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text", ["t,coord1\n0.5,0.3\n", "t,coord1\n0.5,0.3\n0.5,0.4\n0.5,0.1\n"], ids=["one-row", "equal-times"]
+    )
+    def test_ker_on_unusable_times_is_config_error(self, workdir, capsys, text):
+        data = workdir / "d.csv"
+        data.write_text(text)
+        assert run_cli("fit", str(data), "--manifold", "circle", "--method", "ker", "--out", "f.json") == 2
+        assert "cannot read dataset" in capsys.readouterr().err
+        assert not (workdir / "f.json").exists()
+
 
 class TestSweep:
     def test_two_values_write_rows(self, workdir, capsys):
@@ -204,6 +215,11 @@ class TestCompare:
         assert [row.split(",")[1] for row in rows[1:]] == ["dbm", "cbm", "ker", "const"]
         assert rows == strip_runtime_column(read(workdir / "w2.csv"))
         assert "const mean_l1=" in capsys.readouterr().out
+
+    def test_ker_with_one_observation_is_config_error(self, no_run, capsys):
+        # no cell runs: the ker cell is rejected while the cells are built
+        assert run_cli("compare", "--n", "1") == 2
+        assert "ker needs at least two observations, got n=1" in capsys.readouterr().err
 
 
 class TestContract:
@@ -279,15 +295,33 @@ class TestCheckKernels:
         assert "PASS log-kernels" in out
         assert "PASS positivity" in out
 
-    def test_perturbation_fails_normalization(self, capsys):
-        assert run_cli("check-kernels", "--inject-kernel-perturbation", "0.001") == 1
+    @staticmethod
+    def perturb_kernels(monkeypatch, perturbation):
+        """Every manifold's log kernel returns log(p + perturbation) in place of log p."""
+        for cls in (Circle, Sphere, Torus):
+
+            def perturbed(self, t, xs, ys, exact=cls.log_heat_kernel_pairwise):
+                with np.errstate(invalid="ignore"):
+                    return np.log(np.exp(exact(self, t, xs, ys)) + perturbation)
+
+            monkeypatch.setattr(cls, "log_heat_kernel_pairwise", perturbed)
+
+    def test_perturbation_fails_normalization(self, capsys, monkeypatch):
+        self.perturb_kernels(monkeypatch, 1e-3)
+        assert run_cli("check-kernels") == 1
         out = capsys.readouterr().out
         assert "FAIL normalization" in out
+        assert "FAIL semigroup" in out
 
     @pytest.mark.parametrize("perturbation", ["0.001", "1e-12", "-1e-12"])
-    def test_perturbation_fails_log_kernels(self, capsys, perturbation):
-        assert run_cli("check-kernels", f"--inject-kernel-perturbation={perturbation}") == 1
+    def test_perturbation_fails_log_kernels(self, capsys, monkeypatch, perturbation):
+        self.perturb_kernels(monkeypatch, float(perturbation))
+        assert run_cli("check-kernels") == 1
         assert "FAIL log-kernels" in capsys.readouterr().out
+
+    def test_takes_no_options(self, capsys):
+        assert run_cli("check-kernels", "--inject-kernel-perturbation", "0.001") == 2
+        assert "unrecognized arguments: --inject-kernel-perturbation" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -134,6 +134,13 @@ class TestCellBuilders:
         with pytest.raises(ValueError):
             contract_cells([50, 100], epsilon=0.05, base_seed=1, replicates=1)
 
+    def test_ker_cell_needs_two_observations(self):
+        with pytest.raises(ValueError, match="ker needs at least two observations, got n=1"):
+            comparison_cells(["dbm", "ker"], base_seed=1, replicates=1, n=1)
+        with pytest.raises(ValueError, match="ker needs at least two observations, got n=1"):
+            sweep_cells("n", [1, 30], base_seed=1, replicates=1, method="ker")
+        assert len(comparison_cells(["dbm", "cbm", "const"], base_seed=1, replicates=1, n=1)) == 3
+
 
 class TestRunCell:
     def test_const_row_fields(self):
@@ -212,6 +219,31 @@ class TestRunCells:
         sequential = run_cells(cells, workers=1)
         pooled = run_cells(cells, workers=2)
         assert _strip_runtime(sequential) == _strip_runtime(pooled)
+
+    def test_pool_never_outnumbers_the_cells(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records its size and maps in this process; it starts no worker."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments, "_run_cell_row", lambda cell: cell.run_id)
+        cells = comparison_cells(["dbm", "cbm", "ker", "const"], base_seed=3, replicates=1)
+        for workers in (16, 4, 2):
+            assert run_cells(cells, workers) == [cell.run_id for cell in cells]
+        assert sizes == [4, 4, 2]
 
     def test_rows_follow_input_order(self):
         cells = [make_cell("const", run_id=f"cell-{i}") for i in (3, 1, 2)]

@@ -1,7 +1,9 @@
 """Annealing, initialization, and Metropolis sampler tests."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -446,17 +448,17 @@ def _seeded_run(kind, case):
 @pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
 def test_plan_cache_leaves_every_output_bit_identical(kind, case, monkeypatch):
     calls = {"built": 0, "scored": 0}
-    build, score = _Blocked._build_plan, _Blocked._score
+    build, score = inference._block_plan, _Blocked._score
 
-    def counting_build(self, first, length):
+    def counting_build(*args):
         calls["built"] += 1
-        return build(self, first, length)
+        return build(*args)
 
     def counting_score(self, ks, values):
         calls["scored"] += 1
         return score(self, ks, values)
 
-    monkeypatch.setattr(_Blocked, "_build_plan", counting_build)
+    monkeypatch.setattr(inference, "_block_plan", counting_build)
     monkeypatch.setattr(_Blocked, "_score", counting_score)
     cached = _seeded_run(kind, case)
     assert 0 < calls["built"] < calls["scored"]
@@ -466,6 +468,23 @@ def test_plan_cache_leaves_every_output_bit_identical(kind, case, monkeypatch):
     calls["built"] = calls["scored"] = 0
     assert _seeded_run(kind, case) == cached
     assert calls["built"] == calls["scored"]
+
+
+@pytest.mark.parametrize("with_data", [True, False], ids=["posterior", "prior"])
+def test_a_finished_engine_is_freed_without_the_cycle_collector(with_data):
+    m, data, spec, engine, rng = _engine_problem("sphere", KnownVariance(0.1))
+    if not with_data:
+        engine = _Blocked(m, engine.knots, spec, None, None)
+    for _ in engine.advance(3 * (spec.segments + 1), 0.05, 1.0, rng):
+        pass
+    assert engine._plan.cache_info().currsize > 0
+    alive = weakref.ref(engine)
+    gc.disable()
+    try:
+        del engine
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_plan_cache_never_holds_more_than_its_bound(monkeypatch):

@@ -208,7 +208,7 @@ def test_frechet_batch_validation_and_budget(m):
 def test_log_map_many_matches_scalar():
     rng = np.random.default_rng(23)
     for m in (Circle(), Sphere(), Torus()):
-        x = m.canonical(m.sample_uniform(rng))
+        x = m.sample_uniform(rng)
         xs = m.sample_uniform_many(12, rng)
         ys = m.stack([m.sample_uniform(rng) for _ in range(12)])
         many = m.log_map(x, ys)

@@ -29,7 +29,6 @@ from bmreg.manifolds import (
     sphere_heat_series,
     sphere_log_heat_expansion,
     sphere_series_edge,
-    unit_vector,
     wrap_angle,
 )
 
@@ -63,15 +62,6 @@ def test_signed_gap_principal_interval(a, b):
 def test_signed_gap_antipodal_is_counterclockwise():
     assert signed_angle_gap(0.0, math.pi) == math.pi
     assert signed_angle_gap(1.0, 1.0 + math.pi) > 0.0
-
-
-def test_unit_vector_validation():
-    v = unit_vector([1.0 + 1e-9, 0.0, 0.0])
-    assert_allclose(np.linalg.norm(v), 1.0, rtol=0, atol=1e-15)
-    with pytest.raises(ValueError):
-        unit_vector([1.0, 1.0, 0.0])
-    with pytest.raises(ValueError):
-        unit_vector([0.0, 0.0])
 
 
 # ---------------------------------------------------------------- circle kernel

@@ -61,14 +61,14 @@ def test_density_must_integrate_to_one():
 
 def test_piecewise_linear_density_sampling_matches_cdf():
     # triangle density p(t) = 2t
-    p = PredictorDensity.piecewise_linear([0.0, 1.0], [0.0, 2.0])
+    p = PredictorDensity([0.0, 1.0], [0.0, 2.0])
     rng = np.random.default_rng(5)
     draws = p.sample(20_000, rng)
     assert stats.kstest(draws, lambda x: x**2).pvalue > 1e-3
 
 
 def test_density_threshold_restricts_weight():
-    p = PredictorDensity.piecewise_linear([0.0, 1.0], [0.0, 2.0], threshold=1.0)
+    p = PredictorDensity([0.0, 1.0], [0.0, 2.0], threshold=1.0)
     assert p.weight(0.25) == 0.0  # pdf = 0.5 < 1
     assert p.weight(0.75) == 1.5
     assert p.pdf(0.25) == 0.5  # sampling pdf unrestricted
@@ -143,7 +143,7 @@ def _dq_reference(f, g, q, density, m, grid=QuadratureGrid()):
 
 def test_dq_distances_equals_per_path_dq_distance_bitwise():
     rng = np.random.default_rng(29)
-    triangle = PredictorDensity.piecewise_linear([0.0, 0.3, 1.0], [0.5, 1.5, 0.5], threshold=0.7)
+    triangle = PredictorDensity([0.0, 0.3, 1.0], [0.5, 1.5, 0.5], threshold=0.7)
     truths = {
         "circle": lambda t: (t + 0.5) ** 2,
         "torus": lambda t: np.array([(t + 0.5) ** 2, 0.5 * (t + 0.5) ** 2]),
@@ -211,7 +211,7 @@ def test_dinf_includes_knot_times():
 def test_restricted_weight_zeroes_region_in_dq():
     m = Circle()
     # restriction keeps only t >= 0.5 where the triangle density exceeds 1
-    p = PredictorDensity.piecewise_linear([0.0, 1.0], [0.0, 2.0], threshold=1.0)
+    p = PredictorDensity([0.0, 1.0], [0.0, 2.0], threshold=1.0)
     f = _circle_path([0.0, 0.0])
     g = _circle_path([1.0, 1.0])
     # d_1 = int_{1/2}^1 1 * 2t dt = 3/4
