@@ -18,10 +18,13 @@ SERIES_TOLERANCE (1e-14), with term counts taken from t, never capped.
   (Minakshisundaram-Pleijel; Varadhan 1967) to first order in t, with a
   caustic factor at the antipode (sphere_log_heat_expansion).
 - Sphere, t >= SPHERE_SEAM_TIME: the Legendre series with eigenvalues
-  l*(l+1), coefficients cached per t.  It cancels where the kernel is tiny
-  against its peak, so beyond sphere_series_edge(t), where its roundoff
-  passes the expansion's error, the expansion is used instead; at t = 0.1
-  that is gamma > 2.35.
+  l*(l+1), read from a table built once per t: a cubic through four
+  neighbouring nodes of log p_t + gamma^2/(2t) on SPHERE_TABLE_NODES (1024)
+  uniform intervals, within 2e-11 of the series up to 0.7 of the edge
+  (_sphere_table).  The series cancels where the kernel is tiny against
+  its peak, so beyond sphere_series_edge(t), where its roundoff passes the
+  expansion's error, the expansion is used instead; at t = 0.1 that is
+  gamma > 2.35.
 - Near gamma = pi the expansion's factor sqrt(gamma / sin gamma) diverges;
   the caustic factor sqrt(2 pi z) I0(z) e^{-z}, z = pi (pi - gamma) / t,
   cancels the divergence, so the log kernel stays finite at the antipode.
@@ -80,9 +83,9 @@ def signed_angle_gap(start, end):
 # Kernel settings.  Series and image sums keep every term down to
 # SERIES_TOLERANCE; their term counts follow from t and the tolerance, so no
 # cap truncates them.  Below SPHERE_SEAM_TIME the sphere kernel is its
-# small-time expansion; at or above it the Legendre series, except beyond
-# sphere_series_edge(t), where the series has cancelled and the expansion
-# takes over.
+# small-time expansion; at or above it a table of the Legendre series,
+# except beyond sphere_series_edge(t), where the series has cancelled and the
+# expansion takes over.
 SERIES_TOLERANCE = 1e-14
 SPHERE_SEAM_TIME = 1e-3
 _LOG_TOL = math.log(1.0 / SERIES_TOLERANCE)
@@ -137,9 +140,8 @@ def circle_heat_eigen(gap, t):
     return _scalar_or_array(total / TWO_PI)
 
 
-@functools.lru_cache(maxsize=512)
 def _legendre_coefficients(t: float) -> np.ndarray:
-    """((2l+1)/(4 pi)) exp(-l(l+1) t/2) for l = 0, 1, ..., cached per t.
+    """((2l+1)/(4 pi)) exp(-l(l+1) t/2) for l = 0, 1, ....
 
     Coefficients rise before they decay for small t; the series keeps them
     through the first one past the peak below SERIES_TOLERANCE.
@@ -232,26 +234,64 @@ def sphere_series_edge(t: float) -> float:
     return math.sqrt(2.0 * t * max(_LOG_TOL + 2.0 * math.log(t), 0.0))
 
 
-def sphere_log_heat(gamma, t):
-    """log p_t on the sphere at geodesic angle(s) gamma in [0, pi].
+# Intervals of the per-t table of the sphere's log kernel (_sphere_table)
+SPHERE_TABLE_NODES = 1024
 
-    Below SPHERE_SEAM_TIME: sphere_log_heat_expansion.  At or above it: the
-    log of sphere_heat_series up to sphere_series_edge(t), and the expansion
-    beyond it, where the series has lost its digits to cancellation.
+
+def _sphere_table(t: float) -> tuple[float, np.ndarray]:
+    """(spacing h, coefficients) of a cubic table of log p_t + gamma^2/(2t) on [0, min(edge, pi)].
+
+    Row i is the Lagrange cubic through the log of sphere_heat_series at
+    gamma = (i-1) h, ..., (i+2) h, in powers of u = gamma/h - i, highest
+    first.  Adding gamma^2/(2t) removes the steep Gaussian term, so what is
+    left is smooth on the scale of h.  The node at -h is the kernel's mirror
+    image and the one past the end lies within h of the edge, where the
+    series still holds its digits.
     """
+    h = min(sphere_series_edge(t), math.pi) / SPHERE_TABLE_NODES
+    g = np.arange(-1, SPHERE_TABLE_NODES + 2) * h
+    f = np.log(sphere_heat_series(np.cos(g), t)) + g * g / (2.0 * t)
+    f0, f1, f2, f3 = f[:-3], f[1:-2], f[2:-1], f[3:]
+    cubic = (f3 - f0) / 6.0 + 0.5 * (f1 - f2)
+    quadratic = 0.5 * (f0 + f2) - f1
+    linear = f2 - f1 - quadratic - cubic
+    return h, np.stack([cubic, quadratic, linear, f1], axis=1)
+
+
+# the tables of the times at which a kernel is evaluated (see _polar_cdf)
+_kernel_table = functools.lru_cache(maxsize=512)(_sphere_table)
+
+
+def _sphere_log_heat(gamma, t, table) -> np.ndarray:
+    """sphere_log_heat, with table(t) giving the _sphere_table of t."""
     t = _check_time(t)
     g = np.asarray(gamma, dtype=float)
     if t < SPHERE_SEAM_TIME:
         return sphere_log_heat_expansion(g, t)
     tail = g > sphere_series_edge(t)
-    if not np.any(tail):
-        return np.log(sphere_heat_series(np.cos(g), t))
-    if np.all(tail):
+    beyond = np.count_nonzero(tail)
+    if beyond == g.size:
         return sphere_log_heat_expansion(g, t)
-    out = np.empty(g.shape)
-    out[tail] = sphere_log_heat_expansion(g[tail], t)
-    out[~tail] = np.log(sphere_heat_series(np.cos(g[~tail]), t))
-    return out
+    h, coefs = table(t)
+    x = g / h
+    i = np.minimum(x.astype(np.intp), SPHERE_TABLE_NODES - 1)
+    u = x - i
+    c = coefs.take(i, axis=0)
+    out = ((c[..., 0] * u + c[..., 1]) * u + c[..., 2]) * u + c[..., 3] - g * g / (2.0 * t)
+    if beyond:
+        out[tail] = sphere_log_heat_expansion(g[tail], t)
+    return _scalar_or_array(out)
+
+
+def sphere_log_heat(gamma, t):
+    """log p_t on the sphere at geodesic angle(s) gamma in [0, pi].
+
+    Below SPHERE_SEAM_TIME: sphere_log_heat_expansion.  At or above it: the
+    log of sphere_heat_series, read from its table for t (_sphere_table), up
+    to sphere_series_edge(t), and the expansion beyond it, where the series
+    has lost its digits to cancellation.
+    """
+    return _sphere_log_heat(gamma, t, _kernel_table)
 
 
 class Manifold(ABC):
@@ -436,8 +476,12 @@ _POLAR_THETA = np.linspace(0.0, math.pi, 2048)
 
 @functools.lru_cache(maxsize=512)
 def _polar_cdf(t: float) -> np.ndarray:
-    """Cumulative trapezoid over _POLAR_THETA of the polar density ~ p_t(th) * sin th."""
-    density = np.exp(sphere_log_heat(_POLAR_THETA, t)) * np.sin(_POLAR_THETA)
+    """Cumulative trapezoid over _POLAR_THETA of the polar density ~ p_t(th) * sin th.
+
+    An anneal draws at one time per temperature level, and the kernel is
+    evaluated at few of them, so the kernel table built here is not kept.
+    """
+    density = np.exp(_sphere_log_heat(_POLAR_THETA, t, _sphere_table)) * np.sin(_POLAR_THETA)
     cdf = np.concatenate([[0.0], np.cumsum((density[1:] + density[:-1]) * 0.5 * np.diff(_POLAR_THETA))])
     return cdf / cdf[-1]
 

@@ -27,7 +27,7 @@ from bmreg.manifolds import (
     Manifold,
     Sphere,
     _cached_frame,
-    _legendre_coefficients,
+    _kernel_table,
     _polar_cdf,
     make_manifold,
     signed_angle_gap,
@@ -508,7 +508,7 @@ def test_plan_cache_never_holds_more_than_its_bound(monkeypatch):
 
 
 def test_every_memo_keeps_512_entries_and_manifolds_keep_none():
-    memos = [_legendre_coefficients, _polar_cdf, _cached_frame]
+    memos = [_kernel_table, _polar_cdf, _cached_frame]
     m, data, spec, sigma = _example_problem(n=20)
     memos.append(_Blocked(m, init_state(data, spec.segments, m).knots, spec, data, sigma)._plan)
     assert [memo.cache_parameters()["maxsize"] for memo in memos] == [512] * 4

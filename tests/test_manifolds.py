@@ -21,12 +21,15 @@ from bmreg.manifolds import (
     Torus,
     TWO_PI,
     _cached_frame,
+    _kernel_table,
+    _polar_cdf,
     _sphere_frame,
     circle_heat_eigen,
     circle_log_heat,
     make_manifold,
     signed_angle_gap,
     sphere_heat_series,
+    sphere_log_heat,
     sphere_log_heat_expansion,
     sphere_series_edge,
     wrap_angle,
@@ -243,6 +246,37 @@ def test_sphere_log_kernel_continuous_across_its_switches():
         near = np.array([edge * (1.0 - 1e-9), edge * (1.0 + 1e-9)])
         values = m.log_heat_kernel_pairwise(t, x, np.stack([np.sin(near), np.zeros(2), np.cos(near)], axis=1))
         assert abs(values[1] - values[0]) < 0.015 * t * t + 1e-6
+
+
+TABLE_TIMES = [1e-3, 2.5e-3, 0.025, 0.05, 0.1, 0.137, 0.3, 1.0, 3.0, 10.0]
+
+
+@pytest.mark.parametrize("t", TABLE_TIMES)
+def test_sphere_table_matches_series_within_most_of_the_edge(t):
+    # from t = 0.18 on the edge passes pi and the table spans [0, pi]
+    gaps = np.linspace(0.0, 0.7 * min(sphere_series_edge(t), math.pi), 4001)
+    series = np.log(sphere_heat_series(np.cos(gaps), t))
+    assert_allclose(sphere_log_heat(gaps, t), series, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("t", TABLE_TIMES)
+def test_sphere_log_kernel_matches_series_where_it_resolves(t):
+    # where gamma^2/(2t) <= 20 the series keeps about 1e-8 of its digits, table and expansion alike
+    gaps = np.linspace(0.0, min(math.pi, math.sqrt(40.0 * t)), 4001)
+    series = np.log(sphere_heat_series(np.cos(gaps), t))
+    assert_allclose(sphere_log_heat(gaps, t), series, rtol=0, atol=1e-6)
+
+
+def test_sampler_times_keep_no_kernel_table():
+    # an anneal draws at one new time per temperature level; only the polar CDF memo grows
+    t = 0.0123456789
+    assert t >= SPHERE_SEAM_TIME
+    _polar_cdf.cache_clear()
+    tables = _kernel_table.cache_info().currsize
+    cdfs = _polar_cdf.cache_info().currsize
+    Sphere().sample_heat_kernel(t, np.array([0.0, 0.0, 1.0]), np.random.default_rng(5))
+    assert _polar_cdf.cache_info().currsize == cdfs + 1
+    assert _kernel_table.cache_info().currsize == tables
 
 
 # ---------------------------------------------------------------- normalization

@@ -73,6 +73,22 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_sphere_kernel_and_sampler_leave_scipy_unloaded():
+    # the sphere's kernel table and polar CDF are built with numpy alone
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, numpy as np; from bmreg.manifolds import Sphere; m = Sphere();"
+        " xs = m.sample_uniform_many(20, np.random.default_rng(1));"
+        " m.log_heat_kernel_pairwise(0.1, xs[:, None], xs[None]);"
+        " m.sample_heat_kernel_many(0.05, xs, np.random.default_rng(2));"
+        " print('scipy' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_import_leaves_the_pool_and_the_checks_unloaded():
     # a one-worker run never starts the process pool, and only check-kernels runs the checks
     src = Path(__file__).resolve().parents[1] / "src"
