@@ -13,7 +13,6 @@ from bmreg.inference import (
     McmcConfig,
     SampleResult,
     anneal_map,
-    fit_cbm,
     init_state,
     mh_sample,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "dinf_distance",
     "dq_distance",
     "dq_distances",
-    "fit_cbm",
     "frechet_mean_weighted",
     "generate_dataset",
     "init_state",

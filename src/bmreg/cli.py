@@ -15,7 +15,6 @@ import dataclasses
 import json
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from bmreg.experiments import (
     ExperimentResult,
     comparison_cells,
     default_truth,
-    fit_method,
+    fit_and_score,
     run_cells,
     run_contract,
     sweep_cells,
@@ -36,20 +35,13 @@ from bmreg.experiments import (
 from bmreg.inference import AnnealConfig
 from bmreg.kernel_regression import bandwidth_rule
 from bmreg.manifolds import make_manifold
-from bmreg.metrics import (
-    PredictorDensity,
-    dq_distance,
-    generate_dataset,
-    theorem_rate_sidelength,
-)
-from bmreg.posterior import KnownVariance, MarginalVariance
+from bmreg.metrics import PredictorDensity, generate_dataset, theorem_rate_sidelength
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_RUNTIME_FAILURE = 3
 
-_MANIFOLDS = ("circle", "sphere", "torus")
 _METHODS = ("dbm", "cbm", "ker")
 # the estimators of `bmreg compare`, the constant-path baseline included
 _COMPARE_METHODS = ("dbm", "cbm", "ker", "const")
@@ -106,8 +98,10 @@ class RunConfig:
             value = getattr(self, field.name)
             if field.type.startswith("float") and value is not None and not math.isfinite(value):
                 raise ConfigError(f"{field.name} must be finite, got {value}")
-        if self.manifold not in _MANIFOLDS:
-            raise ConfigError(f"manifold must be one of {_MANIFOLDS}, got {self.manifold!r}")
+        try:
+            make_manifold(self.manifold)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.method not in _METHODS:
             raise ConfigError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.n < 1:
@@ -151,11 +145,6 @@ class RunConfig:
         if self.grid_K is not None:
             return self.grid_K
         return DEFAULTS["K"]
-
-    def noise_model(self):
-        if self.marginal_A is not None:
-            return MarginalVariance(self.marginal_A)
-        return KnownVariance(self.sigma2)
 
 
 # the options by name; each annotation reads "<type>[ | list][ | None]"
@@ -274,41 +263,23 @@ def cmd_fit(cfg: RunConfig, dataset_path: str) -> int:
             bandwidth_rule(data.ts)  # fails on fewer than two times or a zero spread
     except (OSError, ValueError) as exc:  # ValueError includes EmptyDatasetError
         raise ConfigError(f"cannot read dataset: {exc}") from exc
-    m = data.manifold()
-    f0 = default_truth(cfg.manifold)
     out = cfg.out or "fit.json"
-    rng = np.random.default_rng(cfg.seed)
-
-    start = time.perf_counter()
-    fitted, K, fit = fit_method(
-        cfg.method, data, cfg.noise_model(), cfg.segments(data.n), cfg.c, m, rng, cfg.anneal
+    row, fitted, fit = fit_and_score(
+        f"fit-{cfg.method}-seed{cfg.seed}", cfg.method, data, cfg.sigma2, cfg.marginal_A, cfg.segments(data.n), cfg.c,
+        cfg.seed, cfg.anneal,
     )
     if fit is not None:
         payload = fit.to_dict()
     else:
         payload = {"bandwidth": fitted.bandwidth}
         print(f"bandwidth={repr(fitted.bandwidth)}")
-    l1 = dq_distance(fitted, f0, 1.0, PredictorDensity.uniform(), m)
-    runtime_ms = int(round((time.perf_counter() - start) * 1000.0))
-
     payload["method"] = cfg.method
-    payload["l1_error"] = l1
+    payload["l1_error"] = row.l1_error
     with open(out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    row = ExperimentResult(
-        run_id=f"fit-{cfg.method}-seed{cfg.seed}",
-        method=cfg.method,
-        n=data.n,
-        K=K,
-        c=cfg.c,
-        sigma2=cfg.sigma2,
-        seed=cfg.seed,
-        l1_error=l1,
-        runtime_ms=runtime_ms,
-    )
     _append_row(_rows_path(out), row)
-    print(f"fit {cfg.method} on n={data.n}: l1_error={repr(l1)} -> {out}")
+    print(f"fit {cfg.method} on n={data.n}: l1_error={repr(row.l1_error)} -> {out}")
     return EXIT_OK
 
 

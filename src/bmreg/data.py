@@ -11,13 +11,17 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from bmreg.manifolds import Manifold, make_manifold
 
-_COORD_COLUMNS = {"circle": 1, "torus": 2, "sphere": 3}
+
+def _coord_columns(kind: str) -> int:
+    """CSV coordinate columns of a manifold's points; ValueError on an unknown kind."""
+    return math.prod(make_manifold(kind).point_shape)
 
 
 class EmptyDatasetError(ValueError):
@@ -43,7 +47,7 @@ class Dataset:
             raise ValueError("observation times and points must be finite")
         if np.min(self.ts) < 0.0 or np.max(self.ts) > 1.0:
             raise ValueError("observation times must lie in [0, 1]")
-        cols = _COORD_COLUMNS[self.manifold_kind]
+        cols = _coord_columns(self.manifold_kind)
         got = 1 if self.points.ndim == 1 else self.points.shape[1]
         if got != cols:
             raise ValueError(f"{self.manifold_kind} points need {cols} coordinates, got {got}")
@@ -61,7 +65,7 @@ class Dataset:
     # -- CSV -------------------------------------------------------------
 
     def to_csv(self) -> str:
-        cols = _COORD_COLUMNS[self.manifold_kind]
+        cols = _coord_columns(self.manifold_kind)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["t"] + [f"coord{j + 1}" for j in range(cols)])
@@ -79,7 +83,7 @@ class Dataset:
         rows = list(csv.reader(io.StringIO(text)))
         if not rows:
             raise EmptyDatasetError("empty dataset file")
-        cols = _COORD_COLUMNS[manifold_kind]
+        cols = _coord_columns(manifold_kind)
         header = ["t"] + [f"coord{j + 1}" for j in range(cols)]
         if [h.strip() for h in rows[0]] != header:
             raise ValueError(f"expected header {','.join(header)}, got {','.join(rows[0])}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,11 +23,10 @@ from bmreg.inference import (
     K_FINE,
     McmcConfig,
     anneal_map,
-    fit_cbm,
     mh_sample,
 )
 from bmreg.kernel_regression import KernelFit, frechet_mean_weighted
-from bmreg.manifolds import Manifold, make_manifold
+from bmreg.manifolds import make_manifold
 from bmreg.metrics import (
     PredictorDensity,
     dq_distances,
@@ -35,7 +34,7 @@ from bmreg.metrics import (
     theorem_rate_sidelength,
 )
 from bmreg.paths import PriorSpec, constant_path
-from bmreg.posterior import KnownVariance, MarginalVariance, SigmaMode
+from bmreg.posterior import KnownVariance, MarginalVariance
 
 # defaults for the harness and the CLI
 DEFAULTS = {
@@ -48,8 +47,6 @@ DEFAULTS = {
 # the contraction study's: c = 0.01 over-smooths the sampler, and epsilon
 # sets K by the rate rule
 CONTRACT_DEFAULTS = {"c": 1.0, "epsilon": 0.05}
-
-CSV_HEADER = "run_id,method,n,K,c,sigma2,seed,l1_error,runtime_ms"
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -128,19 +125,12 @@ class ExperimentResult:
     runtime_ms: int
 
     def csv_row(self) -> str:
-        return ",".join(
-            [
-                self.run_id,
-                self.method,
-                str(self.n),
-                str(self.K),
-                repr(float(self.c)),
-                repr(float(self.sigma2)),
-                str(self.seed),
-                repr(float(self.l1_error)),
-                str(self.runtime_ms),
-            ]
-        )
+        return ",".join(_CSV_FORMAT[field.type](getattr(self, field.name)) for field in fields(self))
+
+
+# each column is written by its declared type; floats in repr precision, so an int c still reads 1.0
+_CSV_FORMAT = {"str": str, "int": str, "float": lambda value: repr(float(value))}
+CSV_HEADER = ",".join(field.name for field in fields(ExperimentResult))
 
 
 def rows_to_csv(rows) -> str:
@@ -162,70 +152,62 @@ def default_mcmc_config(n: int, K: int, sigma2: float) -> McmcConfig:
     )
 
 
-def fit_method(
+def fit_and_score(
+    run_id: str,
     method: str,
     data: Dataset,
-    sigma: SigmaMode,
+    sigma2: float,
+    marginal_bound: float | None,
     K: int,
     c: float,
-    m: Manifold,
-    rng: np.random.Generator,
+    seed: int,
     anneal: AnnealConfig = AnnealConfig(),
     mcmc: McmcConfig | None = None,
 ):
-    """Fit one estimator; returns (fitted object, the row's K, FitResult or None).
+    """Fit one estimator and score it; returns (result row, fitted object, FitResult or None).
 
+    The noise model is the marginal-variance band of marginal_bound when
+    given, else the known variance sigma2; the generator is default_rng(seed).
     The fitted object is the estimated path (dbm/cbm/const), the kernel fit
     callable (ker), or the posterior samples (mcmc, run with the chain
-    settings mcmc).  The row's K is the knot-interval count the method used,
-    0 for the grid-free ker and const.
+    settings mcmc, default_mcmc_config when None).  The row's K is the
+    knot-interval count the method used: K_FINE for cbm, 0 for the grid-free
+    ker and const.  l1_error is the mean d_1 distance to default_truth, and
+    runtime_ms times the fit and its scoring.
     """
-    if method == "dbm":
+    m = data.manifold()
+    f0 = default_truth(data.manifold_kind)
+    sigma = MarginalVariance(marginal_bound) if marginal_bound is not None else KnownVariance(sigma2)
+    rng = np.random.default_rng(seed)
+    start = time.perf_counter()
+    fit = None
+    if method in ("dbm", "cbm"):
+        K = K_FINE if method == "cbm" else K
         fit = anneal_map(data, sigma, PriorSpec.from_segments(K, c), anneal, m, rng)
-        return fit.path, K, fit
-    if method == "cbm":
-        fit = fit_cbm(data, sigma, c, anneal, m, rng)
-        return fit.path, K_FINE, fit
-    if method == "ker":
-        return KernelFit.from_rule(data), 0, None
-    if method == "const":
-        center = frechet_mean_weighted(data.points, np.ones(data.n), m)
-        return constant_path(m, center), 0, None
-    if method == "mcmc":
-        return mh_sample(data, sigma, PriorSpec.from_segments(K, c), mcmc, m, rng), K, None
-    raise ValueError(f"unknown method {method!r}")
+        fitted = fit.path
+    elif method == "ker":
+        fitted, K = KernelFit.from_rule(data), 0
+    elif method == "const":
+        fitted, K = constant_path(m, frechet_mean_weighted(data.points, np.ones(data.n), m)), 0
+    elif method == "mcmc":
+        mcmc = mcmc or default_mcmc_config(data.n, K, sigma2)
+        fitted = mh_sample(data, sigma, PriorSpec.from_segments(K, c), mcmc, m, rng)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    scored = fitted if method == "mcmc" else [fitted]
+    error = float(np.mean(dq_distances(scored, f0, 1.0, PredictorDensity.uniform(), m)))
+    runtime_ms = int(round((time.perf_counter() - start) * 1000.0))
+    row = ExperimentResult(run_id, method, data.n, K, c, sigma2, seed, error, runtime_ms)
+    return row, fitted, fit
 
 
 def run_cell(cell: ExperimentCell):
-    """Run one cell; returns (result row, fitted object of fit_method)."""
-    m = make_manifold(cell.manifold)
-    f0 = default_truth(cell.manifold)
-    density = PredictorDensity.uniform()
-    data = generate_dataset(
-        f0, cell.n, cell.sigma2, density, m, np.random.default_rng(cell.data_seed)
-    )
-    sigma = (
-        MarginalVariance(cell.marginal_bound)
-        if cell.marginal_bound is not None
-        else KnownVariance(cell.sigma2)
-    )
-    rng = np.random.default_rng(cell.seed)
-    start = time.perf_counter()
-    mcmc = cell.mcmc or default_mcmc_config(cell.n, cell.K, cell.sigma2)
-    fitted, K, _ = fit_method(cell.method, data, sigma, cell.K, cell.c, m, rng, cell.anneal, mcmc)
-    scored = fitted if cell.method == "mcmc" else [fitted]
-    error = float(np.mean(dq_distances(scored, f0, 1.0, density, m)))
-    runtime_ms = int(round((time.perf_counter() - start) * 1000.0))
-    row = ExperimentResult(
-        run_id=cell.run_id,
-        method=cell.method,
-        n=cell.n,
-        K=K,
-        c=cell.c,
-        sigma2=cell.sigma2,
-        seed=cell.seed,
-        l1_error=error,
-        runtime_ms=runtime_ms,
+    """Run one cell on its generated dataset; returns (result row, fitted object of fit_and_score)."""
+    m, rng = make_manifold(cell.manifold), np.random.default_rng(cell.data_seed)
+    data = generate_dataset(default_truth(cell.manifold), cell.n, cell.sigma2, PredictorDensity.uniform(), m, rng)
+    row, fitted, _ = fit_and_score(
+        cell.run_id, cell.method, data, cell.sigma2, cell.marginal_bound, cell.K, cell.c, cell.seed,
+        cell.anneal, cell.mcmc,
     )
     return row, fitted
 
@@ -322,6 +304,10 @@ def sweep_cells(
         raise ValueError("need at least two axis values")
     if len(set(values)) != len(values):
         raise ValueError("axis values must be distinct")
+    if axis == "c" and not all(math.isfinite(v) and v > 0.0 for v in values):
+        raise ValueError(f"c values must be finite and > 0, got {values}")
+    if axis in ("K", "n") and min(values) < 1:
+        raise ValueError(f"{axis} values must be >= 1, got {values}")
     if axis in _IGNORED_AXES.get(method, ()):
         raise ValueError(f"method {method} does not read {axis}; sweep an axis it reads")
     cells = []
@@ -367,8 +353,8 @@ def contract_cells(
 ):
     """Cells for the posterior contraction study, K set by the rate rule."""
     n_values = [int(v) for v in n_values]
-    if len(n_values) < 3:
-        raise ValueError("need at least three sample sizes")
+    if len(n_values) < 3 or len(set(n_values)) != len(n_values):
+        raise ValueError(f"need at least three distinct sample sizes, got {n_values}")
     cells = []
     for index, n in enumerate(n_values):
         K, _ = theorem_rate_sidelength(n, epsilon)
@@ -390,7 +376,7 @@ def run_contract(
     cells = contract_cells(n_values, epsilon, base_seed, replicates, **kwargs)
     rows = run_cells(cells, workers)
     per_n = []
-    for n in dict.fromkeys(int(v) for v in n_values):
+    for n in (int(v) for v in n_values):
         matching = [r for r in rows if r.n == n]
         per_n.append((n, matching[0].K, float(np.mean([r.l1_error for r in matching]))))
     if any(err <= 0.0 for _, _, err in per_n):

@@ -335,18 +335,6 @@ def anneal_map(
     )
 
 
-def fit_cbm(
-    data: Dataset,
-    sigma: SigmaMode,
-    c: float,
-    cfg: AnnealConfig,
-    m: Manifold,
-    rng: np.random.Generator,
-) -> FitResult:
-    """Fine-grid variant: the same annealer on K_FINE segments."""
-    return anneal_map(data, sigma, PriorSpec.from_segments(K_FINE, c), cfg, m, rng)
-
-
 def mh_sample(
     data: Dataset | None,
     sigma: SigmaMode | None,

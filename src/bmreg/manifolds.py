@@ -614,5 +614,5 @@ def make_manifold(kind: str) -> Manifold:
     try:
         cls = _KINDS[kind]
     except KeyError:
-        raise ValueError(f"unknown manifold kind {kind!r}") from None
+        raise ValueError(f"unknown manifold kind {kind!r}, not one of {tuple(_KINDS)}") from None
     return cls()

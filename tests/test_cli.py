@@ -13,7 +13,8 @@ import pytest
 from bmreg import cli, experiments
 from bmreg.cli import main
 from bmreg.data import Dataset
-from bmreg.experiments import ContractReport, ExperimentResult
+from bmreg.experiments import DEFAULTS, ContractReport, ExperimentCell, ExperimentResult, run_cell
+from bmreg.inference import AnnealConfig
 from bmreg.kernel_regression import bandwidth_rule
 from bmreg.manifolds import Circle, Sphere, Torus
 
@@ -162,6 +163,24 @@ class TestFit:
         assert not (workdir / "f.json").exists()
 
 
+class TestFitMatchesHarness:
+    @pytest.mark.parametrize("method", ["dbm", "cbm", "ker"])
+    def test_fit_scores_the_bits_of_the_cell(self, workdir, method):
+        # generate --seed D then fit --seed S is the harness cell with data_seed D and seed S
+        assert run_cli("generate", "--manifold", "torus", "--n", "20", "--seed", "11", "--out", "d.csv") == 0
+        argv = ["fit", "d.csv", "--manifold", "torus", "--method", method, "--grid-K", "6", "--seed", "13"]
+        assert run_cli(*argv, "--out", "f.json", "--anneal-steps", "100", "--anneal-cool", "0.5") == 0
+        fields = read(workdir / "f.csv").strip().splitlines()[1].split(",")
+        row, _ = run_cell(
+            ExperimentCell(
+                run_id="cell", manifold="torus", method=method, n=20, K=6, c=DEFAULTS["c"],
+                sigma2=DEFAULTS["sigma2"], data_seed=11, seed=13,
+                anneal=AnnealConfig(cooling_factor=0.5, steps_per_temperature=100),
+            )
+        )
+        assert (fields[3], fields[7]) == (str(row.K), repr(row.l1_error))
+
+
 class TestSweep:
     def test_two_values_write_rows(self, workdir, capsys):
         code = run_cli(
@@ -205,6 +224,15 @@ class TestSweep:
         assert f"method {method} does not read {axis}" in capsys.readouterr().err
         assert not (workdir / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "axis, values",
+        [("c", "0.1,-1"), ("c", "0.1,0"), ("c", "0.1,nan"), ("c", "0.1,inf"), ("K", "0,4"), ("n", "0,10")],
+    )
+    def test_out_of_range_axis_value_is_config_error(self, no_run, capsys, axis, values):
+        # no cell runs: the value is rejected while the cells are built
+        assert run_cli("sweep", "--axis", axis, "--values", values) == 2
+        assert f"{axis} values must be" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_four_rows_independent_of_pool_size(self, workdir, capsys):
@@ -231,6 +259,16 @@ class TestContract:
 
     def test_bad_size_entry_is_config_error(self, workdir):
         assert run_cli("contract", "--n-values", "50,sixty,70") == 2
+
+    @pytest.mark.parametrize("sizes", ["20,20,40", "20,40,80,40"])
+    def test_repeated_size_is_config_error(self, workdir, monkeypatch, capsys, sizes):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "run_cells", refuse)
+        assert run_cli("contract", "--n-values", sizes) == 2
+        assert "need at least three distinct sample sizes" in capsys.readouterr().err
+        assert not (workdir / "contract.csv").exists()
 
     def test_c_from_file_or_flag_wins_over_default(self, workdir, monkeypatch):
         seen = []
@@ -335,6 +373,8 @@ class TestCheckKernels:
         ["fit", "--sigma2", "nan"],
         ["fit", "--marginal-A", "inf"],
         ["fit", "--c", "inf"],
+        ["generate", "--manifold", "plane"],
+        ["fit", "--manifold", "plane"],
     ],
 )
 def test_bad_option_value_is_config_error(dataset, argv):
@@ -397,7 +437,7 @@ def no_run(dataset, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the command started")
 
-    for name in ("generate_dataset", "fit_method", "run_cells", "run_contract"):
+    for name in ("generate_dataset", "fit_and_score", "run_cells", "run_contract"):
         monkeypatch.setattr(cli, name, refuse)
     return dataset.parent
 

@@ -11,6 +11,7 @@ from bmreg.experiments import (
     CSV_HEADER,
     ContractReport,
     ExperimentCell,
+    ExperimentResult,
     comparison_cells,
     contract_cells,
     dataset_seed,
@@ -108,6 +109,10 @@ class TestCellBuilders:
             sweep_cells("c", [0.5], base_seed=1, replicates=1)
         with pytest.raises(ValueError):
             sweep_cells("c", [0.5, 0.5], base_seed=1, replicates=1)
+        for axis, values in [("c", [0.1, -1.0]), ("c", [0.1, 0.0]), ("c", [0.1, math.nan]), ("c", [0.1, math.inf]),
+                             ("K", [0, 4]), ("n", [0, 10])]:
+            with pytest.raises(ValueError, match=f"{axis} values must be"):
+                sweep_cells(axis, values, base_seed=1, replicates=1)
 
     @pytest.mark.parametrize("method, axis", [("cbm", "K"), ("ker", "K"), ("ker", "c"), ("const", "K"), ("const", "c")])
     def test_sweep_rejects_an_axis_the_method_never_reads(self, method, axis):
@@ -131,8 +136,10 @@ class TestCellBuilders:
         assert all(cell.method == "mcmc" for cell in cells)
 
     def test_contract_requires_three_sizes(self):
-        with pytest.raises(ValueError):
-            contract_cells([50, 100], epsilon=0.05, base_seed=1, replicates=1)
+        # a repeated size would write two rows with one run id and fit the slope on fewer sizes
+        for sizes in ([50, 100], [20, 20, 40], [20, 40, 80, 40]):
+            with pytest.raises(ValueError, match="three distinct sample sizes"):
+                contract_cells(sizes, epsilon=0.05, base_seed=1, replicates=1)
 
     def test_ker_cell_needs_two_observations(self):
         with pytest.raises(ValueError, match="ker needs at least two observations, got n=1"):
@@ -252,6 +259,11 @@ class TestRunCells:
 
 
 class TestCsvOutput:
+    def test_columns_are_the_result_fields(self):
+        assert CSV_HEADER.split(",") == [field.name for field in dataclasses.fields(ExperimentResult)]
+        row = ExperimentResult("r", "dbm", 5, 4, 1, 0.1, 7, 0.25, 12)
+        assert row.csv_row() == "r,dbm,5,4,1.0,0.1,7,0.25,12"
+
     def test_header_and_repr_floats(self):
         row, _ = run_cell(make_cell("const"))
         text = rows_to_csv([row])

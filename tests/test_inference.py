@@ -18,7 +18,6 @@ from bmreg.inference import (
     McmcConfig,
     _Blocked,
     anneal_map,
-    fit_cbm,
     init_state,
     mh_sample,
 )
@@ -177,7 +176,7 @@ def test_anneal_deterministic_under_seed():
 def test_fit_cbm_runs_on_fine_grid():
     m, data, _, sigma = _example_problem()
     cfg = AnnealConfig(cooling_factor=0.5, steps_per_temperature=100, temperature_floor=0.01)
-    fit = fit_cbm(data, sigma, 0.01, cfg, m, np.random.default_rng(9))
+    fit = anneal_map(data, sigma, PriorSpec.from_segments(K_FINE, 0.01), cfg, m, np.random.default_rng(9))
     assert fit.path.segments == K_FINE
     assert dinf_distance(fit.path, lambda t: 1.0, m) < 0.4
 

@@ -186,6 +186,11 @@ def test_dataset_validates_times_and_shapes():
     with pytest.raises(ValueError):
         Dataset("sphere", np.array([0.5]), np.array([[0.0, 0.0, 1.0 + 2e-6]]))
     Dataset("sphere", np.array([0.5]), np.array([[0.0, 0.0, 1.0 + 1e-9]]))
+    # an unknown manifold kind is a ValueError, as every other bad input is
+    with pytest.raises(ValueError, match="unknown manifold kind 'foo'"):
+        Dataset("foo", np.array([0.5]), np.array([0.0]))
+    with pytest.raises(ValueError, match="unknown manifold kind 'foo'"):
+        Dataset.from_csv("t,coord1\n0.5,0.0\n", "foo")
 
 
 def test_dataset_csv_round_trip_exact():
