@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from bmreg.data import Dataset, EmptyDatasetError
+from bmreg.data import Dataset
 from bmreg.manifolds import Manifold
 from bmreg.paths import PiecewiseGeodesicPath, PriorSpec, sample_prior_path
 from bmreg.posterior import SigmaMode
@@ -150,8 +150,6 @@ def init_state(data: Dataset, K: int, m: Manifold) -> PiecewiseGeodesicPath:
     the nearest nonempty window's value (ties toward the smaller index); if
     every window is empty the candidate set falls back to all observations.
     """
-    if data.n == 0:
-        raise EmptyDatasetError("dataset has no observations")
     if K < 1:
         raise ValueError("need at least one segment")
     points = m.stack(data.points)

@@ -34,11 +34,14 @@ SERIES_TOLERANCE (1e-14), with term counts taken from t, never capped.
 Each manifold has one broadcasting log_map/exp_map pair.  Geodesic
 interpolation is exp_map(x, s * log_map(x, y)) on every manifold, and the
 sphere's heat-kernel sampler shoots exp_map along a tangent step, so a
-discretized Brownian path is a geodesic random walk.  At or above the seam
-the step is drawn in polar coordinates from the kernel's polar CDF; below it
-the step is an isotropic tangent Gaussian with variance t per axis.  That
-step is symmetric in its two end points, as a Metropolis proposal needs, and
-its density differs from p_t by a relative O(t).
+discretized Brownian path is a geodesic random walk.  Each step starts from
+one standard Gaussian in the tangent plane, v = g - (g . x) x for a standard
+normal g in R^3.  Below the seam the step is sqrt(t) v, an isotropic tangent
+Gaussian with variance t per axis; it is symmetric in its two end points, as
+a Metropolis proposal needs, and its density differs from p_t by a relative
+O(t).  At or above the seam the step keeps the direction v / |v| and takes
+its length from the kernel's polar CDF, at the uniform exp(-|v|^2 / 2),
+which is independent of the direction.
 """
 
 from __future__ import annotations
@@ -302,7 +305,6 @@ class Manifold(ABC):
     """
 
     kind: str
-    dim: int
     volume: float
     diameter: float
     # coordinate shape of one point
@@ -396,7 +398,6 @@ class Circle(Manifold):
     """Unit circle; points are angles in [0, 2*pi)."""
 
     kind = "circle"
-    dim = 1
     volume = TWO_PI
     diameter = math.pi
     point_shape = ()
@@ -457,19 +458,6 @@ def _sphere_frame(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, _cross(xs, e1)
 
 
-@functools.lru_cache(maxsize=512)
-def _cached_frame(center: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """_sphere_frame of the one centre whose float64 bytes are center, read-only.
-
-    A rejected proposal leaves its knot, so the next one shoots from the
-    same centre.
-    """
-    frame = _sphere_frame(np.frombuffer(center).reshape(1, 3))
-    for e in frame:
-        e.flags.writeable = False
-    return frame
-
-
 # polar grid of the sphere sampler's inverse CDF
 _POLAR_THETA = np.linspace(0.0, math.pi, 2048)
 
@@ -490,7 +478,6 @@ class Sphere(Manifold):
     """Unit 2-sphere; points are unit vectors in R^3."""
 
     kind = "sphere"
-    dim = 2
     volume = 4.0 * math.pi
     diameter = math.pi
     point_shape = (3,)
@@ -522,26 +509,21 @@ class Sphere(Manifold):
     def log_heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
         return sphere_log_heat(self.distance(xs, ys), t)
 
-    # -- polar sampling ------------------------------------------------------
-
-    @staticmethod
-    def _frame(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """_sphere_frame(centers); only one-row calls read _cached_frame, as many rows rarely repeat."""
-        return _cached_frame(centers.tobytes()) if len(centers) == 1 else _sphere_frame(centers)
+    # -- sampling ------------------------------------------------------------
 
     def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
         t = _check_time(t)
         centers = self.stack(centers)
-        e1, e2 = self._frame(centers)
+        # a standard Gaussian in each tangent plane, per centre in row order
+        g = rng.standard_normal((len(centers), 3))
+        v = g - np.vecdot(g, centers)[:, None] * centers
         if t < SPHERE_SEAM_TIME:
-            # an isotropic tangent Gaussian, variance t per axis, per centre in row order
-            step = math.sqrt(t) * rng.standard_normal((len(centers), 2))
-            return self.exp_map(centers, step[:, :1] * e1 + step[:, 1:] * e2)
-        # per centre a polar then an azimuth uniform, in row order
-        u = rng.uniform(size=(len(centers), 2))
-        theta = np.interp(u[:, :1], _polar_cdf(t), _POLAR_THETA)
-        phi = TWO_PI * u[:, 1:]
-        return self.exp_map(centers, theta * (np.cos(phi) * e1 + np.sin(phi) * e2))
+            return self.exp_map(centers, math.sqrt(t) * v)
+        # |v| is Rayleigh, so exp(-|v|^2/2) is a uniform, independent of the
+        # uniform direction v/|v|; theta is its polar quantile
+        r2 = np.vecdot(v, v)[:, None]
+        theta = np.interp(np.exp(-0.5 * r2), _polar_cdf(t), _POLAR_THETA)
+        return self.exp_map(centers, (theta / np.sqrt(r2)) * v)
 
     def sample_uniform_many(self, n: int, rng: np.random.Generator):
         z = rng.uniform(-1.0, 1.0, size=n)
@@ -568,7 +550,6 @@ class Torus(Manifold):
     """Flat product of two unit circles; points are angle pairs."""
 
     kind = "torus"
-    dim = 2
     volume = TWO_PI * TWO_PI
     diameter = math.pi * math.sqrt(2.0)
     point_shape = (2,)

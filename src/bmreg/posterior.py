@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from bmreg.data import Dataset, EmptyDatasetError
+from bmreg.data import Dataset
 from bmreg.manifolds import Manifold
 from bmreg.paths import PiecewiseGeodesicPath, PriorSpec, eval_path_like, log_prior
 
@@ -78,8 +78,6 @@ SigmaMode = Union[KnownVariance, MarginalVariance]
 
 def log_likelihood(f, data: Dataset, sigma: SigmaMode, m: Manifold) -> float:
     """Log likelihood of the dataset under path (or callable) f."""
-    if data.n == 0:
-        raise EmptyDatasetError("dataset has no observations")
     values = eval_path_like(f, data.ts, m)
     return float(np.sum(sigma.log_density(m, values, data.points)))
 

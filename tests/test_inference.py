@@ -25,7 +25,6 @@ from bmreg.manifolds import (
     Circle,
     Manifold,
     Sphere,
-    _cached_frame,
     _kernel_table,
     _polar_cdf,
     make_manifold,
@@ -507,10 +506,10 @@ def test_plan_cache_never_holds_more_than_its_bound(monkeypatch):
 
 
 def test_every_memo_keeps_512_entries_and_manifolds_keep_none():
-    memos = [_kernel_table, _polar_cdf, _cached_frame]
+    memos = [_kernel_table, _polar_cdf]
     m, data, spec, sigma = _example_problem(n=20)
     memos.append(_Blocked(m, init_state(data, spec.segments, m).knots, spec, data, sigma)._plan)
-    assert [memo.cache_parameters()["maxsize"] for memo in memos] == [512] * 4
+    assert [memo.cache_parameters()["maxsize"] for memo in memos] == [512] * 3
     # every instance shares the module memos, so none holds state of its own
     for kind in ("circle", "sphere", "torus"):
         assert vars(make_manifold(kind)) == {}

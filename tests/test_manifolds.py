@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import stats
+from scipy.integrate import cumulative_trapezoid
 
 from bmreg.manifolds import (
     SPHERE_SEAM_TIME,
@@ -20,7 +22,6 @@ from bmreg.manifolds import (
     Sphere,
     Torus,
     TWO_PI,
-    _cached_frame,
     _kernel_table,
     _polar_cdf,
     _sphere_frame,
@@ -448,7 +449,7 @@ def test_single_point_forms_match_broadcast_bodies(kind, t):
 
 def test_sphere_many_draws_keep_the_sequential_stream():
     # one call over 64 centres consumes the generator exactly as 64 one-centre
-    # calls do: per centre its polar uniform, then its azimuth uniform
+    # calls do: per centre its three normals, projected onto its tangent plane
     m = Sphere()
     centers = m.sample_uniform_many(64, np.random.default_rng(71))
     batch_rng, single_rng = np.random.default_rng(72), np.random.default_rng(72)
@@ -470,9 +471,35 @@ def test_sphere_proposals_below_the_seam_take_brownian_steps(t):
     assert abs(float(np.mean(steps)) - math.sqrt(math.pi * t / 2.0)) < 3.0 * se
 
 
+@pytest.mark.parametrize("t", [2.5e-4, 0.05, 0.3])
+def test_sphere_steps_have_the_kernel_polar_law_and_an_independent_uniform_azimuth(t):
+    # a step's polar angle has density ~ p_t(theta) sin(theta), Rayleigh below
+    # the seam, and its azimuth about _sphere_frame is uniform and independent
+    m = Sphere()
+    n = 20_000
+    centers = m.sample_uniform_many(n, np.random.default_rng(95))
+    steps = m.log_map(centers, m.sample_heat_kernel_many(t, centers, np.random.default_rng(96)))
+    polar = np.sqrt((steps * steps).sum(axis=1))
+    e1, e2 = _sphere_frame(centers)
+    azimuth = np.mod(np.arctan2((steps * e2).sum(axis=1), (steps * e1).sum(axis=1)), TWO_PI)
+    if t < SPHERE_SEAM_TIME:
+        polar_cdf = lambda th: -np.expm1(-th * th / (2.0 * t))
+    else:
+        theta = np.linspace(0.0, math.pi, 20_001)
+        dens = np.maximum(sphere_heat_series(np.cos(theta), t), 0.0) * np.sin(theta)
+        cdf = cumulative_trapezoid(dens, theta, initial=0.0)
+        polar_cdf = lambda th: np.interp(th, theta, cdf / cdf[-1])
+    assert stats.kstest(polar, polar_cdf).pvalue > 1e-3
+    assert stats.kstest(azimuth / TWO_PI, "uniform").pvalue > 1e-3
+    table = np.zeros((4, 4))
+    polar_bin = np.searchsorted(np.quantile(polar, [0.25, 0.5, 0.75]), polar)
+    np.add.at(table, (polar_bin, (azimuth * (2.0 / math.pi)).astype(int) % 4), 1.0)
+    assert stats.chi2_contingency(table).pvalue > 1e-3
+
+
 def test_sphere_many_draws_keep_the_sequential_stream_below_the_seam():
     # below the seam one call over 64 centres consumes the generator exactly
-    # as 64 one-centre calls do: per centre its two tangent normals
+    # as 64 one-centre calls do: per centre its three normals
     m = Sphere()
     t = 2.5e-4
     centers = m.sample_uniform_many(64, np.random.default_rng(73))
@@ -481,77 +508,6 @@ def test_sphere_many_draws_keep_the_sequential_stream_below_the_seam():
     singles = np.stack([m.sample_heat_kernel(t, c, single_rng) for c in centers])
     assert_allclose(batch, singles, rtol=0, atol=1e-15)
     assert batch_rng.uniform() == single_rng.uniform()
-
-
-def _metropolis_like_centres(m, n, seed):
-    # a centre stays put for several draws, as a rejected proposal leaves it
-    rng = np.random.default_rng(seed)
-    current, centres = m.sample_uniform(rng), []
-    for _ in range(n):
-        if rng.uniform() < 0.2:
-            current = m.sample_uniform(rng)
-        centres.append(current)
-    return centres
-
-
-def _cold_draws(t, centres, rng):
-    # the reference builds every frame with _sphere_frame, keeping none
-    ref = Sphere()
-    ref._frame = _sphere_frame
-    return np.stack([ref.sample_heat_kernel(t, c, rng) for c in centres])
-
-
-@pytest.mark.parametrize("t", [2.5e-4, 0.05])
-def test_sphere_frame_cache_keeps_draws_and_stream(t):
-    _cached_frame.cache_clear()
-    m = Sphere()
-    centres = _metropolis_like_centres(m, 300, 81)
-    warm_rng, cold_rng = np.random.default_rng(82), np.random.default_rng(82)
-    warm = np.stack([m.sample_heat_kernel(t, c, warm_rng) for c in centres])
-    assert np.array_equal(warm, _cold_draws(t, centres, cold_rng))
-    assert warm_rng.bit_generator.state == cold_rng.bit_generator.state
-    info = _cached_frame.cache_info()
-    assert info.hits > 0 and 0 < info.currsize < len(centres)
-
-
-@pytest.mark.parametrize("t", [2.5e-4, 0.05])
-def test_sphere_frame_cache_keeps_draws_across_evictions(t):
-    # 600 distinct centres, each drawn twice, then the first 50 again after they were evicted
-    _cached_frame.cache_clear()
-    m = Sphere()
-    distinct = list(m.sample_uniform_many(600, np.random.default_rng(83)))
-    centres = [c for c in distinct for _ in range(2)] + distinct[:50]
-    warm_rng, cold_rng = np.random.default_rng(84), np.random.default_rng(84)
-    warm = np.stack([m.sample_heat_kernel(t, c, warm_rng) for c in centres])
-    assert np.array_equal(warm, _cold_draws(t, centres, cold_rng))
-    assert warm_rng.bit_generator.state == cold_rng.bit_generator.state
-    info = _cached_frame.cache_info()
-    assert info.currsize == info.maxsize == 512 and info.misses == 650
-
-
-def test_sphere_frame_cache_skips_many_row_calls():
-    _cached_frame.cache_clear()
-    m = Sphere()
-    centers = m.sample_uniform_many(5, np.random.default_rng(85))
-    m.sample_heat_kernel_many(0.05, centers, np.random.default_rng(86))
-    m.sample_heat_kernel_many(2.5e-4, centers[:2], np.random.default_rng(86))
-    assert _cached_frame.cache_info().currsize == 0
-
-
-def test_sphere_cached_frames_are_read_only():
-    m = Sphere()
-    center = m.sample_uniform(np.random.default_rng(87))
-    for e in m._frame(m.stack(center)):
-        assert not e.flags.writeable
-        with pytest.raises(ValueError):
-            e[0, 0] = 1.0
-    # neither a returned draw nor the caller's centre array aliases the cache
-    mutable = center.copy()
-    draw = m.sample_heat_kernel(0.05, mutable, np.random.default_rng(88))
-    draw[:] = 0.0
-    mutable[:] = [0.0, 0.0, 1.0]
-    again = m.sample_heat_kernel(0.05, center, np.random.default_rng(88))
-    assert np.array_equal(again, Sphere().sample_heat_kernel(0.05, center, np.random.default_rng(88)))
 
 
 def test_circle_sampler_resultant_length():
@@ -614,8 +570,12 @@ def test_sampling_deterministic_given_seed():
         m = make_manifold(kind)
         a = m.sample_heat_kernel(0.3, m.sample_uniform(np.random.default_rng(1)), np.random.default_rng(2))
         b = m.sample_heat_kernel(0.3, m.sample_uniform(np.random.default_rng(1)), np.random.default_rng(2))
-        # b repeats a's centre, so on the sphere b reads a's cached frame
         assert np.array_equal(a, b)
+        # writing into a draw leaves the caller's centres unchanged
+        centers = m.sample_uniform_many(3, np.random.default_rng(1))
+        kept = centers.copy()
+        m.sample_heat_kernel_many(0.3, centers, np.random.default_rng(2))[...] = 0.0
+        assert np.array_equal(centers, kept)
 
 
 # ---------------------------------------------------------------- invariance
