@@ -59,18 +59,18 @@ class AnnealConfig:
     proposal_time: float = 0.05
 
     def __post_init__(self):
-        if self.initial_temperature <= 0.0:
-            raise ValueError("initial_temperature must be positive")
+        if not 0.0 < self.initial_temperature < math.inf:
+            raise ValueError("initial_temperature must be positive and finite")
         if not 0.0 < self.cooling_factor < 1.0:
             raise ValueError("cooling_factor must be in (0, 1)")
         if self.steps_per_temperature < 0:
             raise ValueError("steps_per_temperature must be nonnegative")
-        if self.temperature_floor <= 0.0:
-            raise ValueError("temperature_floor must be positive")
+        if not 0.0 < self.temperature_floor < math.inf:
+            raise ValueError("temperature_floor must be positive and finite")
         if self.temperature_floor > self.initial_temperature:
             raise ValueError("temperature_floor must not exceed initial_temperature")
-        if self.proposal_time <= 0.0:
-            raise ValueError("proposal_time must be positive")
+        if not 0.0 < self.proposal_time < math.inf:
+            raise ValueError("proposal_time must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ class McmcConfig:
             raise ValueError("thinning must be positive")
         if self.thinning > self.iterations - self.burn_in:
             raise ValueError("thinning must not exceed iterations - burn_in, or no sample is stored")
-        if self.proposal_time <= 0.0:
-            raise ValueError("proposal_time must be positive")
+        if not 0.0 < self.proposal_time < math.inf:
+            raise ValueError("proposal_time must be positive and finite")
 
 
 @dataclass

@@ -41,7 +41,8 @@ Gaussian with variance t per axis; it is symmetric in its two end points, as
 a Metropolis proposal needs, and its density differs from p_t by a relative
 O(t).  At or above the seam the step keeps the direction v / |v| and takes
 its length from the kernel's polar CDF, at the uniform exp(-|v|^2 / 2),
-which is independent of the direction.
+which is independent of the direction.  The circle and the torus draw one
+centre on plain Python floats, bit for bit the batch body's row.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ class InvalidTimeError(ValueError):
 
 def wrap_angle(theta):
     """Canonical angle in [0, 2*pi); accepts scalars or arrays."""
-    theta = np.mod(theta, TWO_PI)
-    # np.mod can return the modulus itself for tiny negative inputs
-    theta = np.where(theta >= TWO_PI, 0.0, theta)
+    # np.mod can return the modulus itself for tiny negative inputs; fmod
+    # maps that to 0 and leaves every other value of [0, 2*pi) as it is
+    theta = np.fmod(np.mod(theta, TWO_PI), TWO_PI)
     if np.ndim(theta) == 0:
         return float(theta)
     return theta
@@ -75,9 +76,8 @@ def signed_angle_gap(start, end):
     arc (+pi) is taken, matching geodesic interpolation on the circle.
     """
     gap = np.mod(np.asarray(end, dtype=float) - start, TWO_PI)
+    # gap - 2*pi is exact for gap in (pi, 2*pi] (Sterbenz), so it stays above -pi
     gap = np.where(gap > math.pi, gap - TWO_PI, gap)
-    # map an exact -pi (possible via roundoff of the mod) to +pi
-    gap = np.where(gap <= -math.pi, gap + TWO_PI, gap)
     if np.ndim(gap) == 0:
         return float(gap)
     return gap
@@ -92,6 +92,12 @@ def signed_angle_gap(start, end):
 SERIES_TOLERANCE = 1e-14
 SPHERE_SEAM_TIME = 1e-3
 _LOG_TOL = math.log(1.0 / SERIES_TOLERANCE)
+
+
+def _wrap_float(theta: float) -> float:
+    """wrap_angle of one Python float, bit for bit: float % is np.mod."""
+    theta %= TWO_PI
+    return 0.0 if theta == TWO_PI else theta
 
 
 def _check_time(t: float) -> float:
@@ -419,6 +425,12 @@ class Circle(Manifold):
     def log_heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
         return circle_log_heat(np.abs(np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float)), t)
 
+    def sample_heat_kernel(self, t: float, x, rng: np.random.Generator) -> float:
+        # the batch body's arithmetic on plain floats, free of numpy's
+        # per-call set-up; one normal consumes the generator as a (1,) draw does
+        step = math.sqrt(_check_time(t))
+        return _wrap_float(float(x) + step * rng.standard_normal())
+
     def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
         t = _check_time(t)
         centers = np.asarray(centers, dtype=float)
@@ -569,6 +581,14 @@ class Torus(Manifold):
         # symmetric in its two points; the log factors add.
         parts = circle_log_heat(np.abs(np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float)), t)
         return parts[..., 0] + parts[..., 1]
+
+    def sample_heat_kernel(self, t: float, x, rng: np.random.Generator) -> np.ndarray:
+        # the circle's plain-float draw per coordinate; two normals consume the
+        # generator as a (1, 2) draw does
+        step = math.sqrt(_check_time(t))
+        g0, g1 = rng.standard_normal(2).tolist()
+        x0, x1 = np.asarray(x, dtype=float).tolist()
+        return np.array([_wrap_float(x0 + step * g0), _wrap_float(x1 + step * g1)])
 
     def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
         t = _check_time(t)

@@ -134,8 +134,8 @@ class PriorSpec:
             raise ValueError("sidelength must be in (0, 1]")
         if abs(1.0 / self.sidelength - round(1.0 / self.sidelength)) > 1e-9:
             raise ValueError("1/sidelength must be an integer")
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError("scale must be positive and finite")
 
     @property
     def segments(self) -> int:

@@ -34,8 +34,8 @@ class KnownVariance:
     sigma2: float
 
     def __post_init__(self):
-        if self.sigma2 <= 0.0:
-            raise ValueError("sigma2 must be positive")
+        if not 0.0 < self.sigma2 < np.inf:
+            raise ValueError("sigma2 must be positive and finite")
 
     def log_density(self, m: Manifold, values, points) -> np.ndarray:
         """Per-observation log p_{sigma^2}(value_i, point_i)."""
@@ -50,8 +50,8 @@ class MarginalVariance:
     nodes: int = 16
 
     def __post_init__(self):
-        if self.bound <= 1.0:
-            raise ValueError("bound must exceed 1")
+        if not 1.0 < self.bound < np.inf:
+            raise ValueError("bound must exceed 1 and be finite")
         if self.nodes < 2:
             raise ValueError("need at least 2 quadrature nodes")
 

@@ -70,6 +70,18 @@ def test_mcmc_config_validation():
     McmcConfig(iterations=100, burn_in=90, thinning=10, proposal_time=0.1)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["initial_temperature", "temperature_floor", "proposal_time"])
+def test_configs_reject_non_finite_values(name, value):
+    # a NaN floor never meets the stop test: the schedule would cool until its
+    # proposal time underflows to 0 and then fail with a misleading message
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        AnnealConfig(**{name: value})
+    if name == "proposal_time":
+        with pytest.raises(ValueError, match="proposal_time must be positive and finite"):
+            McmcConfig(iterations=10, burn_in=2, thinning=1, proposal_time=value)
+
+
 # ---------------------------------------------------------------- init_state
 
 
@@ -358,17 +370,24 @@ def _annealed_levels(cfg):
 def counted(monkeypatch):
     """Counts proposal draws and records every colour block the engine scores."""
     record = {"draws": 0, "blocks": []}
-    draw, update_block = Manifold.sample_heat_kernel, _Blocked._update_block
+    update_block = _Blocked._update_block
 
-    def counting_draw(self, *args, **kwargs):
-        record["draws"] += 1
-        return draw(self, *args, **kwargs)
+    def counting(draw):
+        def counting_draw(self, *args, **kwargs):
+            record["draws"] += 1
+            return draw(self, *args, **kwargs)
+
+        return counting_draw
 
     def recording_update(self, ks, *args, **kwargs):
         record["blocks"].append(np.array(ks, copy=True))
         return update_block(self, ks, *args, **kwargs)
 
-    monkeypatch.setattr(Manifold, "sample_heat_kernel", counting_draw)
+    # the circle and the torus override the one-centre draw, so every class
+    # that defines one is wrapped
+    for cls in (Manifold, *Manifold.__subclasses__()):
+        if "sample_heat_kernel" in vars(cls):
+            monkeypatch.setattr(cls, "sample_heat_kernel", counting(vars(cls)["sample_heat_kernel"]))
     monkeypatch.setattr(_Blocked, "_update_block", recording_update)
     return record
 

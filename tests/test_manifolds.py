@@ -68,6 +68,32 @@ def test_signed_gap_antipodal_is_counterclockwise():
     assert signed_angle_gap(1.0, 1.0 + math.pi) > 0.0
 
 
+def _edge_angles(rng, n):
+    """Angles a few ulps from multiples of pi, tiny ones of either sign, and the exact edges."""
+    multiples = rng.integers(-41, 42, n) * math.pi
+    near = multiples + rng.integers(-3, 4, n) * np.spacing(np.abs(multiples) + 1.0)
+    tiny = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-320.0, 0.0, n)
+    exact = [0.0, -0.0, math.pi, -math.pi, TWO_PI, -TWO_PI, 5e-324, -5e-324]
+    return np.concatenate([near, tiny, exact])
+
+
+def test_angle_helpers_match_their_two_where_forms_bit_for_bit():
+    # wrap_angle folds np.mod's 2*pi (a tiny negative input) to 0 by fmod, and
+    # signed_angle_gap drops a second where that mapped -pi to +pi: both give
+    # the bits of the np.where forms they replaced
+    rng = np.random.default_rng(19)
+    theta = _edge_angles(rng, 100_000)
+    mod = np.mod(theta, TWO_PI)
+    assert np.count_nonzero(mod == TWO_PI) > 1_000
+    assert wrap_angle(theta).tobytes() == np.where(mod >= TWO_PI, 0.0, mod).tobytes()
+    start = np.concatenate([rng.uniform(-TWO_PI, TWO_PI, len(theta) // 2), _edge_angles(rng, len(theta) // 4)])
+    start = rng.permutation(np.resize(start, len(theta)))
+    end = start + theta
+    gap = np.mod(end - start, TWO_PI)
+    gap = np.where(gap > math.pi, gap - TWO_PI, gap)
+    assert signed_angle_gap(start, end).tobytes() == np.where(gap <= -math.pi, gap + TWO_PI, gap).tobytes()
+
+
 # ---------------------------------------------------------------- circle kernel
 
 
@@ -442,19 +468,53 @@ def test_single_point_forms_match_broadcast_bodies(kind, t):
         one = m.sample_heat_kernel(t, xs[i], np.random.default_rng(i))
         many = m.sample_heat_kernel_many(t, m.stack([xs[i]]), np.random.default_rng(i))
         assert np.array_equal(one, many[0])
+    if kind == "sphere":
+        return
+    # the circle's and torus's plain-float draws wrap as the batch body does
+    # where the step lands on exactly 2*pi or a hair below 0
+    for i in range(8):
+        x = _centre_landing_on_the_wrap(m, t, i)
+        one = m.sample_heat_kernel(t, x, np.random.default_rng(i))
+        many = m.sample_heat_kernel_many(t, m.stack([x]), np.random.default_rng(i))
+        assert np.array_equal(one, many[0]) and np.all(many[0] == 0.0)
+
+
+def _centre_landing_on_the_wrap(m, t, seed):
+    """A centre whose draw under default_rng(seed) sums, per angle, to exactly
+    2*pi (a positive step) or to a tiny negative (a negative step)."""
+    steps = math.sqrt(t) * np.random.default_rng(seed).standard_normal((1, *m.point_shape))[0]
+    centre = []
+    for step in np.atleast_1d(steps).tolist():
+        if step > 0.0:
+            x = TWO_PI - step
+            while x + step > TWO_PI:
+                x = math.nextafter(x, 0.0)
+            while x + step < TWO_PI:
+                x = math.nextafter(x, TWO_PI)
+        else:
+            x = math.nextafter(-step, 0.0)
+            assert -1e-15 < x + step < 0.0
+        assert 0.0 <= x < TWO_PI
+        centre.append(x)
+    return np.array(centre).reshape(m.point_shape)
 
 
 # ---------------------------------------------------------------- sampling
 
 
-def test_sphere_many_draws_keep_the_sequential_stream():
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+@pytest.mark.parametrize("t", [2.5e-4, 0.05])
+def test_many_draws_keep_the_sequential_stream(kind, t):
     # one call over 64 centres consumes the generator exactly as 64 one-centre
-    # calls do: per centre its three normals, projected onto its tangent plane
-    m = Sphere()
-    centers = m.sample_uniform_many(64, np.random.default_rng(71))
-    batch_rng, single_rng = np.random.default_rng(72), np.random.default_rng(72)
-    batch = m.sample_heat_kernel_many(0.05, centers, batch_rng)
-    singles = np.stack([m.sample_heat_kernel(0.05, c, single_rng) for c in centers])
+    # calls do: per centre its normals, one per angle on the circle and the
+    # torus, three projected onto its tangent plane on the sphere (below the
+    # sphere's seam at 2.5e-4 too)
+    m = make_manifold(kind)
+    seed = 71 if t == 0.05 else 73
+    centers = m.sample_uniform_many(64, np.random.default_rng(seed))
+    batch_rng, single_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    batch = m.sample_heat_kernel_many(t, centers, batch_rng)
+    singles = np.stack([m.sample_heat_kernel(t, c, single_rng) for c in centers])
     assert_allclose(batch, singles, rtol=0, atol=1e-15)
     assert batch_rng.uniform() == single_rng.uniform()
 
@@ -495,19 +555,6 @@ def test_sphere_steps_have_the_kernel_polar_law_and_an_independent_uniform_azimu
     polar_bin = np.searchsorted(np.quantile(polar, [0.25, 0.5, 0.75]), polar)
     np.add.at(table, (polar_bin, (azimuth * (2.0 / math.pi)).astype(int) % 4), 1.0)
     assert stats.chi2_contingency(table).pvalue > 1e-3
-
-
-def test_sphere_many_draws_keep_the_sequential_stream_below_the_seam():
-    # below the seam one call over 64 centres consumes the generator exactly
-    # as 64 one-centre calls do: per centre its three normals
-    m = Sphere()
-    t = 2.5e-4
-    centers = m.sample_uniform_many(64, np.random.default_rng(73))
-    batch_rng, single_rng = np.random.default_rng(74), np.random.default_rng(74)
-    batch = m.sample_heat_kernel_many(t, centers, batch_rng)
-    singles = np.stack([m.sample_heat_kernel(t, c, single_rng) for c in centers])
-    assert_allclose(batch, singles, rtol=0, atol=1e-15)
-    assert batch_rng.uniform() == single_rng.uniform()
 
 
 def test_circle_sampler_resultant_length():

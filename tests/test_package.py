@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bmreg
 
 
@@ -37,14 +39,16 @@ def test_benchmark_microbenchmarks_run(tmp_path):
     assert json.loads(out.read_text())
 
 
-def test_benchmark_traced_fit_counts_every_knot_update(tmp_path):
+@pytest.mark.parametrize("kind", ["circle", "torus"])
+def test_benchmark_traced_fit_counts_every_knot_update(tmp_path, kind):
     # the traced benchmark pass counts a knot update per sample_heat_kernel
-    # span directly under the Metropolis loop; drawing a block's proposals in
-    # one call would leave it none to count, and the benchmark run would fail
+    # span directly under the Metropolis loop, the circle's and the torus's own
+    # one-centre draws included; drawing a block's proposals in one call would
+    # leave it none to count, and the benchmark run would fail
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     launch = [sys.executable, str(bench / "launch.py")]
-    generate = ["generate", "--manifold", "circle", "--n", "30", "--sigma2", "0.1", "--seed", "3", "--out", "data.csv"]
-    fit = ["fit", "data.csv", "--manifold", "circle", "--method", "dbm", "--grid-K", "40", "--c", "0.01", "--sigma2", "0.1"]
+    generate = ["generate", "--manifold", kind, "--n", "30", "--sigma2", "0.1", "--seed", "3", "--out", "data.csv"]
+    fit = ["fit", "data.csv", "--manifold", kind, "--method", "dbm", "--grid-K", "40", "--c", "0.01", "--sigma2", "0.1"]
     for argv in ([*launch, "--", *generate], [*launch, "--spans", "spans.json", "--", *fit]):
         proc = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr

@@ -142,6 +142,14 @@ def test_prior_spec_validation():
     assert_allclose(spec.step_time, 0.01 / 40, rtol=0, atol=1e-18)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_prior_spec_rejects_a_non_finite_scale(value):
+    with pytest.raises(ValueError, match="scale must be positive and finite"):
+        PriorSpec(sidelength=0.5, scale=value)
+    with pytest.raises(ValueError, match="sidelength"):
+        PriorSpec(sidelength=value)
+
+
 def test_log_prior_frozen_constant_path_value():
     # circle, K=2, constant path, c=1: density (1/(2 pi)) * p_{1/2}(0,0)^2 with
     # p_{1/2}(0,0) = 1/sqrt(pi) up to e^{-4 pi^2} image terms, so the log is

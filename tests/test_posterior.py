@@ -162,6 +162,14 @@ def test_sigma_mode_validation():
         MarginalVariance(bound=2.0, nodes=1)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_sigma_modes_reject_non_finite_values(value):
+    with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
+        KnownVariance(value)
+    with pytest.raises(ValueError, match="bound must exceed 1 and be finite"):
+        MarginalVariance(bound=value)
+
+
 # ---------------------------------------------------------------- dataset container
 
 
