@@ -41,8 +41,9 @@ Gaussian with variance t per axis; it is symmetric in its two end points, as
 a Metropolis proposal needs, and its density differs from p_t by a relative
 O(t).  At or above the seam the step keeps the direction v / |v| and takes
 its length from the kernel's polar CDF, at the uniform exp(-|v|^2 / 2),
-which is independent of the direction.  The circle and the torus draw one
-centre on plain Python floats, bit for bit the batch body's row.
+which is independent of the direction.  Every manifold draws one centre on
+plain Python floats, bit for bit the batch body's row; the sphere's keeps
+np.dot, np.exp and np.interp for their bits (Sphere.sample_heat_kernel).
 """
 
 from __future__ import annotations
@@ -374,9 +375,10 @@ class Manifold(ABC):
 
     # -- sampling --------------------------------------------------------------
 
+    @abstractmethod
     def sample_heat_kernel(self, t: float, x, rng: np.random.Generator):
-        """One draw from p_t(x, .): the single-center form of sample_heat_kernel_many."""
-        return self.sample_heat_kernel_many(t, self.stack(x), rng)[0]
+        """One draw from p_t(x, .): bit for bit the row that sample_heat_kernel_many
+        draws for x alone, with the generator left in the same state."""
 
     @abstractmethod
     def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
@@ -522,6 +524,31 @@ class Sphere(Manifold):
         return sphere_log_heat(self.distance(xs, ys), t)
 
     # -- sampling ------------------------------------------------------------
+
+    def sample_heat_kernel(self, t: float, x, rng: np.random.Generator) -> np.ndarray:
+        # the batch body's row on plain floats.  Three calls stay numpy for
+        # their bits: np.dot sums as np.vecdot does (a fused multiply-add
+        # chain), np.exp may differ from math.exp in the last bit, and
+        # np.interp reads the polar CDF.  exp_map's row sums add left to right.
+        t = _check_time(t)
+        x = np.asarray(x, dtype=float)
+        g = rng.standard_normal(3)
+        gx = float(np.dot(g, x))
+        (g0, g1, g2), (x0, x1, x2) = g.tolist(), x.tolist()
+        v0, v1, v2 = g0 - gx * x0, g1 - gx * x1, g2 - gx * x2
+        if t < SPHERE_SEAM_TIME:
+            scale = math.sqrt(t)
+        else:
+            v = np.array([v0, v1, v2])
+            r2 = float(np.dot(v, v))
+            scale = float(np.interp(np.exp(-0.5 * r2), _polar_cdf(t), _POLAR_THETA)) / math.sqrt(r2)
+        # exp_map of the step scale * v at x
+        w0, w1, w2 = scale * v0, scale * v1, scale * v2
+        angle = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+        cos, sin = math.cos(angle), math.sin(angle)
+        o0, o1, o2 = cos * x0 + sin * (w0 / angle), cos * x1 + sin * (w1 / angle), cos * x2 + sin * (w2 / angle)
+        norm = math.sqrt(o0 * o0 + o1 * o1 + o2 * o2)
+        return np.array([o0 / norm, o1 / norm, o2 / norm])
 
     def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
         t = _check_time(t)

@@ -231,8 +231,8 @@ def generate_dataset(
     x_i from the heat kernel at time sigma2 around f0(t_i)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if sigma2 <= 0.0:
-        raise ValueError("sigma2 must be positive")
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     ts = density.sample(n, rng)
     centers = eval_path_like(f0, ts, m)
     points = m.sample_heat_kernel_many(sigma2, centers, rng)

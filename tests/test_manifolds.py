@@ -452,9 +452,13 @@ def test_distance_pairwise_matches_scalar():
         assert_allclose(batch, singles, rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
-@pytest.mark.parametrize("t", [5e-5, 2.5e-4, 0.05, 0.1, 2.0])
-def test_single_point_forms_match_broadcast_bodies(kind, t):
+@pytest.mark.parametrize(
+    "t, kind",
+    [(t, kind) for t in [5e-5, 2.5e-4, 0.05, 0.1, 2.0] for kind in ["circle", "sphere", "torus"]]
+    # the sphere's draw switches from a tangent Gaussian to the polar CDF at the seam
+    + [(math.nextafter(SPHERE_SEAM_TIME, 0.0), "sphere"), (SPHERE_SEAM_TIME, "sphere")],
+)
+def test_single_point_forms_match_broadcast_bodies(t, kind):
     # heat_kernel and sample_heat_kernel are the single-point forms of the
     # one broadcasting body each, so they agree with it bit for bit
     m = make_manifold(kind)
@@ -515,8 +519,29 @@ def test_many_draws_keep_the_sequential_stream(kind, t):
     batch_rng, single_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     batch = m.sample_heat_kernel_many(t, centers, batch_rng)
     singles = np.stack([m.sample_heat_kernel(t, c, single_rng) for c in centers])
-    assert_allclose(batch, singles, rtol=0, atol=1e-15)
+    assert np.array_equal(batch, singles)
     assert batch_rng.uniform() == single_rng.uniform()
+
+
+def test_float_draw_premises_hold_bit_for_bit():
+    # Sphere.sample_heat_kernel equals its batch row only while each of these
+    # holds on the host's numpy and libm; a failure here names the premise
+    # that broke, where the draw tests would only show a differing point
+    rng = np.random.default_rng(83)
+    n = 4000
+    g = rng.standard_normal((n, 3))
+    x = Sphere().sample_uniform_many(n, rng)
+    rows = np.vecdot(g, x)
+    assert all(np.dot(a, b) == r for a, b, r in zip(g, x, rows)), "np.dot of 3-vectors is not the np.vecdot row"
+    squares = (g * g).sum(axis=-1)
+    assert [a * a + b * b + c * c for a, b, c in g.tolist()] == squares.tolist(), "a row sum does not add left to right"
+    half = -0.5 * squares
+    assert [float(np.exp(a)) for a in half.tolist()] == np.exp(half).tolist(), "np.exp of a float is not the array np.exp"
+    angles = np.concatenate([rng.uniform(0.0, math.pi, n), np.exp(rng.uniform(math.log(1e-6), 0.0, n))])
+    assert list(map(math.cos, angles.tolist())) == np.cos(angles).tolist(), "math.cos is not np.cos"
+    assert list(map(math.sin, angles.tolist())) == np.sin(angles).tolist(), "math.sin is not np.sin"
+    roots = np.concatenate([squares, 1.0 + 1e-12 * rng.standard_normal(n)])
+    assert list(map(math.sqrt, roots.tolist())) == np.sqrt(roots).tolist(), "math.sqrt is not np.sqrt"
 
 
 @pytest.mark.parametrize("t", [5e-5, 2.5e-4])

@@ -315,3 +315,13 @@ def test_generate_dataset_validation():
         generate_dataset(lambda t: 0.0, 0, 0.1, PredictorDensity.uniform(), m, np.random.default_rng(0))
     with pytest.raises(ValueError):
         generate_dataset(lambda t: 0.0, 5, 0.0, PredictorDensity.uniform(), m, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("sigma2", [math.nan, math.inf])
+def test_generate_dataset_rejects_a_non_finite_sigma2(sigma2):
+    # rejected at the boundary, before any predictor time is drawn
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="sigma2 must be positive and finite"):
+        generate_dataset(lambda t: 0.0, 5, sigma2, PredictorDensity.uniform(), Circle(), rng)
+    assert rng.bit_generator.state == state

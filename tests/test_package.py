@@ -39,12 +39,12 @@ def test_benchmark_microbenchmarks_run(tmp_path):
     assert json.loads(out.read_text())
 
 
-@pytest.mark.parametrize("kind", ["circle", "torus"])
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
 def test_benchmark_traced_fit_counts_every_knot_update(tmp_path, kind):
     # the traced benchmark pass counts a knot update per sample_heat_kernel
-    # span directly under the Metropolis loop, the circle's and the torus's own
-    # one-centre draws included; drawing a block's proposals in one call would
-    # leave it none to count, and the benchmark run would fail
+    # span directly under the Metropolis loop, each manifold's own one-centre
+    # draw included; drawing a block's proposals in one call would leave it
+    # none to count, and the benchmark run would fail
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     launch = [sys.executable, str(bench / "launch.py")]
     generate = ["generate", "--manifold", kind, "--n", "30", "--sigma2", "0.1", "--seed", "3", "--out", "data.csv"]
