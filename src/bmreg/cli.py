@@ -22,7 +22,7 @@ from bmreg.data import Dataset
 from bmreg.experiments import (
     CONTRACT_DEFAULTS,
     CSV_HEADER,
-    DEFAULTS,
+    ExperimentCell,
     ExperimentResult,
     comparison_cells,
     default_truth,
@@ -73,12 +73,12 @@ class ConfigError(ValueError):
 class RunConfig:
     """Every run-command option: its type, its default, and its checks."""
 
-    manifold: str = DEFAULTS["manifold"]
-    method: str = "dbm"
-    n: int = DEFAULTS["n"]
-    sigma2: float = DEFAULTS["sigma2"]
+    manifold: str = ExperimentCell.manifold
+    method: str = ExperimentCell.method
+    n: int = ExperimentCell.n
+    sigma2: float = ExperimentCell.sigma2
     marginal_A: float | None = None
-    c: float = DEFAULTS["c"]
+    c: float = ExperimentCell.c
     grid_K: int | None = None
     rate_epsilon: float | None = None
     seed: int = 0
@@ -144,7 +144,15 @@ class RunConfig:
             return K
         if self.grid_K is not None:
             return self.grid_K
-        return DEFAULTS["K"]
+        return ExperimentCell.K
+
+    def cell(self, **changes) -> ExperimentCell:
+        """The experiment cell of these options with changes applied; K is segments of the cell's n."""
+        n = changes.pop("n", self.n)
+        return ExperimentCell(
+            method=self.method, manifold=self.manifold, n=n, K=self.segments(n), c=self.c, sigma2=self.sigma2,
+            marginal_bound=self.marginal_A, anneal=self.anneal, **changes,
+        )
 
 
 # the options by name; each annotation reads "<type>[ | list][ | None]"
@@ -261,13 +269,12 @@ def cmd_fit(cfg: RunConfig, dataset_path: str) -> int:
         data = Dataset.load_csv(dataset_path, cfg.manifold)
         if cfg.method == "ker":
             bandwidth_rule(data.ts)  # fails on fewer than two times or a zero spread
+        # the rate rule fails on fewer than two observations
+        cell = cfg.cell(n=data.n, run_id=f"fit-{cfg.method}-seed{cfg.seed}", seed=cfg.seed)
     except (OSError, ValueError) as exc:  # ValueError includes EmptyDatasetError
         raise ConfigError(f"cannot read dataset: {exc}") from exc
     out = cfg.out or "fit.json"
-    row, fitted, fit = fit_and_score(
-        f"fit-{cfg.method}-seed{cfg.seed}", cfg.method, data, cfg.sigma2, cfg.marginal_A, cfg.segments(data.n), cfg.c,
-        cfg.seed, cfg.anneal,
-    )
+    row, fitted, fit = fit_and_score(cell, data)
     if fit is not None:
         payload = fit.to_dict()
     else:
@@ -287,18 +294,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     """compare dbm, cbm, ker and const on shared datasets"""
     out = cfg.out or "comparison.csv"
     try:
-        cells = comparison_cells(
-            _COMPARE_METHODS,
-            base_seed=cfg.seed,
-            replicates=cfg.replicates,
-            manifold=cfg.manifold,
-            n=cfg.n,
-            K=cfg.segments(cfg.n),
-            c=cfg.c,
-            sigma2=cfg.sigma2,
-            anneal=cfg.anneal,
-            marginal_bound=cfg.marginal_A,
-        )
+        cells = comparison_cells(_COMPARE_METHODS, base_seed=cfg.seed, replicates=cfg.replicates, base=cfg.cell())
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = run_cells(cells, cfg.workers)
@@ -316,20 +312,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("sweep needs --axis and --values")
     out = cfg.out or "sweep.csv"
     try:
-        cells = sweep_cells(
-            cfg.axis,
-            cfg.values,
-            base_seed=cfg.seed,
-            replicates=cfg.replicates,
-            method=cfg.method,
-            manifold=cfg.manifold,
-            n=cfg.n,
-            K=cfg.segments(cfg.n),
-            c=cfg.c,
-            sigma2=cfg.sigma2,
-            anneal=cfg.anneal,
-            marginal_bound=cfg.marginal_A,
-        )
+        cells = sweep_cells(cfg.axis, cfg.values, base_seed=cfg.seed, replicates=cfg.replicates, base=cfg.cell())
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = run_cells(cells, cfg.workers)
@@ -353,10 +336,7 @@ def cmd_contract(cfg: RunConfig) -> int:
             base_seed=cfg.seed,
             replicates=cfg.replicates,
             workers=cfg.workers,
-            manifold=cfg.manifold,
-            sigma2=cfg.sigma2,
-            c=cfg.c,
-            marginal_bound=cfg.marginal_A,
+            base=cfg.cell(),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -36,14 +36,6 @@ from bmreg.metrics import (
 from bmreg.paths import PriorSpec, constant_path
 from bmreg.posterior import KnownVariance, MarginalVariance
 
-# defaults for the harness and the CLI
-DEFAULTS = {
-    "manifold": "circle",
-    "n": 30,
-    "sigma2": 0.1,
-    "K": 40,
-    "c": 0.01,
-}
 # the contraction study's: c = 0.01 over-smooths the sampler, and epsilon
 # sets K by the rate rule
 CONTRACT_DEFAULTS = {"c": 1.0, "epsilon": 0.05}
@@ -96,20 +88,24 @@ def default_truth(kind: str):
 
 @dataclass(frozen=True)
 class ExperimentCell:
-    """One fully seeded unit of work."""
+    """One fit, fully described; the field defaults are the harness's and the CLI's.
 
-    run_id: str
-    manifold: str
-    method: str
-    n: int
-    K: int
-    c: float
-    sigma2: float
-    data_seed: int
-    seed: int
+    The cell builders set run_id and the two seeds: data_seed seeds the
+    generated dataset and seed the fit.
+    """
+
+    method: str = "dbm"
+    manifold: str = "circle"
+    n: int = 30
+    K: int = 40
+    c: float = 0.01
+    sigma2: float = 0.1
     marginal_bound: float | None = None
     anneal: AnnealConfig = AnnealConfig()
     mcmc: McmcConfig | None = None
+    run_id: str = ""
+    data_seed: int = 0
+    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -152,52 +148,41 @@ def default_mcmc_config(n: int, K: int, sigma2: float) -> McmcConfig:
     )
 
 
-def fit_and_score(
-    run_id: str,
-    method: str,
-    data: Dataset,
-    sigma2: float,
-    marginal_bound: float | None,
-    K: int,
-    c: float,
-    seed: int,
-    anneal: AnnealConfig = AnnealConfig(),
-    mcmc: McmcConfig | None = None,
-):
+def fit_and_score(cell: ExperimentCell, data: Dataset):
     """Fit one estimator and score it; returns (result row, fitted object, FitResult or None).
 
-    The noise model is the marginal-variance band of marginal_bound when
-    given, else the known variance sigma2; the generator is default_rng(seed).
-    The fitted object is the estimated path (dbm/cbm/const), the kernel fit
-    callable (ker), or the posterior samples (mcmc, run with the chain
-    settings mcmc, default_mcmc_config when None).  The row's K is the
-    knot-interval count the method used: K_FINE for cbm, 0 for the grid-free
-    ker and const.  l1_error is the mean d_1 distance to default_truth, and
-    runtime_ms times the fit and its scoring.
+    The noise model is the marginal-variance band of cell.marginal_bound
+    when given, else the known variance cell.sigma2; the generator is
+    default_rng(cell.seed).  The fitted object is the estimated path
+    (dbm/cbm/const), the kernel fit callable (ker), or the posterior samples
+    (mcmc, run with the chain settings cell.mcmc, default_mcmc_config when
+    None).  The row's K is the knot-interval count the method used: K_FINE
+    for cbm, 0 for the grid-free ker and const.  l1_error is the mean d_1
+    distance to default_truth, and runtime_ms times the fit and its scoring.
     """
     m = data.manifold()
     f0 = default_truth(data.manifold_kind)
-    sigma = MarginalVariance(marginal_bound) if marginal_bound is not None else KnownVariance(sigma2)
-    rng = np.random.default_rng(seed)
+    sigma = MarginalVariance(cell.marginal_bound) if cell.marginal_bound is not None else KnownVariance(cell.sigma2)
+    rng = np.random.default_rng(cell.seed)
     start = time.perf_counter()
-    fit = None
+    method, K, fit = cell.method, cell.K, None
     if method in ("dbm", "cbm"):
         K = K_FINE if method == "cbm" else K
-        fit = anneal_map(data, sigma, PriorSpec.from_segments(K, c), anneal, m, rng)
+        fit = anneal_map(data, sigma, PriorSpec.from_segments(K, cell.c), cell.anneal, m, rng)
         fitted = fit.path
     elif method == "ker":
         fitted, K = KernelFit.from_rule(data), 0
     elif method == "const":
         fitted, K = constant_path(m, frechet_mean_weighted(data.points, np.ones(data.n), m)), 0
     elif method == "mcmc":
-        mcmc = mcmc or default_mcmc_config(data.n, K, sigma2)
-        fitted = mh_sample(data, sigma, PriorSpec.from_segments(K, c), mcmc, m, rng)
+        mcmc = cell.mcmc or default_mcmc_config(data.n, K, cell.sigma2)
+        fitted = mh_sample(data, sigma, PriorSpec.from_segments(K, cell.c), mcmc, m, rng)
     else:
         raise ValueError(f"unknown method {method!r}")
     scored = fitted if method == "mcmc" else [fitted]
     error = float(np.mean(dq_distances(scored, f0, 1.0, PredictorDensity.uniform(), m)))
     runtime_ms = int(round((time.perf_counter() - start) * 1000.0))
-    row = ExperimentResult(run_id, method, data.n, K, c, sigma2, seed, error, runtime_ms)
+    row = ExperimentResult(cell.run_id, method, data.n, K, cell.c, cell.sigma2, cell.seed, error, runtime_ms)
     return row, fitted, fit
 
 
@@ -205,10 +190,7 @@ def run_cell(cell: ExperimentCell):
     """Run one cell on its generated dataset; returns (result row, fitted object of fit_and_score)."""
     m, rng = make_manifold(cell.manifold), np.random.default_rng(cell.data_seed)
     data = generate_dataset(default_truth(cell.manifold), cell.n, cell.sigma2, PredictorDensity.uniform(), m, rng)
-    row, fitted, _ = fit_and_score(
-        cell.run_id, cell.method, data, cell.sigma2, cell.marginal_bound, cell.K, cell.c, cell.seed,
-        cell.anneal, cell.mcmc,
-    )
+    row, fitted, _ = fit_and_score(cell, data)
     return row, fitted
 
 
@@ -233,45 +215,22 @@ def run_cells(cells, workers: int = 1):
         return list(pool.map(_run_cell_row, cells))
 
 
-def _cell(
-    method, manifold, n, K, c, sigma2, base_seed, axis_index, replicate, marginal_bound,
-    anneal: AnnealConfig = AnnealConfig(),
-    mcmc: McmcConfig | None = None,
-) -> ExperimentCell:
-    """A cell with its run id and its two seeds derived from the arguments."""
-    if method == "ker" and n < 2:
-        raise ValueError(f"ker needs at least two observations, got n={n}")
-    return ExperimentCell(
-        run_id=f"{method}-n{n}-K{K}-c{repr(float(c))}-r{replicate}",
-        manifold=manifold,
-        method=method,
-        n=n,
-        K=K,
-        c=c,
-        sigma2=sigma2,
-        data_seed=dataset_seed(base_seed, n, replicate),
+def _seeded(cell: ExperimentCell, base_seed: int, axis_index: int, replicate: int) -> ExperimentCell:
+    """The cell with its run id and its two seeds derived from its fields and the arguments."""
+    if cell.method == "ker" and cell.n < 2:
+        raise ValueError(f"ker needs at least two observations, got n={cell.n}")
+    return replace(
+        cell,
+        run_id=f"{cell.method}-n{cell.n}-K{cell.K}-c{repr(float(cell.c))}-r{replicate}",
+        data_seed=dataset_seed(base_seed, cell.n, replicate),
         seed=fit_seed(base_seed, axis_index, replicate),
-        marginal_bound=marginal_bound,
-        anneal=anneal,
-        mcmc=mcmc,
     )
 
 
-def comparison_cells(
-    methods,
-    base_seed: int,
-    replicates: int,
-    manifold: str = DEFAULTS["manifold"],
-    n: int = DEFAULTS["n"],
-    K: int = DEFAULTS["K"],
-    c: float = DEFAULTS["c"],
-    sigma2: float = DEFAULTS["sigma2"],
-    anneal: AnnealConfig = AnnealConfig(),
-    marginal_bound: float | None = None,
-):
-    """Cells comparing methods on shared per-replicate datasets."""
+def comparison_cells(methods, base_seed: int, replicates: int, base: ExperimentCell = ExperimentCell()):
+    """Cells of base comparing methods on shared per-replicate datasets."""
     return [
-        _cell(method, manifold, n, K, c, sigma2, base_seed, 0, replicate, marginal_bound, anneal=anneal)
+        _seeded(replace(base, method=method), base_seed, 0, replicate)
         for replicate in range(replicates)
         for method in methods
     ]
@@ -282,21 +241,8 @@ SWEEP_AXES = ("c", "K", "n")
 _IGNORED_AXES = {"cbm": ("K",), "ker": ("K", "c"), "const": ("K", "c")}
 
 
-def sweep_cells(
-    axis: str,
-    values,
-    base_seed: int,
-    replicates: int,
-    method: str = "dbm",
-    manifold: str = DEFAULTS["manifold"],
-    n: int = DEFAULTS["n"],
-    K: int = DEFAULTS["K"],
-    c: float = DEFAULTS["c"],
-    sigma2: float = DEFAULTS["sigma2"],
-    anneal: AnnealConfig = AnnealConfig(),
-    marginal_bound: float | None = None,
-):
-    """One cell per (axis value, replicate), datasets paired across values."""
+def sweep_cells(axis: str, values, base_seed: int, replicates: int, base: ExperimentCell = ExperimentCell()):
+    """One cell of base per (axis value, replicate), datasets paired across values."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
     values = list(values)
@@ -308,21 +254,14 @@ def sweep_cells(
         raise ValueError(f"c values must be finite and > 0, got {values}")
     if axis in ("K", "n") and min(values) < 1:
         raise ValueError(f"{axis} values must be >= 1, got {values}")
-    if axis in _IGNORED_AXES.get(method, ()):
-        raise ValueError(f"method {method} does not read {axis}; sweep an axis it reads")
-    cells = []
-    for index, value in enumerate(values):
-        cell_n = int(value) if axis == "n" else n
-        cell_k = int(value) if axis == "K" else K
-        cell_c = float(value) if axis == "c" else c
-        for replicate in range(replicates):
-            cells.append(
-                _cell(
-                    method, manifold, cell_n, cell_k, cell_c, sigma2, base_seed, index, replicate, marginal_bound,
-                    anneal=anneal,
-                )
-            )
-    return cells
+    if axis in _IGNORED_AXES.get(base.method, ()):
+        raise ValueError(f"method {base.method} does not read {axis}; sweep an axis it reads")
+    kind = float if axis == "c" else int
+    return [
+        _seeded(replace(base, **{axis: kind(value)}), base_seed, index, replicate)
+        for index, value in enumerate(values)
+        for replicate in range(replicates)
+    ]
 
 
 @dataclass(frozen=True)
@@ -345,23 +284,17 @@ def contract_cells(
     epsilon: float,
     base_seed: int,
     replicates: int,
-    manifold: str = DEFAULTS["manifold"],
-    sigma2: float = DEFAULTS["sigma2"],
-    c: float = CONTRACT_DEFAULTS["c"],
-    mcmc: McmcConfig | None = None,
-    marginal_bound: float | None = None,
+    base: ExperimentCell = ExperimentCell(c=CONTRACT_DEFAULTS["c"]),
 ):
-    """Cells for the posterior contraction study, K set by the rate rule."""
+    """mcmc cells of base for the posterior contraction study, K set by the rate rule."""
     n_values = [int(v) for v in n_values]
     if len(n_values) < 3 or len(set(n_values)) != len(n_values):
         raise ValueError(f"need at least three distinct sample sizes, got {n_values}")
     cells = []
     for index, n in enumerate(n_values):
         K, _ = theorem_rate_sidelength(n, epsilon)
-        for replicate in range(replicates):
-            cells.append(
-                _cell("mcmc", manifold, n, K, c, sigma2, base_seed, index, replicate, marginal_bound, mcmc=mcmc)
-            )
+        cell = replace(base, method="mcmc", n=n, K=K)
+        cells.extend(_seeded(cell, base_seed, index, replicate) for replicate in range(replicates))
     return cells
 
 
@@ -371,9 +304,9 @@ def run_contract(
     base_seed: int,
     replicates: int,
     workers: int = 1,
-    **kwargs,
+    base: ExperimentCell = ExperimentCell(c=CONTRACT_DEFAULTS["c"]),
 ) -> ContractReport:
-    cells = contract_cells(n_values, epsilon, base_seed, replicates, **kwargs)
+    cells = contract_cells(n_values, epsilon, base_seed, replicates, base)
     rows = run_cells(cells, workers)
     per_n = []
     for n in (int(v) for v in n_values):

@@ -13,7 +13,7 @@ import pytest
 from bmreg import cli, experiments
 from bmreg.cli import main
 from bmreg.data import Dataset
-from bmreg.experiments import DEFAULTS, ContractReport, ExperimentCell, ExperimentResult, run_cell
+from bmreg.experiments import ContractReport, ExperimentCell, ExperimentResult, run_cell
 from bmreg.inference import AnnealConfig
 from bmreg.kernel_regression import bandwidth_rule
 from bmreg.manifolds import Circle, Sphere, Torus
@@ -162,6 +162,13 @@ class TestFit:
         assert "cannot read dataset" in capsys.readouterr().err
         assert not (workdir / "f.json").exists()
 
+    def test_rate_rule_on_one_observation_is_config_error(self, workdir, capsys):
+        (workdir / "one.csv").write_text("t,coord1\n0.5,0.3\n")
+        argv = ["fit", "one.csv", "--method", "dbm", "--rate-epsilon", "0.1", "--out", "f.json"]
+        assert run_cli(*argv) == 2
+        assert "cannot read dataset: need n >= 2" in capsys.readouterr().err
+        assert not (workdir / "f.json").exists()
+
 
 class TestFitMatchesHarness:
     @pytest.mark.parametrize("method", ["dbm", "cbm", "ker"])
@@ -173,8 +180,8 @@ class TestFitMatchesHarness:
         fields = read(workdir / "f.csv").strip().splitlines()[1].split(",")
         row, _ = run_cell(
             ExperimentCell(
-                run_id="cell", manifold="torus", method=method, n=20, K=6, c=DEFAULTS["c"],
-                sigma2=DEFAULTS["sigma2"], data_seed=11, seed=13,
+                run_id="cell", manifold="torus", method=method, n=20, K=6, c=ExperimentCell.c,
+                sigma2=ExperimentCell.sigma2, data_seed=11, seed=13,
                 anneal=AnnealConfig(cooling_factor=0.5, steps_per_temperature=100),
             )
         )
@@ -274,7 +281,7 @@ class TestContract:
         seen = []
 
         def fake_run_contract(n_values, epsilon, **kwargs):
-            seen.append(kwargs["c"])
+            seen.append(kwargs["base"].c)
             return ContractReport(rows=(), per_n=(), slope=0.0)
 
         monkeypatch.setattr(cli, "run_contract", fake_run_contract)
@@ -291,7 +298,7 @@ class TestMarginalBound:
         seen = []
 
         def fake_run_cells(cells, workers=1):
-            seen.append([cell.marginal_bound for cell in cells])
+            seen.append(list(cells))
             return [
                 ExperimentResult(cell.run_id, cell.method, cell.n, cell.K, cell.c, cell.sigma2, cell.seed, 0.5, 0)
                 for cell in cells
@@ -304,7 +311,26 @@ class TestMarginalBound:
         assert run_cli("sweep", "--axis", "c", "--values", "0.01,0.1", *bound) == 0
         assert run_cli("contract", "--n-values", "50,100,200", *bound) == 0
         assert [len(cells) for cells in seen] == [4, 2, 3]
-        assert all(b == 3.0 for cells in seen for b in cells)
+        assert all(cell.marginal_bound == 3.0 for cells in seen for cell in cells)
+
+        # every other option the command takes reaches every cell too
+        seen.clear()
+        common = ["--manifold", "torus", "--sigma2", "0.2", "--c", "0.3", "--replicates", "1"]
+        schedule = ["--anneal-t0", "2.0", "--anneal-cool", "0.5", "--anneal-steps", "7"]
+        anneal = AnnealConfig(initial_temperature=2.0, cooling_factor=0.5, steps_per_temperature=7)
+        assert run_cli("compare", *common, "--n", "12", "--grid-K", "9", *schedule) == 0
+        assert run_cli("sweep", "--axis", "n", "--values", "20,40", "--method", "cbm", *common, "--grid-K", "9",
+                       *schedule) == 0
+        assert run_cli("contract", "--n-values", "50,100,200", *common, "--rate-epsilon", "0.1") == 0
+        compare, sweep, contract = seen
+        assert [(cell.method, cell.n) for cell in compare] == [("dbm", 12), ("cbm", 12), ("ker", 12), ("const", 12)]
+        assert [(cell.method, cell.n) for cell in sweep] == [("cbm", 20), ("cbm", 40)]
+        assert [(cell.method, cell.n, cell.K) for cell in contract] == [("mcmc", 50, 3), ("mcmc", 100, 4),
+                                                                         ("mcmc", 200, 5)]
+        for cell in compare + sweep + contract:
+            assert (cell.manifold, cell.sigma2, cell.c, cell.marginal_bound) == ("torus", 0.2, 0.3, None)
+        for cell in compare + sweep:
+            assert (cell.K, cell.anneal) == (9, anneal)
 
 
 class TestIgnoredOption:
@@ -573,7 +599,7 @@ class TestConfigFile:
     def test_null_leaves_the_default(self, workdir):
         (workdir / "cfg.json").write_text(json.dumps({"n": None, "out": "c.csv"}))
         assert run_cli("generate", "--config", "cfg.json") == 0
-        assert Dataset.load_csv(str(workdir / "c.csv"), "circle").n == experiments.DEFAULTS["n"]
+        assert Dataset.load_csv(str(workdir / "c.csv"), "circle").n == ExperimentCell.n
 
     def test_number_lists_from_json_lists(self, workdir, monkeypatch):
         seen = []

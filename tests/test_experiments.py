@@ -8,6 +8,7 @@ import pytest
 
 import bmreg.experiments as experiments
 from bmreg.experiments import (
+    CONTRACT_DEFAULTS,
     CSV_HEADER,
     ContractReport,
     ExperimentCell,
@@ -118,8 +119,8 @@ class TestCellBuilders:
     def test_sweep_rejects_an_axis_the_method_never_reads(self, method, axis):
         # cbm fits on K_FINE intervals and ker and const on no grid, so every row would share one value
         with pytest.raises(ValueError, match=f"does not read {axis}"):
-            sweep_cells(axis, [1, 40], base_seed=1, replicates=1, method=method)
-        assert len(sweep_cells("n", [20, 40], base_seed=1, replicates=1, method=method)) == 2
+            sweep_cells(axis, [1, 40], base_seed=1, replicates=1, base=ExperimentCell(method=method))
+        assert len(sweep_cells("n", [20, 40], base_seed=1, replicates=1, base=ExperimentCell(method=method))) == 2
 
     def test_comparison_shares_everything_but_method(self):
         cells = comparison_cells(["dbm", "ker"], base_seed=3, replicates=2)
@@ -141,12 +142,52 @@ class TestCellBuilders:
             with pytest.raises(ValueError, match="three distinct sample sizes"):
                 contract_cells(sizes, epsilon=0.05, base_seed=1, replicates=1)
 
+    def test_builders_keep_their_run_ids_and_seeds(self):
+        # literal (run_id, method, n, K, c, data_seed, seed) per cell: a drift in the axis index, the seed
+        # mixing or the run-id format changes every seeded output
+        def pinned(cells):
+            assert all(type(cell.n) is int and type(cell.K) is int and type(cell.c) is float for cell in cells)
+            return [(cell.run_id, cell.method, cell.n, cell.K, cell.c, cell.data_seed, cell.seed) for cell in cells]
+
+        assert pinned(comparison_cells(["dbm", "ker"], 3, 2)) == [
+            ("dbm-n30-K40-c0.01-r0", "dbm", 30, 40, 0.01, 14294412761959421209, 14162537592610709860),
+            ("ker-n30-K40-c0.01-r0", "ker", 30, 40, 0.01, 14294412761959421209, 14162537592610709860),
+            ("dbm-n30-K40-c0.01-r1", "dbm", 30, 40, 0.01, 12062097354991831800, 16394852999578299269),
+            ("ker-n30-K40-c0.01-r1", "ker", 30, 40, 0.01, 12062097354991831800, 16394852999578299269),
+        ]
+        assert pinned(sweep_cells("c", [0.05, 5], 7, 2)) == [
+            ("dbm-n30-K40-c0.05-r0", "dbm", 30, 40, 0.05, 2949250078490400029, 12621519705464921952),
+            ("dbm-n30-K40-c0.05-r1", "dbm", 30, 40, 0.05, 716934671522810620, 14853835112432511361),
+            ("dbm-n30-K40-c5.0-r0", "dbm", 30, 40, 5.0, 2949250078490400029, 18313530633565599649),
+            ("dbm-n30-K40-c5.0-r1", "dbm", 30, 40, 5.0, 716934671522810620, 16081215226598010240),
+        ]
+        assert pinned(sweep_cells("K", [1.0, 40], 7, 2)) == [
+            ("dbm-n30-K1-c0.01-r0", "dbm", 30, 1, 0.01, 2949250078490400029, 12621519705464921952),
+            ("dbm-n30-K1-c0.01-r1", "dbm", 30, 1, 0.01, 716934671522810620, 14853835112432511361),
+            ("dbm-n30-K40-c0.01-r0", "dbm", 30, 40, 0.01, 2949250078490400029, 18313530633565599649),
+            ("dbm-n30-K40-c0.01-r1", "dbm", 30, 40, 0.01, 716934671522810620, 16081215226598010240),
+        ]
+        assert pinned(sweep_cells("n", [20.0, 40], 7, 2)) == [
+            ("dbm-n20-K40-c0.01-r0", "dbm", 20, 40, 0.01, 5690672657305437079, 12621519705464921952),
+            ("dbm-n20-K40-c0.01-r1", "dbm", 20, 40, 0.01, 3458357250337847670, 14853835112432511361),
+            ("dbm-n40-K40-c0.01-r0", "dbm", 40, 40, 0.01, 8850426777061681323, 18313530633565599649),
+            ("dbm-n40-K40-c0.01-r1", "dbm", 40, 40, 0.01, 6618111370094091914, 16081215226598010240),
+        ]
+        assert pinned(contract_cells([50, 100, 200], 0.05, 1, 2)) == [
+            ("mcmc-n50-K5-c1.0-r0", "mcmc", 50, 5, 1.0, 11200812780512697399, 6086808449720027622),
+            ("mcmc-n50-K5-c1.0-r1", "mcmc", 50, 5, 1.0, 8968497373545107990, 8319123856687617031),
+            ("mcmc-n100-K6-c1.0-r0", "mcmc", 100, 6, 1.0, 1303218880302757473, 11778819377820705319),
+            ("mcmc-n100-K6-c1.0-r1", "mcmc", 100, 6, 1.0, 17517647547044719680, 9546503970853115910),
+            ("mcmc-n200-K8-c1.0-r0", "mcmc", 200, 8, 1.0, 7297844682760745421, 13149530667228223844),
+            ("mcmc-n200-K8-c1.0-r1", "mcmc", 200, 8, 1.0, 5065529275793156012, 15381846074195813253),
+        ]
+
     def test_ker_cell_needs_two_observations(self):
         with pytest.raises(ValueError, match="ker needs at least two observations, got n=1"):
-            comparison_cells(["dbm", "ker"], base_seed=1, replicates=1, n=1)
+            comparison_cells(["dbm", "ker"], base_seed=1, replicates=1, base=ExperimentCell(n=1))
         with pytest.raises(ValueError, match="ker needs at least two observations, got n=1"):
-            sweep_cells("n", [1, 30], base_seed=1, replicates=1, method="ker")
-        assert len(comparison_cells(["dbm", "cbm", "const"], base_seed=1, replicates=1, n=1)) == 3
+            sweep_cells("n", [1, 30], base_seed=1, replicates=1, base=ExperimentCell(method="ker"))
+        assert len(comparison_cells(["dbm", "cbm", "const"], base_seed=1, replicates=1, base=ExperimentCell(n=1))) == 3
 
 
 class TestRunCell:
@@ -314,7 +355,7 @@ class TestContract:
             epsilon=0.05,
             base_seed=11,
             replicates=1,
-            mcmc=FAST_MCMC,
+            base=ExperimentCell(c=CONTRACT_DEFAULTS["c"], mcmc=FAST_MCMC),
         )
         report = run_contract(**kwargs)
         again = run_contract(**kwargs)
