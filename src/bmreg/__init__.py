@@ -40,7 +40,6 @@ from bmreg.metrics import (
     dq_distances,
     generate_dataset,
     knot_total_variation,
-    l1_error,
     theorem_rate_sidelength,
 )
 from bmreg.paths import (
@@ -89,7 +88,6 @@ __all__ = [
     "generate_dataset",
     "init_state",
     "knot_total_variation",
-    "l1_error",
     "log_likelihood",
     "log_posterior",
     "log_prior",

@@ -34,6 +34,8 @@ from bmreg.paths import PiecewiseGeodesicPath
 CHECK_TIMES = (0.05, 0.1, 0.5, 2.0)
 # the log-kernel check reaches down to the prior steps and proposals
 CHECK_LOG_TIMES = (1e-5, 5e-5, 2.5e-4, 1e-3, 0.05, 0.1)
+# a time at which every kernel is flat, -log(volume)
+CHECK_FLAT_TIME = 1e300
 # (manifold, t, gap, log p_t) from 50-digit references: the image sum on the
 # circle, the Mehler-Dirichlet integral of the Legendre series on the sphere
 FROZEN_LOG_KERNELS = (
@@ -108,8 +110,7 @@ def check_symmetry() -> CheckResult:
     worst = 0.0
     for m in _manifolds():
         for _ in range(25):
-            x = m.sample_uniform(rng)
-            y = m.sample_uniform(rng)
+            x, y = m.sample_uniform_many(2, rng)
             t = float(rng.uniform(0.05, 2.0))
             worst = max(worst, abs(m.heat_kernel(t, x, y) - m.heat_kernel(t, y, x)))
     return CheckResult("symmetry", worst == 0.0, f"max asymmetry {worst:.3e}")
@@ -148,7 +149,9 @@ def check_log_kernels() -> CheckResult:
     - torus: the sum of that two-image form over both axes, likewise;
     - sphere: log of the Legendre series where gamma^2/(2t) <= 20, within
       1e-6; the expansion everywhere, within 0.03 t + 1e-6;
-    - the frozen references, within 0.03 t + 1e-6.
+    - the frozen references, within 0.03 t + 1e-6;
+    - at CHECK_FLAT_TIME, the eigenfunction sum on the circle and the torus
+      and the Legendre series on the sphere, within 1e-14.
     """
     gaps = np.linspace(0.0, math.pi, 65)
     finite = True
@@ -177,6 +180,12 @@ def check_log_kernels() -> CheckResult:
         got = _log_kernel_at(kind, t, np.array([gap]))
         finite = finite and bool(np.all(np.isfinite(got)))
         score(got, want, 0.03 * t + 1e-6)
+    eigen = np.log(circle_heat_eigen(gaps, CHECK_FLAT_TIME))
+    series = np.log(sphere_heat_series(np.cos(gaps), CHECK_FLAT_TIME))
+    for kind, want in (("circle", eigen), ("torus", eigen + eigen[::-1]), ("sphere", series)):
+        got = _log_kernel_at(kind, CHECK_FLAT_TIME, gaps)
+        finite = finite and bool(np.all(np.isfinite(got)))
+        score(got, want, 1e-14)
     return CheckResult(
         "log-kernels", finite and worst <= 1.0, f"max error / tolerance {worst:.3g}, all finite: {finite}"
     )

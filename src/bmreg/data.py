@@ -47,10 +47,12 @@ class Dataset:
             raise ValueError("observation times and points must be finite")
         if np.min(self.ts) < 0.0 or np.max(self.ts) > 1.0:
             raise ValueError("observation times must lie in [0, 1]")
-        cols = _coord_columns(self.manifold_kind)
-        got = 1 if self.points.ndim == 1 else self.points.shape[1]
+        shape = make_manifold(self.manifold_kind).point_shape
+        cols, got = math.prod(shape), math.prod(self.points.shape[1:])
         if got != cols:
             raise ValueError(f"{self.manifold_kind} points need {cols} coordinates, got {got}")
+        # (n, 1) circle points become (n,): every body broadcasts on (n, *point_shape)
+        self.points = self.points.reshape(len(self.ts), *shape)
         # a sphere point's norm may be off 1 by at most 1e-6
         if self.manifold_kind == "sphere" and np.any(np.abs(np.linalg.norm(self.points, axis=1) - 1.0) > 1e-6):
             raise ValueError("sphere points must be unit vectors")
@@ -94,8 +96,6 @@ class Dataset:
         points = np.array([[float(v) for v in r[1:]] for r in body])
         if points.shape[1] != cols:
             raise ValueError("wrong coordinate count in dataset rows")
-        if cols == 1:
-            points = points[:, 0]
         return Dataset(manifold_kind, ts, points)
 
     @staticmethod

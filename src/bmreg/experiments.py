@@ -154,7 +154,7 @@ def fit_and_score(cell: ExperimentCell, data: Dataset):
     The noise model is the marginal-variance band of cell.marginal_bound
     when given, else the known variance cell.sigma2; the generator is
     default_rng(cell.seed).  The fitted object is the estimated path
-    (dbm/cbm/const), the kernel fit callable (ker), or the posterior samples
+    (dbm/cbm/const), the kernel fit (ker), or the posterior samples
     (mcmc, run with the chain settings cell.mcmc, default_mcmc_config when
     None).  The row's K is the knot-interval count the method used: K_FINE
     for cbm, 0 for the grid-free ker and const.  l1_error is the mean d_1

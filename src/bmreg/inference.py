@@ -25,7 +25,6 @@ running deltas), and the reported totals are full sums of the cached terms.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -119,9 +118,6 @@ class FitResult:
             "acceptance_rate": float(self.acceptance_rate),
             "trace_subsampled": [[int(i), float(self.trace[j][1])] for i, j in zip(keep, blocks)],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 @dataclass

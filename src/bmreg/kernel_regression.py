@@ -94,7 +94,7 @@ def frechet_mean_weighted(
 
 @dataclass(frozen=True)
 class KernelFit:
-    """A dataset with its bandwidth; callable as an estimated function of t."""
+    """A dataset with its bandwidth; at_many evaluates the estimate at an array of times."""
 
     bandwidth: float
     data: Dataset
@@ -108,11 +108,13 @@ class KernelFit:
     def from_rule(data: Dataset) -> "KernelFit":
         return KernelFit(bandwidth_rule(data.ts), data)
 
-    def __call__(self, t: float):
-        """Nadaraya-Watson estimate at time t: the one-time form of at_many."""
-        return self.at_many([t])[0]
-
     def at_many(self, ts) -> np.ndarray:
         """Estimates at an array of times: one weight row per time, one batched Frechet mean."""
-        weights = np.exp(-0.5 * ((np.asarray(ts, dtype=float)[:, None] - self.data.ts) / self.bandwidth) ** 2)
+        half_z2 = 0.5 * ((np.asarray(ts, dtype=float)[:, None] - self.data.ts) / self.bandwidth) ** 2
+        weights = np.exp(-half_z2)
+        # a time far from every observation underflows its whole row; the mean
+        # is scale-free per row, so that row's exponents shift by their minimum
+        dead = ~weights.any(axis=1)
+        if dead.any():
+            weights[dead] = np.exp(half_z2[dead].min(axis=1, keepdims=True) - half_z2[dead])
         return frechet_mean_weighted(self.data.points, weights, self._manifold)

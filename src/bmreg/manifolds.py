@@ -8,7 +8,8 @@ Laplace-Beltrami operator contributes exp(-lam * t / 2), so on the circle the
 time-t kernel is the wrapped normal with variance t.  Each manifold has one
 kernel body, log_heat_kernel_pairwise, finite at every t > 0 and every pair;
 heat_kernel_pairwise is its exp.  Sums keep every term down to
-SERIES_TOLERANCE (1e-14), with term counts taken from t, never capped.
+SERIES_TOLERANCE (1e-14), with term counts taken from t, never capped; once
+every term past the constant is below it, the log kernel is -log(volume).
 
 - Circle, all t: the image sum in log form, the k = 0 image in closed form
   plus log1p of the others relative to it, with the gap folded into [0, pi].
@@ -31,7 +32,8 @@ SERIES_TOLERANCE (1e-14), with term counts taken from t, never capped.
   Its log error there is at most 0.026 t; elsewhere the log kernel is
   within about 1e-8 + 0.015 t^2 of a 50-digit reference.
 
-Each manifold has one broadcasting log_map/exp_map pair.  Geodesic
+Each manifold has one broadcasting log_map/exp_map pair; the circle and the
+torus share theirs, and their batch samplers, through AngleManifold.  Geodesic
 interpolation is exp_map(x, s * log_map(x, y)) on every manifold, and the
 sphere's heat-kernel sampler shoots exp_map along a tangent step, so a
 discretized Brownian path is a geodesic random walk.  Each step starts from
@@ -93,6 +95,11 @@ def signed_angle_gap(start, end):
 SERIES_TOLERANCE = 1e-14
 SPHERE_SEAM_TIME = 1e-3
 _LOG_TOL = math.log(1.0 / SERIES_TOLERANCE)
+# From these times on every eigenfunction term past the constant is below
+# SERIES_TOLERANCE relative to it (2 e^{-t/2} on the circle, 3 e^{-t} on the
+# sphere), so the log kernel is -log(volume): t = 65.9 and 33.3
+_CIRCLE_FLAT_TIME = 2.0 * math.log(2.0 / SERIES_TOLERANCE)
+_SPHERE_FLAT_TIME = math.log(3.0 / SERIES_TOLERANCE)
 
 
 def _wrap_float(theta: float) -> float:
@@ -118,9 +125,12 @@ def circle_log_heat(gap, t):
     The gap is folded into [0, pi].  The k = 0 image is kept in closed form,
     -log(2 pi t)/2 - gap^2/(2t), and the others enter relative to it through
     log1p, so nothing underflows.  Images |k| <= K are kept with
-    2 pi^2 K (K + 1) / t >= log(1 / SERIES_TOLERANCE).
+    2 pi^2 K (K + 1) / t >= log(1 / SERIES_TOLERANCE).  From
+    _CIRCLE_FLAT_TIME on the kernel is flat, -log(2 pi).
     """
     t = _check_time(t)
+    if t >= _CIRCLE_FLAT_TIME:
+        return _scalar_or_array(np.full(np.shape(gap), -math.log(TWO_PI)))
     # fmod equals mod bit for bit on nonnegative input, and is faster
     g = np.fmod(np.abs(np.asarray(gap, dtype=float)), TWO_PI)
     g = np.minimum(g, TWO_PI - g)
@@ -157,7 +167,7 @@ def _legendre_coefficients(t: float) -> np.ndarray:
     through the first one past the peak below SERIES_TOLERANCE.
     """
     # l(l+1) t / 2 >= log(1/tol) + log((2l+1)/(4 pi)) holds by this bound
-    ell = np.arange(int(math.sqrt(2.0 * (_LOG_TOL + 0.5 * math.log(1.0 / t) + 5.0) / t)) + 12)
+    ell = np.arange(int(math.sqrt(2.0 * max(_LOG_TOL + 0.5 * math.log(1.0 / t) + 5.0, 0.0) / t)) + 12)
     coefs = (2 * ell + 1) / (4.0 * math.pi) * np.exp(-0.5 * ell * (ell + 1) * t)
     last = np.flatnonzero((ell > np.argmax(coefs)) & (coefs < SERIES_TOLERANCE))[0]
     return coefs[: last + 1]
@@ -278,6 +288,8 @@ def _sphere_log_heat(gamma, t, table) -> np.ndarray:
     g = np.asarray(gamma, dtype=float)
     if t < SPHERE_SEAM_TIME:
         return sphere_log_heat_expansion(g, t)
+    if t >= _SPHERE_FLAT_TIME:
+        return _scalar_or_array(np.full(g.shape, -math.log(4.0 * math.pi)))
     tail = g > sphere_series_edge(t)
     beyond = np.count_nonzero(tail)
     if beyond == g.size:
@@ -299,7 +311,8 @@ def sphere_log_heat(gamma, t):
     Below SPHERE_SEAM_TIME: sphere_log_heat_expansion.  At or above it: the
     log of sphere_heat_series, read from its table for t (_sphere_table), up
     to sphere_series_edge(t), and the expansion beyond it, where the series
-    has lost its digits to cancellation.
+    has lost its digits to cancellation.  From _SPHERE_FLAT_TIME on the kernel
+    is flat, -log(4 pi).
     """
     return _sphere_log_heat(gamma, t, _kernel_table)
 
@@ -308,7 +321,9 @@ class Manifold(ABC):
     """Shared interface: geodesics, heat kernel, sampling, quadrature.
 
     Geodesic operations broadcast: each takes single points or stacked
-    point arrays, and pairs two arrays row by row.
+    point arrays, and pairs two arrays row by row.  Batch draws take stacked
+    centres or a count and return stacked points; heat_kernel and
+    sample_heat_kernel are the single-point forms.
     """
 
     kind: str
@@ -384,10 +399,6 @@ class Manifold(ABC):
     def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
         """Independent draws, one per row of centers."""
 
-    def sample_uniform(self, rng: np.random.Generator):
-        """One draw from the normalized volume measure."""
-        return self.sample_uniform_many(1, rng)[0]
-
     @abstractmethod
     def sample_uniform_many(self, n: int, rng: np.random.Generator):
         """n independent uniform draws, stacked."""
@@ -402,7 +413,27 @@ class Manifold(ABC):
         """
 
 
-class Circle(Manifold):
+class AngleManifold(Manifold):
+    """The circle and the torus, flat products of unit circles: points are
+    angles in [0, 2*pi).  The geodesic maps and the batch draws act per
+    angle, so one body serves both."""
+
+    def log_map(self, xs, ys):
+        return signed_angle_gap(np.asarray(xs, dtype=float), ys)
+
+    def exp_map(self, xs, vs):
+        return wrap_angle(np.asarray(xs, dtype=float) + vs)
+
+    def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
+        t = _check_time(t)
+        centers = self.stack(centers)
+        return wrap_angle(centers + math.sqrt(t) * rng.standard_normal(centers.shape))
+
+    def sample_uniform_many(self, n: int, rng: np.random.Generator):
+        return rng.uniform(0.0, TWO_PI, size=(n, *self.point_shape))
+
+
+class Circle(AngleManifold):
     """Unit circle; points are angles in [0, 2*pi)."""
 
     kind = "circle"
@@ -412,12 +443,6 @@ class Circle(Manifold):
 
     def distance(self, xs, ys):
         return np.abs(signed_angle_gap(np.asarray(xs, dtype=float), ys))
-
-    def log_map(self, xs, ys):
-        return signed_angle_gap(np.asarray(xs, dtype=float), ys)
-
-    def exp_map(self, xs, vs):
-        return wrap_angle(np.asarray(xs, dtype=float) + vs)
 
     # Kernel gaps use |y - x| of the raw difference rather than the signed
     # wrap: subtraction is exactly antisymmetric in floats, so the gap (and
@@ -433,14 +458,6 @@ class Circle(Manifold):
         step = math.sqrt(_check_time(t))
         return _wrap_float(float(x) + step * rng.standard_normal())
 
-    def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
-        t = _check_time(t)
-        centers = np.asarray(centers, dtype=float)
-        return wrap_angle(centers + math.sqrt(t) * rng.standard_normal(centers.shape))
-
-    def sample_uniform_many(self, n: int, rng: np.random.Generator):
-        return rng.uniform(0.0, TWO_PI, size=n)
-
     def quadrature(self, level: int = 0) -> tuple[np.ndarray, np.ndarray]:
         n = 1024 * (2 ** max(level, 0))
         # equal-weight rule on a periodic grid == trapezoid, spectrally accurate
@@ -449,9 +466,9 @@ class Circle(Manifold):
         return points, weights
 
 
-# Row-wise 3-vector helpers.  On the one or few rows of a per-knot proposal,
-# ndarray methods and take beat np.sum, np.linalg.norm and np.cross, whose
-# Python-level set-up dominates there; the bits are the same.
+# Row-wise 3-vector helpers.  On the few rows of a colour block's kernel or
+# interpolation call, ndarray methods and take beat np.sum, np.linalg.norm
+# and np.cross, whose Python-level set-up dominates there; the bits are the same.
 _AXES = np.eye(3)
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
@@ -585,7 +602,7 @@ class Sphere(Manifold):
         return points, weights
 
 
-class Torus(Manifold):
+class Torus(AngleManifold):
     """Flat product of two unit circles; points are angle pairs."""
 
     kind = "torus"
@@ -596,12 +613,6 @@ class Torus(Manifold):
     def distance(self, xs, ys):
         gaps = signed_angle_gap(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
         return np.linalg.norm(gaps, axis=-1)
-
-    def log_map(self, xs, ys):
-        return signed_angle_gap(np.asarray(xs, dtype=float), ys)
-
-    def exp_map(self, xs, vs):
-        return wrap_angle(np.asarray(xs, dtype=float) + vs)
 
     def log_heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
         # As on the circle, gaps are |y - x| per axis so the kernel is bitwise
@@ -616,14 +627,6 @@ class Torus(Manifold):
         g0, g1 = rng.standard_normal(2).tolist()
         x0, x1 = np.asarray(x, dtype=float).tolist()
         return np.array([_wrap_float(x0 + step * g0), _wrap_float(x1 + step * g1)])
-
-    def sample_heat_kernel_many(self, t: float, centers, rng: np.random.Generator):
-        t = _check_time(t)
-        centers = self.stack(centers)
-        return wrap_angle(centers + math.sqrt(t) * rng.standard_normal(centers.shape))
-
-    def sample_uniform_many(self, n: int, rng: np.random.Generator):
-        return rng.uniform(0.0, TWO_PI, size=(n, 2))
 
     def quadrature(self, level: int = 0) -> tuple[np.ndarray, np.ndarray]:
         n = 256 * (2 ** max(level, 0))

@@ -136,13 +136,13 @@ def dq_distances(
     """
     q = _check_order(q)
     ts = grid.times()
-    gv = eval_path_like(g, ts, m)
+    gv = eval_path_like(g, ts)
     weight = grid.weights() * density.weight(ts)
     out = []
     for K, run in itertools.groupby(fs, lambda f: f.segments if isinstance(f, PiecewiseGeodesicPath) else None):
         run, size = list(run), _SCORE_CHUNK if K else 1
         for chunk in (run[i : i + size] for i in range(0, len(run), size)):
-            values = chunk[0].at_many(ts, [f.knots for f in chunk]) if K else eval_path_like(chunk[0], ts, m)[None]
+            values = chunk[0].at_many(ts, [f.knots for f in chunk]) if K else eval_path_like(chunk[0], ts)[None]
             out.extend(float(np.sum(weight * dist**q)) ** (1.0 / q) for dist in m.distance(values, gv))
     return np.array(out, dtype=float)
 
@@ -166,7 +166,7 @@ def dinf_distance(f, g, m: Manifold, grid: QuadratureGrid = QuadratureGrid()) ->
     cut locus inside a segment; the grid provides coverage otherwise.
     """
     ts = _union_times(f, g, grid)
-    dist = m.distance(eval_path_like(f, ts, m), eval_path_like(g, ts, m))
+    dist = m.distance(eval_path_like(f, ts), eval_path_like(g, ts))
     return float(np.max(dist))
 
 
@@ -184,23 +184,13 @@ def density_distance(
     q = _check_order(q)
     ts = grid.times()
     tw = grid.weights()
-    fv = eval_path_like(f, ts, m)[:, None]
-    gv = eval_path_like(g, ts, m)[:, None]
+    fv = eval_path_like(f, ts)[:, None]
+    gv = eval_path_like(g, ts)[:, None]
     points, pw = m.quadrature(level)
     diff = np.abs(m.heat_kernel_pairwise(sigma2, fv, points[None]) - m.heat_kernel_pairwise(sigma2, gv, points[None]))
     inner = (diff**q) @ pw
     total = float(np.sum(tw * (density.weight(ts) ** q) * inner))
     return 0.5 * total ** (1.0 / q)
-
-
-def l1_error(
-    estimate,
-    truth,
-    m: Manifold,
-    grid: QuadratureGrid = QuadratureGrid(),
-) -> float:
-    """Mean geodesic deviation: d_1 under the uniform weight."""
-    return dq_distance(estimate, truth, 1.0, PredictorDensity.uniform(), m, grid)
 
 
 def knot_total_variation(path: PiecewiseGeodesicPath) -> float:
@@ -234,6 +224,6 @@ def generate_dataset(
     if not 0.0 < sigma2 < math.inf:
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     ts = density.sample(n, rng)
-    centers = eval_path_like(f0, ts, m)
+    centers = eval_path_like(f0, ts)
     points = m.sample_heat_kernel_many(sigma2, centers, rng)
     return Dataset(m.kind, ts, points)

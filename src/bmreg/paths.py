@@ -10,7 +10,6 @@ Brownian motion run at scale c and discretized at sidelength h = 1/K:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -47,17 +46,8 @@ class PiecewiseGeodesicPath:
     def segments(self) -> int:
         return len(self.knots) - 1
 
-    @property
-    def sidelength(self) -> float:
-        return 1.0 / self.segments
-
     def knot_times(self) -> np.ndarray:
         return np.arange(self.segments + 1) / self.segments
-
-    def at(self, t: float):
-        """Value at time t in [0, 1]: one row of at_many, a float on the circle."""
-        value = self.at_many([t])[0]
-        return float(value) if value.ndim == 0 else value
 
     def at_many(self, ts, knots=None) -> np.ndarray:
         """Values at times in [0, 1], exact knot values at grid times.  Given
@@ -80,9 +70,6 @@ class PiecewiseGeodesicPath:
             out[(..., snap) + coords] = stack.take(nearest[snap], axis)
         return out
 
-    def copy(self) -> "PiecewiseGeodesicPath":
-        return PiecewiseGeodesicPath(self.manifold, np.array(self.knots, copy=True))
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -92,9 +79,6 @@ class PiecewiseGeodesicPath:
             "K": self.segments,
             "knots": [list(map(float, row)) for row in knots],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     @staticmethod
     def from_dict(payload: dict, manifold: Manifold | None = None) -> "PiecewiseGeodesicPath":
@@ -109,10 +93,6 @@ class PiecewiseGeodesicPath:
         if knots.shape[0] != payload["K"] + 1:
             raise ValueError("knot count does not match K")
         return PiecewiseGeodesicPath(manifold, knots)
-
-    @staticmethod
-    def from_json(text: str, manifold: Manifold | None = None) -> "PiecewiseGeodesicPath":
-        return PiecewiseGeodesicPath.from_dict(json.loads(text), manifold)
 
 
 def constant_path(manifold: Manifold, point, segments: int = 1) -> PiecewiseGeodesicPath:
@@ -169,14 +149,14 @@ def log_prior(path: PiecewiseGeodesicPath, prior: PriorSpec) -> float:
 
 def sample_prior_path(prior: PriorSpec, manifold: Manifold, rng: np.random.Generator) -> PiecewiseGeodesicPath:
     """One uniform draw for the start, then K heat-kernel increments."""
-    start = manifold.sample_uniform(rng)
+    start = manifold.sample_uniform_many(1, rng)[0]
     knots = [np.asarray(start, dtype=float)]
     for _ in range(prior.segments):
         knots.append(np.asarray(manifold.sample_heat_kernel(prior.step_time, knots[-1], rng), dtype=float))
     return PiecewiseGeodesicPath(manifold, np.stack(knots))
 
 
-def eval_path_like(f, ts, manifold: Manifold) -> np.ndarray:
+def eval_path_like(f, ts) -> np.ndarray:
     """Evaluate f on an array of times: by its at_many if it has one, else one f(t) per time."""
     ts = np.asarray(ts, dtype=float)
     if hasattr(f, "at_many"):

@@ -78,7 +78,7 @@ SigmaMode = Union[KnownVariance, MarginalVariance]
 
 def log_likelihood(f, data: Dataset, sigma: SigmaMode, m: Manifold) -> float:
     """Log likelihood of the dataset under path (or callable) f."""
-    values = eval_path_like(f, data.ts, m)
+    values = eval_path_like(f, data.ts)
     return float(np.sum(sigma.log_density(m, values, data.points)))
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via main()."""
 
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -168,6 +169,26 @@ class TestFit:
         assert run_cli(*argv) == 2
         assert "cannot read dataset: need n >= 2" in capsys.readouterr().err
         assert not (workdir / "f.json").exists()
+
+    def test_ker_where_every_weight_underflows(self, workdir):
+        # bandwidth 6.0e-4: quadrature times more than about 39 bandwidths
+        # from every observation underflow their whole Gaussian weight row
+        rows = [f"{0.5 + 1e-4 * k!r},1.0" for k in range(29)] + ["0.0,2.0"]
+        (workdir / "clustered.csv").write_text("t,coord1\n" + "\n".join(rows) + "\n")
+        assert run_cli("fit", "clustered.csv", "--method", "ker", "--out", "f.json") == 0
+        assert np.isfinite(json.loads(read(workdir / "f.json"))["l1_error"])
+
+    @pytest.mark.parametrize("manifold", ["circle", "sphere", "torus"])
+    def test_huge_prior_scale_returns_in_seconds(self, workdir, manifold):
+        # prior steps c/K of 2.5e298: the kernel is flat there
+        assert run_cli("generate", "--manifold", manifold, "--n", "20", "--out", "d.csv") == 0
+        argv = ["fit", "d.csv", "--manifold", manifold, "--c", "1e300", "--anneal-steps", "5", "--out", "f.json"]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bmreg.cli", *argv], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert np.isfinite(json.loads(read(workdir / "f.json"))["l1_error"])
 
 
 class TestFitMatchesHarness:

@@ -204,7 +204,7 @@ class TestRunCell:
         row, fitted = run_cell(make_cell("ker"))
         assert row.K == 0
         assert isinstance(fitted, KernelFit)
-        assert math.isfinite(fitted(0.5))
+        assert math.isfinite(fitted.at_many([0.5])[0])
 
     def test_dbm_row_keeps_grid_k(self):
         row, fitted = run_cell(make_cell("dbm"))

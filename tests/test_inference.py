@@ -196,7 +196,7 @@ def test_fit_result_json_subsamples_trace():
     m, data, spec, sigma = _example_problem()
     cfg = AnnealConfig(cooling_factor=0.5, temperature_floor=0.05)
     fit = anneal_map(data, sigma, spec, cfg, m, np.random.default_rng(3))
-    payload = json.loads(fit.to_json())
+    payload = json.loads(json.dumps(fit.to_dict()))
     assert set(payload) == {"path", "best_log_posterior", "acceptance_rate", "trace_subsampled"}
     assert len(payload["trace_subsampled"]) <= 256
     assert payload["trace_subsampled"][0][0] == 0
@@ -217,7 +217,7 @@ def test_trace_subsampled_reads_the_block_of_each_update(steps):
     if len(per_update) > 256:
         keep = np.unique(np.linspace(0, len(per_update) - 1, 256).round().astype(int))
     expected = [[int(per_update[k][0]), float(per_update[k][1])] for k in keep]
-    assert json.loads(fit.to_json())["trace_subsampled"] == expected
+    assert json.loads(json.dumps(fit.to_dict()))["trace_subsampled"] == expected
 
 
 # ---------------------------------------------------------------- sampler
@@ -290,8 +290,8 @@ def test_proposal_density_is_symmetric():
         assert abs(m.heat_kernel(t, x, y) - m.heat_kernel(t, y, x)) <= 1e-12
     s = Sphere()
     for _ in range(20):
-        x = s.sample_uniform(rng)
-        y = s.sample_uniform(rng)
+        x = s.sample_uniform_many(1, rng)[0]
+        y = s.sample_uniform_many(1, rng)[0]
         t = rng.uniform(0.05, 1.0)
         assert abs(s.heat_kernel(t, x, y) - s.heat_kernel(t, y, x)) <= 1e-12
 
@@ -384,8 +384,10 @@ def counted(monkeypatch):
         return update_block(self, ks, *args, **kwargs)
 
     # the circle and the torus override the one-centre draw, so every class
-    # that defines one is wrapped
-    for cls in (Manifold, *Manifold.__subclasses__()):
+    # that defines one, at any depth below Manifold, is wrapped
+    classes = [Manifold]
+    for cls in classes:
+        classes.extend(cls.__subclasses__())
         if "sample_heat_kernel" in vars(cls):
             monkeypatch.setattr(cls, "sample_heat_kernel", counting(vars(cls)["sample_heat_kernel"]))
     monkeypatch.setattr(_Blocked, "_update_block", recording_update)

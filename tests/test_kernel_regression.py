@@ -208,9 +208,9 @@ def test_frechet_batch_validation_and_budget(m):
 def test_log_map_many_matches_scalar():
     rng = np.random.default_rng(23)
     for m in (Circle(), Sphere(), Torus()):
-        x = m.sample_uniform(rng)
+        x = m.sample_uniform_many(1, rng)[0]
         xs = m.sample_uniform_many(12, rng)
-        ys = m.stack([m.sample_uniform(rng) for _ in range(12)])
+        ys = m.stack([m.sample_uniform_many(1, rng)[0] for _ in range(12)])
         many = m.log_map(x, ys)
         rows = m.log_map(xs, ys)
         shot = m.exp_map(xs, 0.5 * rows)
@@ -235,13 +235,13 @@ def _one_time_estimate(data, t, bandwidth, m):
 def test_kernel_regress_constant_responses():
     data = _dataset([0.1, 0.4, 0.9], [2.2, 2.2, 2.2])
     for t in (0.0, 0.5, 1.0):
-        assert_allclose(KernelFit(0.3, data)(t), 2.2, rtol=0, atol=1e-12)
+        assert_allclose(KernelFit(0.3, data).at_many([t])[0], 2.2, rtol=0, atol=1e-12)
 
 
 def test_kernel_regress_flat_limit_is_global_mean():
     data = _dataset([0.0, 0.5, 1.0], [0.2, 0.6, 1.0])
     m = Circle()
-    flat = KernelFit(1e6, data)(0.25)
+    flat = KernelFit(1e6, data).at_many([0.25])[0]
     global_mean = frechet_mean_weighted(data.points, np.ones(3), m)
     assert m.distance(flat, global_mean) < 1e-9
 
@@ -249,7 +249,14 @@ def test_kernel_regress_flat_limit_is_global_mean():
 def test_kernel_regress_narrow_limit_is_nearest_observation():
     data = _dataset([0.0, 0.5, 1.0], [0.2, 0.6, 1.0])
     m = Circle()
-    assert_allclose(KernelFit(1e-6, data)(0.5), 0.6, rtol=0, atol=1e-12)
+    assert_allclose(KernelFit(1e-6, data).at_many([0.5])[0], 0.6, rtol=0, atol=1e-12)
+
+
+def test_kernel_regress_far_from_every_observation_is_nearest_observation():
+    # at 0.1 and 0.45 every Gaussian weight underflows; the row's estimate is
+    # that of its shifted weights, led by the nearest observation
+    data = _dataset([0.0, 0.5], [2.0, 1.0])
+    assert_allclose(KernelFit(1e-3, data).at_many([0.1, 0.45, 0.5]), [2.0, 1.0, 1.0], rtol=0, atol=1e-12)
 
 
 def test_kernel_regress_rotation_equivariance():
@@ -260,8 +267,8 @@ def test_kernel_regress_rotation_equivariance():
     shifted = _dataset(data.ts, wrap_angle(data.points + shift))
     h = bandwidth_rule(data.ts)
     for t in (0.0, 0.3, 0.7, 1.0):
-        a = KernelFit(h, data)(t)
-        b = KernelFit(h, shifted)(t)
+        a = KernelFit(h, data).at_many([t])[0]
+        b = KernelFit(h, shifted).at_many([t])[0]
         assert m.distance(wrap_angle(a + shift), b) <= 1e-10
 
 
@@ -271,7 +278,7 @@ def test_kernel_fit_wrapper():
     data = generate_dataset(lambda t: (t + 0.5) ** 2, 40, 0.05, PredictorDensity.uniform(), m, rng)
     fit = KernelFit.from_rule(data)
     assert fit.bandwidth == bandwidth_rule(data.ts)
-    assert_allclose(fit(0.4), _one_time_estimate(data, 0.4, fit.bandwidth, m), rtol=0, atol=0)
+    assert_allclose(fit.at_many([0.4])[0], _one_time_estimate(data, 0.4, fit.bandwidth, m), rtol=0, atol=0)
     with pytest.raises(ValueError):
         KernelFit(0.0, data)
 
@@ -301,7 +308,7 @@ def test_kernel_fit_at_many_matches_scalar_calls_bitwise(kind):
     reference = [_one_time_estimate(data, t, fit.bandwidth, m) for t in ts]
     assert np.array_equal(_bits(many), _bits(reference))
     for t, expected in zip(ts, reference):
-        got = fit(t)
+        got = fit.at_many([t])[0]
         assert type(got) is type(expected) and np.array_equal(_bits(got), _bits(expected))
 
 
@@ -312,5 +319,5 @@ def test_kernel_fit_tracks_smooth_truth():
     data = generate_dataset(f0, 200, 0.05, PredictorDensity.uniform(), m, rng)
     fit = KernelFit.from_rule(data)
     # interior only: Nadaraya-Watson has the usual one-sided boundary bias
-    errs = [m.distance(fit(t), f0(t)) for t in np.linspace(0.2, 0.8, 13)]
+    errs = [m.distance(fit.at_many([t])[0], f0(t)) for t in np.linspace(0.2, 0.8, 13)]
     assert max(errs) < 0.25

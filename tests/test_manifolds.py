@@ -5,7 +5,9 @@ implementation (wrapped-normal image sums, Legendre series limits) and are
 asserted at tight tolerances.
 """
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -127,7 +129,7 @@ def test_circle_kernel_long_time_limit():
 
 def test_invalid_time_raises():
     for m in [Circle(), Sphere(), Torus()]:
-        x = m.sample_uniform(np.random.default_rng(0))
+        x = m.sample_uniform_many(1, np.random.default_rng(0))[0]
         with pytest.raises(InvalidTimeError):
             m.heat_kernel(0.0, x, x)
         with pytest.raises(InvalidTimeError):
@@ -306,6 +308,49 @@ def test_sampler_times_keep_no_kernel_table():
     assert _kernel_table.cache_info().currsize == tables
 
 
+@contextlib.contextmanager
+def _time_box(seconds):
+    """Raise TimeoutError in the block once it has run for the given seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+@pytest.mark.parametrize("t", [1e3, 1e12, 1e300])
+def test_huge_times_give_the_flat_kernel_at_once(kind, t):
+    # every term past the constant is far below SERIES_TOLERANCE, so the
+    # kernel is 1 / volume; the image count once grew as sqrt(t), and the
+    # sphere's term count took the root of a negative number beyond 2e32
+    m = make_manifold(kind)
+    xs = m.sample_uniform_many(16, np.random.default_rng(5))
+    with _time_box(5.0):
+        logs = m.log_heat_kernel_pairwise(t, xs[:, None], xs[None])
+        draws = m.sample_heat_kernel_many(t, xs, np.random.default_rng(6))
+    assert_allclose(logs, -math.log(m.volume), rtol=0, atol=1e-14)
+    assert draws.shape == xs.shape and np.all(np.isfinite(draws))
+
+
+def test_sphere_draws_and_evaluates_past_the_series_domain():
+    m = Sphere()
+    x = np.array([0.0, 0.0, 1.0])
+    with _time_box(5.0):
+        one = m.sample_heat_kernel(1e33, x, np.random.default_rng(3))
+        many = m.sample_heat_kernel_many(1e33, m.stack([x]), np.random.default_rng(3))
+        log_p = m.log_heat_kernel_pairwise(1e33, x, one)
+    assert np.array_equal(one, many[0])
+    assert abs(np.linalg.norm(one) - 1.0) < 1e-12
+    assert log_p == -math.log(4.0 * math.pi)
+
+
 # ---------------------------------------------------------------- normalization
 
 
@@ -313,7 +358,7 @@ def test_sampler_times_keep_no_kernel_table():
 def test_kernel_normalizes_to_one(kind):
     m = make_manifold(kind)
     rng = np.random.default_rng(3)
-    x = m.sample_uniform(rng)
+    x = m.sample_uniform_many(1, rng)[0]
     points, weights = m.quadrature()
     for t in [0.05, 0.5, 2.0]:
         total = float(m.heat_kernel_pairwise(t, x, points) @ weights)
@@ -324,8 +369,8 @@ def test_kernel_normalizes_to_one(kind):
 def test_kernel_semigroup_identity(kind):
     m = make_manifold(kind)
     rng = np.random.default_rng(11)
-    x = m.sample_uniform(rng)
-    y = m.sample_uniform(rng)
+    x = m.sample_uniform_many(1, rng)[0]
+    y = m.sample_uniform_many(1, rng)[0]
     points, weights = m.quadrature()
     for t in [0.1, 0.5]:
         left = m.heat_kernel_pairwise(0.5 * t, x, points)
@@ -399,7 +444,7 @@ def test_metric_axioms_random_triples(kind):
     m = make_manifold(kind)
     rng = np.random.default_rng(5)
     for _ in range(200):
-        x, y, z = (m.sample_uniform(rng) for _ in range(3))
+        x, y, z = (m.sample_uniform_many(1, rng)[0] for _ in range(3))
         dxy, dyx = m.distance(x, y), m.distance(y, x)
         assert abs(dxy - dyx) < 1e-12
         assert dxy <= m.diameter + 1e-12
@@ -412,7 +457,7 @@ def test_exp_log_round_trip(kind):
     m = make_manifold(kind)
     rng = np.random.default_rng(9)
     for _ in range(100):
-        x, y = m.sample_uniform(rng), m.sample_uniform(rng)
+        x, y = m.sample_uniform_many(1, rng)[0], m.sample_uniform_many(1, rng)[0]
         z = m.exp_map(x, m.log_map(x, y))
         assert m.distance(z, y) <= 1e-9
     # stacked rows: rows against rows, and one point against rows
@@ -640,8 +685,8 @@ def test_sphere_uniform_sampler_moments():
 def test_sampling_deterministic_given_seed():
     for kind in ["circle", "sphere", "torus"]:
         m = make_manifold(kind)
-        a = m.sample_heat_kernel(0.3, m.sample_uniform(np.random.default_rng(1)), np.random.default_rng(2))
-        b = m.sample_heat_kernel(0.3, m.sample_uniform(np.random.default_rng(1)), np.random.default_rng(2))
+        a = m.sample_heat_kernel(0.3, m.sample_uniform_many(1, np.random.default_rng(1))[0], np.random.default_rng(2))
+        b = m.sample_heat_kernel(0.3, m.sample_uniform_many(1, np.random.default_rng(1))[0], np.random.default_rng(2))
         assert np.array_equal(a, b)
         # writing into a draw leaves the caller's centres unchanged
         centers = m.sample_uniform_many(3, np.random.default_rng(1))

@@ -18,7 +18,6 @@ from bmreg.metrics import (
     dq_distances,
     generate_dataset,
     knot_total_variation,
-    l1_error,
     theorem_rate_sidelength,
 )
 from bmreg.paths import PiecewiseGeodesicPath
@@ -95,7 +94,7 @@ def test_dq_symmetric_and_zero_on_equal():
     assert dq_distance(f, g, 2.0, PredictorDensity.uniform(), m) == dq_distance(
         g, f, 2.0, PredictorDensity.uniform(), m
     )
-    assert dq_distance(f, f.copy(), 2.0, PredictorDensity.uniform(), m) == 0.0
+    assert dq_distance(f, _circle_path(f.knots.copy()), 2.0, PredictorDensity.uniform(), m) == 0.0
     with pytest.raises(ValueError):
         dq_distance(f, g, 0.5, PredictorDensity.uniform(), m)
 
@@ -131,7 +130,8 @@ def _grid_values(f, ts):
     # one path at a time, and any other function one time at a time
     if isinstance(f, PiecewiseGeodesicPath):
         return f.at_many(ts)
-    return np.asarray([f(float(t)) for t in ts], dtype=float)
+    at = (lambda t: f.at_many([t])[0]) if isinstance(f, KernelFit) else f
+    return np.asarray([at(float(t)) for t in ts], dtype=float)
 
 
 def _dq_reference(f, g, q, density, m, grid=QuadratureGrid()):
@@ -222,7 +222,7 @@ def test_l1_error_is_d1():
     m = Circle()
     f = _circle_path([0.2, 0.2])
     g = _circle_path([0.7, 0.7])
-    assert_allclose(l1_error(f, g, m), 0.5, rtol=0, atol=1e-12)
+    assert_allclose(dq_distance(f, g, 1.0, PredictorDensity.uniform(), m), 0.5, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- density distance
@@ -253,7 +253,7 @@ def test_density_distance_positive_and_dominated():
 def test_density_distance_zero_for_identical():
     m = Circle()
     f = _circle_path([0.3, 1.1, 2.0])
-    assert density_distance(f, f.copy(), 1.0, 0.3, PredictorDensity.uniform(), m, QuadratureGrid(64)) == 0.0
+    assert density_distance(f, _circle_path(f.knots.copy()), 1.0, 0.3, PredictorDensity.uniform(), m, QuadratureGrid(64)) == 0.0
 
 
 # ---------------------------------------------------------------- rate rule / tv

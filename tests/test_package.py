@@ -4,6 +4,7 @@ benchmark's microbenchmarks still find every method they call by name."""
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,14 @@ def test_all_names_resolve_and_cover_imports():
         if not name.startswith("_") and (inspect.isclass(obj) or inspect.isfunction(obj))
     }
     assert imported == set(bmreg.__all__)
+
+
+def test_readme_library_tour_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = re.search(r"## Library tour\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(tour, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 3 and "nan" not in " ".join(printed)
 
 
 def test_benchmark_microbenchmarks_run(tmp_path):

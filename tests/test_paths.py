@@ -1,5 +1,6 @@
 """Path evaluation and discretized Brownian-prior tests."""
 
+import json
 import math
 
 import numpy as np
@@ -31,21 +32,21 @@ def test_path_hits_knots_exactly():
     knots = [0.1, 1.3, 0.4, 5.9]
     path = _circle_path(knots)
     for k, val in enumerate(knots):
-        assert path.at(k / 3) == val
+        assert path.at_many([k / 3])[0] == val
     assert_allclose(path.at_many(path.knot_times()), knots, rtol=0, atol=0)
 
 
 def test_path_midpoint_interpolates():
     path = _circle_path([0.0, 1.0])
-    assert_allclose(path.at(0.5), 0.5, rtol=0, atol=1e-15)
-    assert_allclose(path.at(0.25), 0.25, rtol=0, atol=1e-15)
+    assert_allclose(path.at_many([0.5])[0], 0.5, rtol=0, atol=1e-15)
+    assert_allclose(path.at_many([0.25])[0], 0.25, rtol=0, atol=1e-15)
 
 
 def test_path_rejects_outside_domain():
     path = _circle_path([0.0, 1.0])
     for t in [-0.01, 1.01, 2.0, math.nan]:
         with pytest.raises(OutOfDomainError):
-            path.at(t)
+            path.at_many([t])[0]
     with pytest.raises(OutOfDomainError):
         path.at_many([0.5, 1.5])
     with pytest.raises(OutOfDomainError):
@@ -66,7 +67,7 @@ def test_path_geodesic_speed_within_segment(K, u1, u2):
     t1, t2 = (k + u1) / K, (k + u2) / K
     seg = path.manifold.distance(path.knots[k], path.knots[k + 1])
     expect = abs(u2 - u1) * seg
-    assert abs(path.manifold.distance(path.at(t1), path.at(t2)) - expect) < 1e-9
+    assert abs(path.manifold.distance(path.at_many([t1])[0], path.at_many([t2])[0]) - expect) < 1e-9
 
 
 def test_at_many_matches_scalar_eval():
@@ -78,7 +79,7 @@ def test_at_many_matches_scalar_eval():
         ts = np.concatenate([rng.uniform(0, 1, size=40), path.knot_times()])
         batch = path.at_many(ts)
         for i, t in enumerate(ts):
-            assert m.distance(batch[i], path.at(t)) <= 1e-12
+            assert m.distance(batch[i], path.at_many([t])[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
@@ -101,10 +102,10 @@ def test_at_many_knot_stack_matches_each_path_bitwise(kind):
 def test_constant_path_everywhere_equal():
     for kind in ["circle", "sphere", "torus"]:
         m = make_manifold(kind)
-        x = m.sample_uniform(np.random.default_rng(5))
+        x = m.sample_uniform_many(1, np.random.default_rng(5))[0]
         path = constant_path(m, x, segments=4)
         for t in [0.0, 0.3, 0.77, 1.0]:
-            assert m.distance(path.at(t), x) <= 1e-12
+            assert m.distance(path.at_many([t])[0], x) <= 1e-12
 
 
 # ---------------------------------------------------------------- serialization
@@ -115,7 +116,7 @@ def test_json_round_trip_is_exact(kind):
     m = make_manifold(kind)
     rng = np.random.default_rng(11)
     path = PiecewiseGeodesicPath(m, m.sample_uniform_many(9, rng))
-    clone = PiecewiseGeodesicPath.from_json(path.to_json())
+    clone = PiecewiseGeodesicPath.from_dict(json.loads(json.dumps(path.to_dict())))
     assert clone.manifold.kind == kind
     assert clone.segments == path.segments
     assert np.array_equal(clone.knots, path.knots)

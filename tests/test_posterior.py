@@ -201,6 +201,19 @@ def test_dataset_validates_times_and_shapes():
         Dataset.from_csv("t,coord1\n0.5,0.0\n", "foo")
 
 
+def test_circle_points_as_one_column_give_the_same_posterior():
+    # (n, 1) circle points once broadcast against the (n,) path values into
+    # an (n, n) likelihood
+    m = Circle()
+    rng = np.random.default_rng(0)
+    flat = Dataset("circle", rng.uniform(0.0, 1.0, 10), m.sample_uniform_many(10, rng))
+    column = Dataset("circle", flat.ts, flat.points[:, None])
+    assert column.points.shape == flat.points.shape == (10,)
+    path = PiecewiseGeodesicPath(m, m.sample_uniform_many(5, rng))
+    sigma, prior = KnownVariance(0.1), PriorSpec.from_segments(4, 0.01)
+    assert log_posterior(path, column, sigma, prior) == log_posterior(path, flat, sigma, prior)
+
+
 def test_dataset_csv_round_trip_exact():
     for kind in ["circle", "torus", "sphere"]:
         m = make_manifold(kind)
