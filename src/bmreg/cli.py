@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -94,10 +95,6 @@ class RunConfig:
     anneal: AnnealConfig = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        for field in _OPTIONS.values():
-            value = getattr(self, field.name)
-            if field.type.startswith("float") and value is not None and not math.isfinite(value):
-                raise ConfigError(f"{field.name} must be finite, got {value}")
         try:
             make_manifold(self.manifold)
         except ValueError as exc:
@@ -106,12 +103,12 @@ class RunConfig:
             raise ConfigError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.sigma2 <= 0.0:
-            raise ConfigError(f"sigma2 must be > 0, got {self.sigma2}")
-        if self.marginal_A is not None and self.marginal_A <= 1.0:
-            raise ConfigError("marginal-A must be > 1")
-        if self.c <= 0.0:
-            raise ConfigError(f"c must be > 0, got {self.c}")
+        if not 0.0 < self.sigma2 < math.inf:
+            raise ConfigError(f"sigma2 must be positive and finite, got {self.sigma2}")
+        if self.marginal_A is not None and not 1.0 < self.marginal_A < math.inf:
+            raise ConfigError(f"marginal-A must exceed 1 and be finite, got {self.marginal_A}")
+        if not 0.0 < self.c < math.inf:
+            raise ConfigError(f"c must be positive and finite, got {self.c}")
         if self.grid_K is not None and self.rate_epsilon is not None:
             raise ConfigError("grid-K and rate-epsilon are mutually exclusive")
         if self.rate_epsilon is not None and not 0.0 < self.rate_epsilon < 0.25:
@@ -251,14 +248,22 @@ def _rows_path(out: str) -> str:
     return out + ".csv"
 
 
+def _check_fit_outputs(dataset_path: str, out: str) -> None:
+    """ConfigError where fit would write over its dataset or append rows to a file not of rows."""
+    rows = _rows_path(out)
+    for path in (out, rows):
+        if os.path.exists(path) and os.path.samefile(path, dataset_path):
+            raise ConfigError(f"--out {out} would write over the dataset: fit writes {out} and appends rows to {rows}")
+    if os.path.isfile(rows) and os.path.getsize(rows):
+        with open(rows) as fh:
+            if fh.readline().strip() != CSV_HEADER:
+                raise ConfigError(f"fit rows file {rows} does not start with the rows header; choose another --out")
+
+
 def _append_row(path: str, row: ExperimentResult) -> None:
-    try:
-        with open(path) as fh:
-            has_header = fh.readline().strip() == CSV_HEADER
-    except OSError:
-        has_header = False
+    # _check_fit_outputs refused a non-empty file that does not start with the header
     with open(path, "a", newline="") as fh:
-        if not has_header:
+        if fh.tell() == 0:
             fh.write(CSV_HEADER + "\n")
         fh.write(row.csv_row() + "\n")
 
@@ -274,6 +279,7 @@ def cmd_fit(cfg: RunConfig, dataset_path: str) -> int:
     except (OSError, ValueError) as exc:  # ValueError includes EmptyDatasetError
         raise ConfigError(f"cannot read dataset: {exc}") from exc
     out = cfg.out or "fit.json"
+    _check_fit_outputs(dataset_path, out)
     row, fitted, fit = fit_and_score(cell, data)
     if fit is not None:
         payload = fit.to_dict()

@@ -148,16 +148,15 @@ def init_state(data: Dataset, K: int, m: Manifold) -> PiecewiseGeodesicPath:
     """
     if K < 1:
         raise ValueError("need at least one segment")
-    points = m.stack(data.points)
     chosen = [None] * (K + 1)
     for k in range(K + 1):
         mask = np.abs(data.ts - k / K) <= INIT_WINDOW
         if not np.any(mask):
             continue
-        chosen[k] = _density_mode(m, points[mask])
+        chosen[k] = _density_mode(m, data.points[mask])
     filled = [k for k, v in enumerate(chosen) if v is not None]
     if not filled:
-        everywhere = _density_mode(m, points)
+        everywhere = _density_mode(m, data.points)
         chosen = [everywhere] * (K + 1)
     else:
         filled_arr = np.asarray(filled)
@@ -165,7 +164,7 @@ def init_state(data: Dataset, K: int, m: Manifold) -> PiecewiseGeodesicPath:
             if chosen[k] is None:
                 nearest = filled_arr[np.argmin(np.abs(filled_arr - k))]
                 chosen[k] = chosen[nearest]
-    return PiecewiseGeodesicPath(m, np.asarray([np.asarray(v, dtype=float) for v in chosen]))
+    return PiecewiseGeodesicPath(m, chosen)
 
 
 def _density_mode(m: Manifold, candidates: np.ndarray):
@@ -208,8 +207,6 @@ class _Blocked:
         self.m = m
         self.knots = np.array(knots, copy=True)
         self.K = len(knots) - 1
-        if prior.segments != self.K:
-            raise ValueError("prior sidelength does not match the knot count")
         self.prior = prior
         self.const = -math.log(m.volume)
         self.prior_terms = prior.log_steps(m, self.knots[:-1], self.knots[1:])
@@ -225,7 +222,7 @@ class _Blocked:
             pos = np.asarray(data.ts, dtype=float) * self.K
             self.interval = np.minimum(np.floor(pos).astype(int), self.K - 1)
             self.fractions = pos - self.interval
-            self.points = m.stack(data.points)
+            self.points = data.points
             self.obs_terms = self._obs_log_density(
                 self.knots, self.interval, self.interval + 1, self.fractions, self.points
             )

@@ -2,6 +2,8 @@
 
 Points use intrinsic coordinates: a float angle in [0, 2*pi) on the circle,
 a unit vector in R^3 on the sphere, and an angle pair on the torus.
+Observations and path knots pass one point rule, Manifold.stack: finite
+(n, *point_shape) coordinates, of norm 1 within 1e-6 on the sphere.
 
 Heat kernels follow the Delta/2 generator convention: an eigenvalue lam of the
 Laplace-Beltrami operator contributes exp(-lam * t / 2), so on the circle the
@@ -335,9 +337,18 @@ class Manifold(ABC):
     # -- points ------------------------------------------------------------
 
     def stack(self, points) -> np.ndarray:
-        """Coordinate array of stacked points; a single point gains a leading axis."""
+        """(n, *point_shape) finite coordinates, the one point rule: a single point gains the leading
+        axis, an (n, 1) circle column reads as (n,), and another coordinate count or a non-finite
+        coordinate raises ValueError."""
         arr = np.asarray(points, dtype=float)
-        return arr[None] if arr.ndim == len(self.point_shape) else arr
+        arr = arr[None] if arr.ndim <= len(self.point_shape) else arr
+        need, got = math.prod(self.point_shape), math.prod(arr.shape[1:])
+        if got != need:
+            raise ValueError(f"{self.kind} points need {need} coordinates, got {got}")
+        arr = arr.reshape(len(arr), *self.point_shape)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{self.kind} points must be finite")
+        return arr
 
     # -- geodesics -----------------------------------------------------------
 
@@ -514,6 +525,13 @@ class Sphere(Manifold):
     point_shape = (3,)
     # below this sine of the geodesic angle the direction is degenerate
     _DEGENERATE = 1e-9
+
+    def stack(self, points) -> np.ndarray:
+        """Manifold.stack, and ValueError on a point whose norm is off 1 by more than 1e-6."""
+        arr = super().stack(points)
+        if (np.abs(_row_norm(arr) - 1.0) > 1e-6).any():
+            raise ValueError("sphere points must be unit vectors")
+        return arr
 
     def distance(self, xs, ys):
         xs = np.asarray(xs, dtype=float)

@@ -1,7 +1,8 @@
 """Piecewise-geodesic paths on [0, 1] and the discretized Brownian prior.
 
 A path with K segments stores K+1 knots at times k/K and evaluates by
-geodesic interpolation inside each segment.  The prior draws the first knot
+geodesic interpolation inside each segment.  The knots pass Manifold.stack,
+the point rule that observations share.  The prior draws the first knot
 uniformly and each subsequent knot from the heat kernel at time c*h, i.e. a
 Brownian motion run at scale c and discretized at sidelength h = 1/K:
 
@@ -23,7 +24,7 @@ class OutOfDomainError(ValueError):
 
 
 class SidelengthMismatchError(ValueError):
-    """Prior sidelength does not match the path's segment count."""
+    """Prior segment count differs from the path's."""
 
 
 # snap tolerance for evaluation exactly at knot times despite 1/K roundoff
@@ -38,7 +39,7 @@ class PiecewiseGeodesicPath:
     knots: np.ndarray
 
     def __post_init__(self):
-        self.knots = np.asarray(self.knots, dtype=float)
+        self.knots = self.manifold.stack(self.knots)
         if len(self.knots) < 2:
             raise ValueError("a path needs at least two knots")
 
@@ -87,19 +88,15 @@ class PiecewiseGeodesicPath:
             manifold = make_manifold(kind)
         elif manifold.kind != kind:
             raise ValueError(f"payload manifold {kind!r} != {manifold.kind!r}")
-        knots = np.asarray(payload["knots"], dtype=float)
-        if knots.shape[1] == 1:
-            knots = knots[:, 0]
-        if knots.shape[0] != payload["K"] + 1:
+        path = PiecewiseGeodesicPath(manifold, payload["knots"])
+        if path.segments != payload["K"]:
             raise ValueError("knot count does not match K")
-        return PiecewiseGeodesicPath(manifold, knots)
+        return path
 
 
 def constant_path(manifold: Manifold, point, segments: int = 1) -> PiecewiseGeodesicPath:
     """Path fixed at one point (every knot equal)."""
-    pt = np.asarray(point, dtype=float)
-    knots = np.tile(pt, (segments + 1,) + (1,) * pt.ndim)
-    return PiecewiseGeodesicPath(manifold, knots)
+    return PiecewiseGeodesicPath(manifold, [point] * (segments + 1))
 
 
 @dataclass(frozen=True)
@@ -149,11 +146,10 @@ def log_prior(path: PiecewiseGeodesicPath, prior: PriorSpec) -> float:
 
 def sample_prior_path(prior: PriorSpec, manifold: Manifold, rng: np.random.Generator) -> PiecewiseGeodesicPath:
     """One uniform draw for the start, then K heat-kernel increments."""
-    start = manifold.sample_uniform_many(1, rng)[0]
-    knots = [np.asarray(start, dtype=float)]
+    knots = [manifold.sample_uniform_many(1, rng)[0]]
     for _ in range(prior.segments):
-        knots.append(np.asarray(manifold.sample_heat_kernel(prior.step_time, knots[-1], rng), dtype=float))
-    return PiecewiseGeodesicPath(manifold, np.stack(knots))
+        knots.append(manifold.sample_heat_kernel(prior.step_time, knots[-1], rng))
+    return PiecewiseGeodesicPath(manifold, knots)
 
 
 def eval_path_like(f, ts) -> np.ndarray:

@@ -109,6 +109,29 @@ class TestFit:
         assert len(lines) == 3
         assert sum(1 for line in lines if line.startswith("run_id,")) == 1
 
+    def test_rows_file_that_is_the_dataset_is_refused(self, workdir, capsys):
+        # fit.json's rows go to fit.csv, so run.json's rows would append to the dataset run.csv
+        assert run_cli("generate", "--n", "5", "--out", "run.csv") == 0
+        before = read(workdir / "run.csv")
+        assert run_cli("fit", "run.csv", "--method", "ker", "--out", "run.json") == 2
+        assert "would write over the dataset" in capsys.readouterr().err
+        assert read(workdir / "run.csv") == before
+        assert not (workdir / "run.json").exists()
+
+    def test_out_that_is_the_dataset_is_refused(self, dataset, capsys):
+        before = read(dataset)
+        assert run_cli("fit", str(dataset), "--method", "ker", "--out", "data.csv") == 2
+        assert "would write over the dataset" in capsys.readouterr().err
+        assert read(dataset) == before
+        assert not (dataset.parent / "data.csv.csv").exists()
+
+    def test_rows_file_without_the_rows_header_is_refused(self, dataset, capsys):
+        (dataset.parent / "f.csv").write_text("notes\n")
+        assert run_cli("fit", str(dataset), "--method", "ker", "--out", "f.json") == 2
+        assert "does not start with the rows header" in capsys.readouterr().err
+        assert read(dataset.parent / "f.csv") == "notes\n"
+        assert not (dataset.parent / "f.json").exists()
+
     def test_rate_epsilon_sets_grid(self, dataset):
         code = run_cli(
             "fit", str(dataset), "--method", "dbm", "--rate-epsilon", "0.05",

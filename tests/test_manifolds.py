@@ -96,6 +96,33 @@ def test_angle_helpers_match_their_two_where_forms_bit_for_bit():
     assert signed_angle_gap(start, end).tobytes() == np.where(gap <= -math.pi, gap + TWO_PI, gap).tobytes()
 
 
+# ---------------------------------------------------------------- points
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+def test_stack_is_the_point_rule(kind):
+    m = make_manifold(kind)
+    points = m.sample_uniform_many(4, np.random.default_rng(8))
+    assert m.stack(points).tobytes() == points.tobytes()
+    assert m.stack(points[0]).shape == (1, *m.point_shape)
+    # one row of coordinates per point, as a CSV or JSON file holds them; (n, 1) on the circle
+    column = points.reshape(4, -1)
+    assert m.stack(column).shape == points.shape
+    for wrong in (column[:, 1:], np.hstack([column, column[:, :1]])):
+        with pytest.raises(ValueError, match=f"{kind} points need {column.shape[1]} coordinates"):
+            m.stack(wrong)
+    for value in (math.nan, math.inf):
+        bad = column.copy()
+        bad[2, 0] = value
+        with pytest.raises(ValueError, match=f"{kind} points must be finite"):
+            m.stack(bad)
+    if kind == "sphere":
+        with pytest.raises(ValueError, match="unit vectors"):
+            m.stack(2.0 * points)
+        # a norm off 1 by at most 1e-6 passes
+        m.stack(points * (1.0 + 1e-9))
+
+
 # ---------------------------------------------------------------- circle kernel
 
 

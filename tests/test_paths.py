@@ -126,6 +126,16 @@ def test_from_dict_validates_shape():
     payload = {"manifold": "circle", "K": 3, "knots": [[0.0], [1.0]]}
     with pytest.raises(ValueError):
         PiecewiseGeodesicPath.from_dict(payload)
+    # knots that used to load and then fail in at_many with an AxisError or IndexError
+    for kind, knots in [
+        ("torus", [[0.0], [1.0]]),
+        ("sphere", [[0.0, 1.0], [1.0, 0.0]]),
+        ("torus", [0.0, 1.0, 2.0, 3.0]),
+        ("circle", [[0.0], [math.nan]]),
+        ("sphere", [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]),
+    ]:
+        with pytest.raises(ValueError):
+            PiecewiseGeodesicPath.from_dict({"manifold": kind, "K": 1, "knots": knots})
 
 
 # ---------------------------------------------------------------- prior
