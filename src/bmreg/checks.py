@@ -2,8 +2,8 @@
 
 Each check recomputes an identity that the heat kernels must satisfy
 (normalization, symmetry, the semigroup property, agreement of the two
-circle representations, log kernels against their oracles) or a frozen
-metric oracle.
+circle representations, log kernels against their oracles), the sphere
+sampler's polar CDF against a fine series CDF, or a frozen metric oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from bmreg.manifolds import (
     Circle,
     Sphere,
     Torus,
+    _polar_cdf,
     circle_heat_eigen,
     circle_log_heat,
     sphere_heat_series,
@@ -34,6 +35,8 @@ from bmreg.paths import PiecewiseGeodesicPath
 CHECK_TIMES = (0.05, 0.1, 0.5, 2.0)
 # the log-kernel check reaches down to the prior steps and proposals
 CHECK_LOG_TIMES = (1e-5, 5e-5, 2.5e-4, 1e-3, 0.05, 0.1)
+# sampler times on both sides of the polar CDF's switch from expansion to series
+CHECK_POLAR_TIMES = (1e-3, 0.05, 0.1)
 # a time at which every kernel is flat, -log(volume)
 CHECK_FLAT_TIME = 1e300
 # (manifold, t, gap, log p_t) from 50-digit references: the image sum on the
@@ -191,6 +194,20 @@ def check_log_kernels() -> CheckResult:
     )
 
 
+def check_sphere_polar_cdf() -> CheckResult:
+    """The sphere sampler's polar CDFs match a 400,001-point trapezoid of the Legendre series
+    on [0, pi], within 5e-6 at every CHECK_POLAR_TIMES."""
+    theta = np.linspace(0.0, math.pi, 400_001)
+    worst = 0.0
+    for t in CHECK_POLAR_TIMES:
+        top, cdf = _polar_cdf(t)
+        density = np.maximum(sphere_heat_series(np.cos(theta), t), 0.0) * np.sin(theta)
+        fine = np.concatenate([[0.0], np.cumsum(density[1:] + density[:-1])])
+        want = np.interp(top * np.linspace(0.0, 1.0, cdf.size), theta, fine / fine[-1])
+        worst = max(worst, float(np.max(np.abs(cdf - want))))
+    return CheckResult("sphere-polar-cdf", worst <= 5e-6, f"max CDF error {worst:.3e}")
+
+
 def check_metric_oracles() -> CheckResult:
     """Frozen function-space metric values and the rate rule."""
     m = Circle()
@@ -230,6 +247,7 @@ ALL_CHECKS = (
     check_symmetry,
     check_positivity,
     check_log_kernels,
+    check_sphere_polar_cdf,
     check_metric_oracles,
     check_density_sampler,
 )

@@ -249,9 +249,14 @@ def _rows_path(out: str) -> str:
 
 
 def _check_fit_outputs(dataset_path: str, out: str) -> None:
-    """ConfigError where fit would write over its dataset or append rows to a file not of rows."""
+    """ConfigError where fit could not write its outputs, would write over its dataset or
+    append rows to a file not of rows."""
     rows = _rows_path(out)
     for path in (out, rows):
+        if os.path.isdir(path):
+            raise ConfigError(f"--out {out}: {path} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"--out {out}: directory {os.path.dirname(path)} does not exist")
         if os.path.exists(path) and os.path.samefile(path, dataset_path):
             raise ConfigError(f"--out {out} would write over the dataset: fit writes {out} and appends rows to {rows}")
     if os.path.isfile(rows) and os.path.getsize(rows):

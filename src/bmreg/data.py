@@ -73,6 +73,9 @@ class Dataset:
         header = ["t"] + [f"coord{j + 1}" for j in range(cols)]
         if [h.strip() for h in rows[0]] != header:
             raise ValueError(f"expected header {','.join(header)}, got {','.join(rows[0])}")
+        for line, row in enumerate(rows[1:], start=2):
+            if row and len(row) != len(header):
+                raise ValueError(f"line {line}: expected {len(header)} fields ({','.join(header)}), got {len(row)}")
         body = [r for r in rows[1:] if r]
         ts = np.array([float(r[0]) for r in body])
         points = np.array([[float(v) for v in r[1:]] for r in body])

@@ -45,9 +45,13 @@ Gaussian with variance t per axis; it is symmetric in its two end points, as
 a Metropolis proposal needs, and its density differs from p_t by a relative
 O(t).  At or above the seam the step keeps the direction v / |v| and takes
 its length from the kernel's polar CDF, at the uniform exp(-|v|^2 / 2),
-which is independent of the direction.  Every manifold draws one centre on
-plain Python floats, bit for bit the batch body's row; the sphere's keeps
-np.dot, np.exp and np.interp for their bits (Sphere.sample_heat_kernel).
+which is independent of the direction.  The CDF of t lies on 2,048 nodes up
+to min(pi, sqrt(80 t)), past which the polar law holds about e^-40 of its mass;
+below _POLAR_EXPANSION_TIME (0.058) its density is the small-time
+expansion, within 0.015 t^2 <= 5e-5 in log, and from there on the series
+table (_polar_cdf).  Every manifold draws one centre on plain Python
+floats, bit for bit the batch body's row; the sphere's keeps np.exp and
+np.interp for their bits (Sphere.sample_heat_kernel).
 """
 
 from __future__ import annotations
@@ -500,20 +504,31 @@ def _sphere_frame(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, _cross(xs, e1)
 
 
-# polar grid of the sphere sampler's inverse CDF
-_POLAR_THETA = np.linspace(0.0, math.pi, 2048)
+# one unit grid for every polar CDF, scaled by its top angle
+_POLAR_UNIT = np.linspace(0.0, 1.0, 2048)
+# below this time the expansion's log error, 0.015 t^2, is at most 5e-5
+_POLAR_EXPANSION_TIME = 0.058
 
 
 @functools.lru_cache(maxsize=512)
-def _polar_cdf(t: float) -> np.ndarray:
-    """Cumulative trapezoid over _POLAR_THETA of the polar density ~ p_t(th) * sin th.
+def _polar_cdf(t: float) -> tuple[float, np.ndarray]:
+    """(top, cdf): the cumulative trapezoid of the polar density ~ p_t(th) * sin th on th = top * _POLAR_UNIT.
 
-    An anneal draws at one time per temperature level, and the kernel is
-    evaluated at few of them, so the kernel table built here is not kept.
+    top = min(pi, sqrt(80 t)), beyond which the polar law holds about e^-40
+    of its mass.  The density is sphere_log_heat_expansion below
+    _POLAR_EXPANSION_TIME and the series table from there on; an anneal
+    draws at one time per temperature level and evaluates the kernel at few
+    of them, so that table is not kept.
     """
-    density = np.exp(_sphere_log_heat(_POLAR_THETA, t, _sphere_table)) * np.sin(_POLAR_THETA)
-    cdf = np.concatenate([[0.0], np.cumsum((density[1:] + density[:-1]) * 0.5 * np.diff(_POLAR_THETA))])
-    return cdf / cdf[-1]
+    top = min(math.pi, math.sqrt(80.0 * t))
+    theta = top * _POLAR_UNIT
+    if t < _POLAR_EXPANSION_TIME:
+        log_kernel = sphere_log_heat_expansion(theta, t)
+    else:
+        log_kernel = _sphere_log_heat(theta, t, _sphere_table)
+    density = np.exp(log_kernel) * np.sin(theta)
+    cdf = np.concatenate([[0.0], np.cumsum(density[1:] + density[:-1])])
+    return top, cdf / cdf[-1]
 
 
 class Sphere(Manifold):
@@ -561,22 +576,20 @@ class Sphere(Manifold):
     # -- sampling ------------------------------------------------------------
 
     def sample_heat_kernel(self, t: float, x, rng: np.random.Generator) -> np.ndarray:
-        # the batch body's row on plain floats.  Three calls stay numpy for
-        # their bits: np.dot sums as np.vecdot does (a fused multiply-add
-        # chain), np.exp may differ from math.exp in the last bit, and
-        # np.interp reads the polar CDF.  exp_map's row sums add left to right.
+        # the batch body's row on plain floats: its row sums add left to right,
+        # as float sums do.  Two calls stay numpy: np.exp may differ from
+        # math.exp in the last bit, and np.interp reads the polar CDF.
         t = _check_time(t)
-        x = np.asarray(x, dtype=float)
-        g = rng.standard_normal(3)
-        gx = float(np.dot(g, x))
-        (g0, g1, g2), (x0, x1, x2) = g.tolist(), x.tolist()
+        g0, g1, g2 = rng.standard_normal(3).tolist()
+        x0, x1, x2 = np.asarray(x, dtype=float).tolist()
+        gx = g0 * x0 + g1 * x1 + g2 * x2
         v0, v1, v2 = g0 - gx * x0, g1 - gx * x1, g2 - gx * x2
         if t < SPHERE_SEAM_TIME:
             scale = math.sqrt(t)
         else:
-            v = np.array([v0, v1, v2])
-            r2 = float(np.dot(v, v))
-            scale = float(np.interp(np.exp(-0.5 * r2), _polar_cdf(t), _POLAR_THETA)) / math.sqrt(r2)
+            r2 = v0 * v0 + v1 * v1 + v2 * v2
+            top, cdf = _polar_cdf(t)
+            scale = top * float(np.interp(np.exp(-0.5 * r2), cdf, _POLAR_UNIT)) / math.sqrt(r2)
         # exp_map of the step scale * v at x
         w0, w1, w2 = scale * v0, scale * v1, scale * v2
         angle = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
@@ -590,13 +603,14 @@ class Sphere(Manifold):
         centers = self.stack(centers)
         # a standard Gaussian in each tangent plane, per centre in row order
         g = rng.standard_normal((len(centers), 3))
-        v = g - np.vecdot(g, centers)[:, None] * centers
+        v = g - (g * centers).sum(axis=-1, keepdims=True) * centers
         if t < SPHERE_SEAM_TIME:
             return self.exp_map(centers, math.sqrt(t) * v)
         # |v| is Rayleigh, so exp(-|v|^2/2) is a uniform, independent of the
         # uniform direction v/|v|; theta is its polar quantile
-        r2 = np.vecdot(v, v)[:, None]
-        theta = np.interp(np.exp(-0.5 * r2), _polar_cdf(t), _POLAR_THETA)
+        r2 = (v * v).sum(axis=-1, keepdims=True)
+        top, cdf = _polar_cdf(t)
+        theta = top * np.interp(np.exp(-0.5 * r2), cdf, _POLAR_UNIT)
         return self.exp_map(centers, (theta / np.sqrt(r2)) * v)
 
     def sample_uniform_many(self, n: int, rng: np.random.Generator):

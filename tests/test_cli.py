@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bmreg import cli, experiments
+from bmreg import checks, cli, experiments
 from bmreg.cli import main
 from bmreg.data import Dataset
 from bmreg.experiments import ContractReport, ExperimentCell, ExperimentResult, run_cell
@@ -131,6 +131,27 @@ class TestFit:
         assert "does not start with the rows header" in capsys.readouterr().err
         assert read(dataset.parent / "f.csv") == "notes\n"
         assert not (dataset.parent / "f.json").exists()
+
+    def test_out_that_is_a_directory_is_refused_before_the_fit(self, dataset, capsys):
+        (dataset.parent / "outdir.json").mkdir()
+        assert run_cli("fit", str(dataset), "--manifold", "circle", "--method", "ker", "--out", "outdir.json") == 2
+        out, err = capsys.readouterr()
+        assert "outdir.json is a directory" in err
+        assert "l1_error=" not in out
+
+    def test_out_in_a_missing_directory_is_refused_before_the_fit(self, dataset, capsys):
+        argv = ["fit", str(dataset), "--manifold", "circle", "--method", "ker", "--out", "nodir/fit.json"]
+        assert run_cli(*argv) == 2
+        out, err = capsys.readouterr()
+        assert "directory nodir does not exist" in err
+        assert "l1_error=" not in out
+        assert not (dataset.parent / "nodir").exists()
+
+    @pytest.mark.parametrize("row", ["0.7,0.1", "0.7,0.1,0.2,0.3"], ids=["short-row", "long-row"])
+    def test_ragged_row_is_config_error_naming_its_line(self, workdir, capsys, row):
+        (workdir / "rag.csv").write_text(f"t,coord1,coord2\n0.5,0.3,0.4\n{row}\n")
+        assert run_cli("fit", "rag.csv", "--manifold", "torus", "--method", "ker") == 2
+        assert "cannot read dataset: line 3: expected 3 fields (t,coord1,coord2)" in capsys.readouterr().err
 
     def test_rate_epsilon_sets_grid(self, dataset):
         code = run_cli(
@@ -397,11 +418,19 @@ class TestCheckKernels:
     def test_clean_run_passes(self, capsys):
         assert run_cli("check-kernels") == 0
         out = capsys.readouterr().out
-        assert "8/8 checks passed" in out
+        assert "9/9 checks passed" in out
         assert "FAIL" not in out
         assert "semigroup" in out
         assert "PASS log-kernels" in out
         assert "PASS positivity" in out
+        assert re.search(r"^PASS sphere-polar-cdf: max CDF error \S+$", out, re.M)
+
+    def test_shifted_polar_cdf_fails(self, capsys, monkeypatch):
+        # a sampler whose polar angles come out 0.1 % too long
+        exact = checks._polar_cdf
+        monkeypatch.setattr(checks, "_polar_cdf", lambda t: (1.001 * exact(t)[0], exact(t)[1]))
+        assert run_cli("check-kernels") == 1
+        assert "FAIL sphere-polar-cdf" in capsys.readouterr().out
 
     @staticmethod
     def perturb_kernels(monkeypatch, perturbation):

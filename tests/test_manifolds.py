@@ -324,15 +324,37 @@ def test_sphere_log_kernel_matches_series_where_it_resolves(t):
 
 
 def test_sampler_times_keep_no_kernel_table():
-    # an anneal draws at one new time per temperature level; only the polar CDF memo grows
-    t = 0.0123456789
-    assert t >= SPHERE_SEAM_TIME
+    # an anneal draws at one new time per temperature level; only the polar CDF
+    # memo grows, whether its density is the expansion (0.0123) or the series (0.0789)
     _polar_cdf.cache_clear()
-    tables = _kernel_table.cache_info().currsize
-    cdfs = _polar_cdf.cache_info().currsize
-    Sphere().sample_heat_kernel(t, np.array([0.0, 0.0, 1.0]), np.random.default_rng(5))
-    assert _polar_cdf.cache_info().currsize == cdfs + 1
-    assert _kernel_table.cache_info().currsize == tables
+    for t in (0.0123456789, 0.0789):
+        assert t >= SPHERE_SEAM_TIME
+        tables = _kernel_table.cache_info().currsize
+        cdfs = _polar_cdf.cache_info().currsize
+        Sphere().sample_heat_kernel(t, np.array([0.0, 0.0, 1.0]), np.random.default_rng(5))
+        assert _polar_cdf.cache_info().currsize == cdfs + 1
+        assert _kernel_table.cache_info().currsize == tables
+
+
+@pytest.mark.parametrize("t", [1.1e-3, 0.02, 0.057, 0.058, 0.137])
+def test_polar_cdf_matches_a_fine_series_cdf(t):
+    # both density regimes and their boundary, against a 400,001-point
+    # trapezoid of the Legendre series over [0, pi]
+    top, cdf = _polar_cdf(t)
+    theta = np.linspace(0.0, math.pi, 400_001)
+    density = np.maximum(sphere_heat_series(np.cos(theta), t), 0.0) * np.sin(theta)
+    fine = cumulative_trapezoid(density, theta, initial=0.0)
+    want = np.interp(top * np.linspace(0.0, 1.0, cdf.size), theta, fine / fine[-1])
+    assert np.max(np.abs(cdf - want)) <= 5e-6
+
+
+def test_polar_cdf_entries_hold_one_grid_of_floats():
+    # each memo entry is its top angle and one 2,048-point CDF; the nodes are
+    # a shared unit grid scaled by top, so no entry keeps a grid of its own
+    for t in (1e-3, 0.02, 0.058, 0.1, 0.3, 2.0, 50.0):
+        top, cdf = _polar_cdf(t)
+        assert isinstance(top, float) and 0.0 < top <= math.pi
+        assert cdf.size <= 2048
 
 
 @contextlib.contextmanager
@@ -603,8 +625,10 @@ def test_float_draw_premises_hold_bit_for_bit():
     n = 4000
     g = rng.standard_normal((n, 3))
     x = Sphere().sample_uniform_many(n, rng)
-    rows = np.vecdot(g, x)
-    assert all(np.dot(a, b) == r for a, b, r in zip(g, x, rows)), "np.dot of 3-vectors is not the np.vecdot row"
+    rows = (g * x).sum(axis=-1)
+    assert [a * p + b * q + c * r for (a, b, c), (p, q, r) in zip(g.tolist(), x.tolist())] == rows.tolist(), (
+        "a float dot product is not the row sum of products"
+    )
     squares = (g * g).sum(axis=-1)
     assert [a * a + b * b + c * c for a, b, c in g.tolist()] == squares.tolist(), "a row sum does not add left to right"
     half = -0.5 * squares
@@ -628,7 +652,7 @@ def test_sphere_proposals_below_the_seam_take_brownian_steps(t):
     assert abs(float(np.mean(steps)) - math.sqrt(math.pi * t / 2.0)) < 3.0 * se
 
 
-@pytest.mark.parametrize("t", [2.5e-4, 0.05, 0.3])
+@pytest.mark.parametrize("t", [2.5e-4, 1e-3, 0.02, 0.05, 0.3])
 def test_sphere_steps_have_the_kernel_polar_law_and_an_independent_uniform_azimuth(t):
     # a step's polar angle has density ~ p_t(theta) sin(theta), Rayleigh below
     # the seam, and its azimuth about _sphere_frame is uniform and independent

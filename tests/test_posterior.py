@@ -231,6 +231,15 @@ def test_dataset_csv_header_checked():
         Dataset.from_csv("t,coord1\n", "circle")
 
 
+@pytest.mark.parametrize(
+    "row, got", [("0.7,0.1", 2), ("0.7,0.1,0.2,0.3", 4)], ids=["short-row", "long-row"]
+)
+def test_dataset_csv_ragged_row_names_its_line(row, got):
+    text = f"t,coord1,coord2\n0.5,0.3,0.4\n{row}\n0.9,0.5,0.6\n"
+    with pytest.raises(ValueError, match=rf"^line 3: expected 3 fields \(t,coord1,coord2\), got {got}$"):
+        Dataset.from_csv(text, "torus")
+
+
 def test_dataset_csv_layout():
     data = Dataset("torus", np.array([0.5]), np.array([[1.0, 2.0]]))
     lines = data.to_csv().strip().splitlines()
