@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -25,8 +24,8 @@ from bmreg.experiments import (
     CSV_HEADER,
     ExperimentCell,
     ExperimentResult,
+    cell_dataset,
     comparison_cells,
-    default_truth,
     fit_and_score,
     run_cells,
     run_contract,
@@ -35,8 +34,7 @@ from bmreg.experiments import (
 )
 from bmreg.inference import AnnealConfig
 from bmreg.kernel_regression import bandwidth_rule
-from bmreg.manifolds import make_manifold
-from bmreg.metrics import PredictorDensity, generate_dataset, theorem_rate_sidelength
+from bmreg.metrics import theorem_rate_sidelength
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -72,7 +70,7 @@ class ConfigError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Every run-command option: its type, its default, and its checks."""
+    """Every run-command option: its type, its default, and the checks no ExperimentCell field makes."""
 
     manifold: str = ExperimentCell.manifold
     method: str = ExperimentCell.method
@@ -95,26 +93,12 @@ class RunConfig:
     anneal: AnnealConfig = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        try:
-            make_manifold(self.manifold)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         if self.method not in _METHODS:
             raise ConfigError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if not 0.0 < self.sigma2 < math.inf:
-            raise ConfigError(f"sigma2 must be positive and finite, got {self.sigma2}")
-        if self.marginal_A is not None and not 1.0 < self.marginal_A < math.inf:
-            raise ConfigError(f"marginal-A must exceed 1 and be finite, got {self.marginal_A}")
-        if not 0.0 < self.c < math.inf:
-            raise ConfigError(f"c must be positive and finite, got {self.c}")
         if self.grid_K is not None and self.rate_epsilon is not None:
             raise ConfigError("grid-K and rate-epsilon are mutually exclusive")
         if self.rate_epsilon is not None and not 0.0 < self.rate_epsilon < 0.25:
             raise ConfigError(f"rate-epsilon must be in (0, 1/4), got {self.rate_epsilon}")
-        if self.grid_K is not None and self.grid_K < 1:
-            raise ConfigError("grid-K must be >= 1")
         if not 0 <= self.seed < 2**63:
             raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
         if self.replicates < 1:
@@ -133,6 +117,10 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"bad annealing schedule: {exc}") from exc
         object.__setattr__(self, "anneal", anneal)
+        try:
+            self.cell()  # the cell checks the fit's settings
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def segments(self, n: int) -> int:
         """Knot-interval count: explicit grid size, rate rule, or default."""
@@ -230,13 +218,9 @@ def merge_options(args: argparse.Namespace) -> dict:
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_generate(cfg: RunConfig) -> int:
+def cmd_generate(cfg: RunConfig, out: str) -> int:
     """write a synthetic dataset CSV"""
-    out = cfg.out or "dataset.csv"
-    m = make_manifold(cfg.manifold)
-    f0 = default_truth(cfg.manifold)
-    rng = np.random.default_rng(cfg.seed)
-    data = generate_dataset(f0, cfg.n, cfg.sigma2, PredictorDensity.uniform(), m, rng)
+    data = cell_dataset(cfg.cell(data_seed=cfg.seed))
     data.save_csv(out)
     print(f"generated {data.n} {cfg.manifold} observations (sigma2={cfg.sigma2}, seed={cfg.seed}) -> {out}")
     return EXIT_OK
@@ -248,15 +232,20 @@ def _rows_path(out: str) -> str:
     return out + ".csv"
 
 
+def _check_writable(out: str, path: str) -> None:
+    """ConfigError where the command given --out out could not write the file path."""
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {out}: {path} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"--out {out}: directory {os.path.dirname(path)} does not exist")
+
+
 def _check_fit_outputs(dataset_path: str, out: str) -> None:
-    """ConfigError where fit could not write its outputs, would write over its dataset or
+    """ConfigError where fit could not write its rows file, would write over its dataset or
     append rows to a file not of rows."""
     rows = _rows_path(out)
+    _check_writable(out, rows)
     for path in (out, rows):
-        if os.path.isdir(path):
-            raise ConfigError(f"--out {out}: {path} is a directory")
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise ConfigError(f"--out {out}: directory {os.path.dirname(path)} does not exist")
         if os.path.exists(path) and os.path.samefile(path, dataset_path):
             raise ConfigError(f"--out {out} would write over the dataset: fit writes {out} and appends rows to {rows}")
     if os.path.isfile(rows) and os.path.getsize(rows):
@@ -273,7 +262,7 @@ def _append_row(path: str, row: ExperimentResult) -> None:
         fh.write(row.csv_row() + "\n")
 
 
-def cmd_fit(cfg: RunConfig, dataset_path: str) -> int:
+def cmd_fit(cfg: RunConfig, out: str, dataset_path: str) -> int:
     """fit one estimator to a dataset CSV"""
     try:
         data = Dataset.load_csv(dataset_path, cfg.manifold)
@@ -283,7 +272,6 @@ def cmd_fit(cfg: RunConfig, dataset_path: str) -> int:
         cell = cfg.cell(n=data.n, run_id=f"fit-{cfg.method}-seed{cfg.seed}", seed=cfg.seed)
     except (OSError, ValueError) as exc:  # ValueError includes EmptyDatasetError
         raise ConfigError(f"cannot read dataset: {exc}") from exc
-    out = cfg.out or "fit.json"
     _check_fit_outputs(dataset_path, out)
     row, fitted, fit = fit_and_score(cell, data)
     if fit is not None:
@@ -301,9 +289,8 @@ def cmd_fit(cfg: RunConfig, dataset_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(cfg: RunConfig, out: str) -> int:
     """compare dbm, cbm, ker and const on shared datasets"""
-    out = cfg.out or "comparison.csv"
     try:
         cells = comparison_cells(_COMPARE_METHODS, base_seed=cfg.seed, replicates=cfg.replicates, base=cfg.cell())
     except ValueError as exc:
@@ -317,11 +304,10 @@ def cmd_compare(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: RunConfig, out: str) -> int:
     """run a parameter sweep"""
     if cfg.axis is None or cfg.values is None:
         raise ConfigError("sweep needs --axis and --values")
-    out = cfg.out or "sweep.csv"
     try:
         cells = sweep_cells(cfg.axis, cfg.values, base_seed=cfg.seed, replicates=cfg.replicates, base=cfg.cell())
     except ValueError as exc:
@@ -335,18 +321,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_contract(cfg: RunConfig) -> int:
+def cmd_contract(cfg: RunConfig, out: str) -> int:
     """posterior contraction-rate study"""
     if cfg.n_values is None:
         raise ConfigError("contract needs --n-values")
-    out = cfg.out or "contract.csv"
     try:
         report = run_contract(
-            cfg.n_values,
-            cfg.rate_epsilon,
-            base_seed=cfg.seed,
-            replicates=cfg.replicates,
-            workers=cfg.workers,
+            cfg.n_values, cfg.rate_epsilon, base_seed=cfg.seed, replicates=cfg.replicates, workers=cfg.workers,
             base=cfg.cell(),
         )
     except ValueError as exc:
@@ -372,8 +353,10 @@ def cmd_check_kernels() -> int:
 # -- argument parsing --------------------------------------------------------
 
 
+# each run command and the file it writes when --out is not given
 _COMMANDS = {
-    "generate": cmd_generate, "fit": cmd_fit, "compare": cmd_compare, "sweep": cmd_sweep, "contract": cmd_contract,
+    "generate": (cmd_generate, "dataset.csv"), "fit": (cmd_fit, "fit.json"), "compare": (cmd_compare, "comparison.csv"),
+    "sweep": (cmd_sweep, "sweep.csv"), "contract": (cmd_contract, "contract.csv"),
 }
 
 
@@ -391,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bmreg", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command, takes in _TAKES.items():
-        run = sub.add_parser(command, help=_COMMANDS[command].__doc__, allow_abbrev=False)
+        run = sub.add_parser(command, help=_COMMANDS[command][0].__doc__, allow_abbrev=False)
         if command == "fit":
             run.add_argument("dataset", help="dataset CSV path")
         run.add_argument("--config", help="JSON file supplying any option below; flags override")
@@ -415,9 +398,12 @@ def main(argv=None) -> int:
 
     try:
         cfg = RunConfig(**merge_options(args))
+        run, default_out = _COMMANDS[args.command]
+        out = cfg.out or default_out
+        _check_writable(out, out)
         if args.command == "fit":
-            return cmd_fit(cfg, args.dataset)
-        return _COMMANDS[args.command](cfg)
+            return cmd_fit(cfg, out, args.dataset)
+        return run(cfg, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

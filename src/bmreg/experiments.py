@@ -12,6 +12,7 @@ output bytes do not depend on the worker-pool size.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -39,6 +40,8 @@ from bmreg.posterior import KnownVariance, MarginalVariance
 # the contraction study's: c = 0.01 over-smooths the sampler, and epsilon
 # sets K by the rate rule
 CONTRACT_DEFAULTS = {"c": 1.0, "epsilon": 0.05}
+# the estimators a cell may name
+METHODS = ("dbm", "cbm", "ker", "const", "mcmc")
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -91,7 +94,8 @@ class ExperimentCell:
     """One fit, fully described; the field defaults are the harness's and the CLI's.
 
     The cell builders set run_id and the two seeds: data_seed seeds the
-    generated dataset and seed the fit.
+    generated dataset and seed the fit.  A cell checks its own fields, so
+    every cell a builder makes by dataclasses.replace is checked too.
     """
 
     method: str = "dbm"
@@ -106,6 +110,19 @@ class ExperimentCell:
     run_id: str = ""
     data_seed: int = 0
     seed: int = 0
+
+    def __post_init__(self):
+        make_manifold(self.manifold)
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        for name, value in (("n", self.n), ("K", self.K)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        for name, value in (("c", self.c), ("sigma2", self.sigma2)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.marginal_bound is not None and not 1.0 < self.marginal_bound < math.inf:
+            raise ValueError(f"marginal_bound must exceed 1 and be finite, got {self.marginal_bound}")
 
 
 @dataclass(frozen=True)
@@ -174,11 +191,9 @@ def fit_and_score(cell: ExperimentCell, data: Dataset):
         fitted, K = KernelFit.from_rule(data), 0
     elif method == "const":
         fitted, K = constant_path(m, frechet_mean_weighted(data.points, np.ones(data.n), m)), 0
-    elif method == "mcmc":
+    else:  # mcmc, the last of METHODS
         mcmc = cell.mcmc or default_mcmc_config(data.n, K, cell.sigma2)
         fitted = mh_sample(data, sigma, PriorSpec.from_segments(K, cell.c), mcmc, m, rng)
-    else:
-        raise ValueError(f"unknown method {method!r}")
     scored = fitted if method == "mcmc" else [fitted]
     error = float(np.mean(dq_distances(scored, f0, 1.0, PredictorDensity.uniform(), m)))
     runtime_ms = int(round((time.perf_counter() - start) * 1000.0))
@@ -186,11 +201,15 @@ def fit_and_score(cell: ExperimentCell, data: Dataset):
     return row, fitted, fit
 
 
+def cell_dataset(cell: ExperimentCell) -> Dataset:
+    """The cell's n observations of default_truth, uniform times and noise time sigma2, drawn from data_seed."""
+    m, rng = make_manifold(cell.manifold), np.random.default_rng(cell.data_seed)
+    return generate_dataset(default_truth(cell.manifold), cell.n, cell.sigma2, PredictorDensity.uniform(), m, rng)
+
+
 def run_cell(cell: ExperimentCell):
     """Run one cell on its generated dataset; returns (result row, fitted object of fit_and_score)."""
-    m, rng = make_manifold(cell.manifold), np.random.default_rng(cell.data_seed)
-    data = generate_dataset(default_truth(cell.manifold), cell.n, cell.sigma2, PredictorDensity.uniform(), m, rng)
-    row, fitted, _ = fit_and_score(cell, data)
+    row, fitted, _ = fit_and_score(cell, cell_dataset(cell))
     return row, fitted
 
 
@@ -211,7 +230,9 @@ def run_cells(cells, workers: int = 1):
     executor = ProcessPoolExecutor
     if executor is None:
         from concurrent.futures import ProcessPoolExecutor as executor
-    with executor(max_workers=min(workers, len(cells))) as pool:
+    # no more processes than cells, or than CPUs this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with executor(max_workers=min(workers, len(cells), cpus)) as pool:
         return list(pool.map(_run_cell_row, cells))
 
 
@@ -250,10 +271,6 @@ def sweep_cells(axis: str, values, base_seed: int, replicates: int, base: Experi
         raise ValueError("need at least two axis values")
     if len(set(values)) != len(values):
         raise ValueError("axis values must be distinct")
-    if axis == "c" and not all(math.isfinite(v) and v > 0.0 for v in values):
-        raise ValueError(f"c values must be finite and > 0, got {values}")
-    if axis in ("K", "n") and min(values) < 1:
-        raise ValueError(f"{axis} values must be >= 1, got {values}")
     if axis in _IGNORED_AXES.get(base.method, ()):
         raise ValueError(f"method {base.method} does not read {axis}; sweep an axis it reads")
     kind = float if axis == "c" else int
@@ -280,10 +297,7 @@ class ContractReport:
 
 
 def contract_cells(
-    n_values,
-    epsilon: float,
-    base_seed: int,
-    replicates: int,
+    n_values, epsilon: float, base_seed: int, replicates: int,
     base: ExperimentCell = ExperimentCell(c=CONTRACT_DEFAULTS["c"]),
 ):
     """mcmc cells of base for the posterior contraction study, K set by the rate rule."""
@@ -299,11 +313,7 @@ def contract_cells(
 
 
 def run_contract(
-    n_values,
-    epsilon: float,
-    base_seed: int,
-    replicates: int,
-    workers: int = 1,
+    n_values, epsilon: float, base_seed: int, replicates: int, workers: int = 1,
     base: ExperimentCell = ExperimentCell(c=CONTRACT_DEFAULTS["c"]),
 ) -> ContractReport:
     cells = contract_cells(n_values, epsilon, base_seed, replicates, base)

@@ -17,6 +17,10 @@ from bmreg.data import Dataset
 from bmreg.manifolds import Manifold
 
 
+# the Frechet iteration stops once its step is at most this long
+FRECHET_TOLERANCE = 1e-12
+
+
 class DegeneratePredictorsError(ValueError):
     """Predictor values carry no spread, so no bandwidth can be formed."""
 
@@ -46,15 +50,14 @@ def frechet_mean_weighted(
     weights,
     m: Manifold,
     max_iterations: int = 100,
-    tolerance: float = 1e-12,
 ):
     """Weighted Frechet mean by tangent-space fixed-point iteration.
 
     Starts at the highest-weight point, repeatedly maps all points to the
     tangent space at the current estimate, and steps to the exponential of
-    the weighted mean tangent vector until the step is below tolerance.
+    the weighted mean tangent vector until the step is below FRECHET_TOLERANCE.
     Weights of shape (q, n) give q means in one array pass; each row stops
-    at its own tolerance, and any row unsettled after max_iterations fails.
+    when its own step is below it, and any row unsettled after max_iterations fails.
     """
     pts = m.stack(points)
     w = np.asarray(weights, dtype=float)
@@ -74,8 +77,8 @@ def frechet_mean_weighted(
         tangents = m.log_map(x if len(x) == 1 else x[:, None], pts)
         step = (np.matmul(rows, tangents.reshape(len(x), len(pts), -1)) / totals)[:, 0]
         squared = np.vecdot(step, step)
-        if squared.min() <= tolerance * tolerance:
-            settled = squared <= tolerance * tolerance
+        if squared.min() <= FRECHET_TOLERANCE * FRECHET_TOLERANCE:
+            settled = squared <= FRECHET_TOLERANCE * FRECHET_TOLERANCE
             if settled.all():
                 break
             if out is None:

@@ -26,6 +26,9 @@ from bmreg.data import Dataset
 from bmreg.manifolds import Manifold
 from bmreg.paths import PiecewiseGeodesicPath, PriorSpec, eval_path_like, log_prior
 
+# Gauss-Legendre nodes of the marginal-variance band
+MARGINAL_NODES = 16
+
 
 @dataclass(frozen=True)
 class KnownVariance:
@@ -47,18 +50,15 @@ class MarginalVariance:
     """Noise time marginalized over Uniform[1/A, A], A > 1, by Gauss-Legendre."""
 
     bound: float
-    nodes: int = 16
 
     def __post_init__(self):
         if not 1.0 < self.bound < np.inf:
             raise ValueError("bound must exceed 1 and be finite")
-        if self.nodes < 2:
-            raise ValueError("need at least 2 quadrature nodes")
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """(times, weights) on [1/A, A]; weights sum to A - 1/A."""
         lo, hi = 1.0 / self.bound, self.bound
-        u, w = np.polynomial.legendre.leggauss(self.nodes)
+        u, w = np.polynomial.legendre.leggauss(MARGINAL_NODES)
         times = 0.5 * (hi - lo) * u + 0.5 * (hi + lo)
         return times, 0.5 * (hi - lo) * w
 

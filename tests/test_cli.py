@@ -303,7 +303,7 @@ class TestSweep:
     def test_out_of_range_axis_value_is_config_error(self, no_run, capsys, axis, values):
         # no cell runs: the value is rejected while the cells are built
         assert run_cli("sweep", "--axis", axis, "--values", values) == 2
-        assert f"{axis} values must be" in capsys.readouterr().err
+        assert f"{axis} must be" in capsys.readouterr().err
 
 
 class TestCompare:
@@ -474,6 +474,11 @@ class TestCheckKernels:
         ["fit", "--c", "inf"],
         ["generate", "--manifold", "plane"],
         ["fit", "--manifold", "plane"],
+        ["fit", "--grid-K", "0"],
+        ["generate", "--sigma2", "0"],
+        ["compare", "--marginal-A", "1"],
+        ["sweep", "--axis", "c", "--values", "0.1,0.2", "--c", "nan"],
+        ["contract", "--n-values", "50,100,200", "--sigma2", "inf"],
     ],
 )
 def test_bad_option_value_is_config_error(dataset, argv):
@@ -536,7 +541,7 @@ def no_run(dataset, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the command started")
 
-    for name in ("generate_dataset", "fit_and_score", "run_cells", "run_contract"):
+    for name in ("cell_dataset", "fit_and_score", "run_cells", "run_contract"):
         monkeypatch.setattr(cli, name, refuse)
     return dataset.parent
 
@@ -578,6 +583,15 @@ class TestOptionTable:
         for argv in RUNS.values():
             assert run_cli(*argv) == 3
 
+    @pytest.mark.parametrize("out", ["adir", "nodir/out.csv"], ids=["directory", "missing-directory"])
+    @pytest.mark.parametrize("command", sorted(TAKES))
+    def test_unwritable_out_exits_2_before_the_command_starts(self, no_run, capsys, command, out):
+        (no_run / "adir").mkdir()
+        before = sorted(no_run.rglob("*"))
+        assert run_cli(*RUNS[command], "--out", out) == 2
+        assert f"--out {out}" in capsys.readouterr().err
+        assert sorted(no_run.rglob("*")) == before
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -617,6 +631,13 @@ def readme_command_lines():
     blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
     lines = [line for block in blocks for line in block.splitlines() if line.startswith("bmreg ")]
     return [shlex.split(line, comments=True)[1:] for line in lines]
+
+
+def test_readme_options_table_matches_the_parser():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)[^`]*` \| `([^`]*)` \|$", text, re.M)
+    table = {command: tuple(flag[2:].replace("-", "_") for flag in flags.split()) for command, flags in rows}
+    assert table == cli._TAKES
 
 
 @pytest.mark.parametrize("argv", readme_command_lines(), ids=" ".join)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -83,6 +84,63 @@ class TestSeedMixing:
         assert fit_seed(9, 0, 2) != dataset_seed(9, 0, 2)
 
 
+# one bad value of each field a cell checks, and the start of its error
+BAD_FIELDS = [
+    ("manifold", "plane", "unknown manifold kind"),
+    ("method", "boost", "method must be one of"),
+    ("n", 0, "n must be >= 1"),
+    ("K", 0, "K must be >= 1"),
+    ("c", 0.0, "c must be positive and finite"),
+    ("c", math.nan, "c must be positive and finite"),
+    ("c", math.inf, "c must be positive and finite"),
+    ("sigma2", -1.0, "sigma2 must be positive and finite"),
+    ("sigma2", math.nan, "sigma2 must be positive and finite"),
+    ("marginal_bound", 1.0, "marginal_bound must exceed 1 and be finite"),
+    ("marginal_bound", math.inf, "marginal_bound must exceed 1 and be finite"),
+]
+
+
+def built_with(builder, field, value):
+    """builder's cells where field is value: set by the builder where it sets field, else by a base
+    cell given the value past its check, as no constructor could."""
+    base = ExperimentCell()
+    object.__setattr__(base, field, value)
+    if builder == "comparison":
+        if field == "method":
+            return comparison_cells([value], base_seed=1, replicates=1)
+        return comparison_cells(["dbm"], base_seed=1, replicates=1, base=base)
+    if builder == "sweep":
+        if field in experiments.SWEEP_AXES:
+            return sweep_cells(field, [1, value], base_seed=1, replicates=1)
+        return sweep_cells("n", [20, 40], base_seed=1, replicates=1, base=base)
+    return contract_cells([50, 100, 200], 0.05, base_seed=1, replicates=1, base=base)
+
+
+class TestCellChecks:
+    @pytest.mark.parametrize("field, value, message", BAD_FIELDS)
+    def test_cell_rejects_a_bad_field(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentCell(**{field: value})
+
+    @pytest.mark.parametrize(
+        "builder, field, value, message",
+        [
+            (builder, *case)
+            for builder in ("comparison", "sweep", "contract")
+            for case in BAD_FIELDS
+            # contract sets method, n and K itself, each to a valid value
+            if not (builder == "contract" and case[0] in ("method", "n", "K"))
+        ],
+    )
+    def test_every_builder_checks_the_cells_it_builds(self, builder, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            built_with(builder, field, value)
+
+    def test_default_cell_and_every_method_pass(self):
+        for method in experiments.METHODS:
+            assert ExperimentCell(method=method, marginal_bound=2.0).method == method
+
+
 class TestCellBuilders:
     def test_sweep_pairs_datasets_across_values(self):
         cells = sweep_cells("c", [0.01, 10.0], base_seed=7, replicates=3)
@@ -112,7 +170,7 @@ class TestCellBuilders:
             sweep_cells("c", [0.5, 0.5], base_seed=1, replicates=1)
         for axis, values in [("c", [0.1, -1.0]), ("c", [0.1, 0.0]), ("c", [0.1, math.nan]), ("c", [0.1, math.inf]),
                              ("K", [0, 4]), ("n", [0, 10])]:
-            with pytest.raises(ValueError, match=f"{axis} values must be"):
+            with pytest.raises(ValueError, match=f"{axis} must be"):
                 sweep_cells(axis, values, base_seed=1, replicates=1)
 
     @pytest.mark.parametrize("method, axis", [("cbm", "K"), ("ker", "K"), ("ker", "c"), ("const", "K"), ("const", "c")])
@@ -268,12 +326,14 @@ class TestRunCells:
         pooled = run_cells(cells, workers=2)
         assert _strip_runtime(sequential) == _strip_runtime(pooled)
 
-    def test_pool_never_outnumbers_the_cells(self, monkeypatch):
+    @staticmethod
+    def recorded_pool_sizes(monkeypatch, cpus, workers_each_run):
+        """The max_workers of each run_cells call over four cells on a host of cpus usable CPUs.
+
+        The pool stand-in maps in this process, so no worker process starts."""
         sizes = []
 
         class RecordingPool:
-            """Records its size and maps in this process; it starts no worker."""
-
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -286,12 +346,21 @@ class TestRunCells:
             def map(self, fn, items):
                 return map(fn, items)
 
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiments, "_run_cell_row", lambda cell: cell.run_id)
         cells = comparison_cells(["dbm", "cbm", "ker", "const"], base_seed=3, replicates=1)
-        for workers in (16, 4, 2):
+        for workers in workers_each_run:
             assert run_cells(cells, workers) == [cell.run_id for cell in cells]
-        assert sizes == [4, 4, 2]
+        return sizes
+
+    def test_pool_never_outnumbers_the_cells(self, monkeypatch):
+        assert self.recorded_pool_sizes(monkeypatch, 64, (16, 4, 2)) == [4, 4, 2]
+
+    def test_pool_never_outnumbers_the_usable_cpus(self, monkeypatch):
+        # --workers 1000 asks for 1,000 processes; a 2-CPU host gets a pool of 2
+        assert self.recorded_pool_sizes(monkeypatch, 2, (1000, 4, 2)) == [2, 2, 2]
+        assert self.recorded_pool_sizes(monkeypatch, 3, (1000,)) == [3]
 
     def test_rows_follow_input_order(self):
         cells = [make_cell("const", run_id=f"cell-{i}") for i in (3, 1, 2)]

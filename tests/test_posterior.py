@@ -158,8 +158,6 @@ def test_sigma_mode_validation():
         KnownVariance(0.0)
     with pytest.raises(ValueError):
         MarginalVariance(bound=1.0)
-    with pytest.raises(ValueError):
-        MarginalVariance(bound=2.0, nodes=1)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
