@@ -68,6 +68,10 @@ class ConfigError(ValueError):
     """Bad option value or combination; maps to exit code 2."""
 
 
+# the flag that sets each ExperimentCell field a cell's refusal names first
+_FLAG_OF_FIELD = {"marginal_bound": "--marginal-A", "K": "--grid-K", "sigma2": "--sigma2", "c": "--c", "n": "--n"}
+
+
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Every run-command option: its type, its default, and the checks no ExperimentCell field makes."""
@@ -120,7 +124,8 @@ class RunConfig:
         try:
             self.cell()  # the cell checks the fit's settings
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            field, _, rest = str(exc).partition(" ")
+            raise ConfigError(f"{_FLAG_OF_FIELD[field]} {rest}" if field in _FLAG_OF_FIELD else str(exc)) from exc
 
     def segments(self, n: int) -> int:
         """Knot-interval count: explicit grid size, rate rule, or default."""

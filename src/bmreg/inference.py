@@ -15,8 +15,11 @@ Each run of one colour is scored in one vectorized pass and decided by one
 vectorized Metropolis test, which is the same chain as updating its knots one
 at a time (systematic-scan Metropolis-within-Gibbs).  Counts are per knot
 update: a temperature level makes exactly steps_per_temperature updates and a
-chain exactly `iterations`; a colour run that would cross a level, burn-in or
-thinning boundary is cut there and resumes after it.
+chain exactly `iterations`; a colour run that would cross a level or the
+burn-in boundary is cut there and resumes after it.  A thinning point splits
+only the draws of a run, not its scoring: the run's proposals and uniforms
+are drawn piece by piece, in the order separate runs would draw them, and
+the stored sample is the knots with the accepts before that point applied.
 
 Per-term values are cached and rewritten on acceptance (never accumulated as
 running deltas), and the reported totals are full sums of the cached terms.
@@ -231,22 +234,35 @@ class _Blocked:
         self._plan = functools.lru_cache(maxsize=_MAX_PLANS)(plan)
 
     def total(self) -> float:
-        return float(self.const + np.sum(self.prior_terms) + np.sum(self.obs_terms))
+        return float(self.const + self.prior_terms.sum() + self.obs_terms.sum())
 
     def _obs_log_density(self, knots: np.ndarray, left, right, fractions, points) -> np.ndarray:
         values = self.m.interpolate_pairwise(knots[left], knots[right], fractions)
         return self.sigma.log_density(self.m, values, points)
 
-    def advance(self, count: int, proposal_time: float, temperature: float, rng: np.random.Generator):
-        """Make count knot updates in colour order; yields (updates, accepted) per block."""
-        while count > 0:
+    def advance(
+        self, count: int, proposal_time: float, temperature: float, rng: np.random.Generator, marks=(), snapshots=None
+    ):
+        """Make count knot updates in colour order; yields (updates, accepted) per block.
+
+        marks are update counts in (0, count]: each one appends to
+        snapshots the knots as they stand after that many updates of this
+        call.  A mark inside a colour run splits the run's draws there, not
+        its scoring.
+        """
+        pending = sorted(marks, reverse=True)
+        done = 0
+        while done < count:
             colour = self.colours[self.colour]
-            ks = colour[self.offset : self.offset + count]
-            accepted = self._update_block(ks, proposal_time, temperature, rng)
+            ks = colour[self.offset : self.offset + count - done]
+            cuts = []
+            while pending and pending[-1] <= done + len(ks):
+                cuts.append(pending.pop() - done)
+            accepted = self._update_block(ks, proposal_time, temperature, rng, cuts, snapshots)
             self.offset += len(ks)
             if self.offset == len(colour):
                 self.colour, self.offset = 1 - self.colour, 0
-            count -= len(ks)
+            done += len(ks)
             yield len(ks), accepted
 
     def _score(self, ks: np.ndarray, values: np.ndarray):
@@ -270,19 +286,44 @@ class _Blocked:
         delta += np.bincount(obs_owner, weights=new_obs - self.obs_terms[obs], minlength=len(ks))
         return delta, (pairs, pair_owner, new_prior), (obs, obs_owner, new_obs)
 
-    def _update_block(self, ks: np.ndarray, proposal_time: float, temperature: float, rng: np.random.Generator) -> int:
-        """One proposal per knot of ks in order, one vectorized Metropolis test; returns the accepts."""
-        values = np.asarray([self.m.sample_heat_kernel(proposal_time, self.knots[k], rng) for k in ks])
-        u = rng.uniform(size=len(ks))
+    def _update_block(
+        self, ks: np.ndarray, proposal_time: float, temperature: float, rng: np.random.Generator,
+        cuts=(), snapshots=None,
+    ) -> int:
+        """One proposal per knot of ks in order, one vectorized Metropolis test; returns the accepts.
+
+        Each cut c in (0, len(ks)] appends to snapshots the knots with the
+        accepts of ks[:c] applied.  The proposals and uniforms of ks[:c] are
+        drawn before those of ks[c:], as two blocks split at c would draw them.
+        """
+        draw = self.m.sample_heat_kernel
+        ends = [c for c in cuts if c < len(ks)] + [len(ks)]
+        start, values, u = 0, [], []
+        for end in ends:
+            values += [draw(proposal_time, self.knots[k], rng) for k in ks[start:end]]
+            u.append(rng.uniform(size=end - start))
+            start = end
+        values = np.asarray(values)
+        u = u[0] if len(u) == 1 else np.concatenate(u)
         delta, prior_change, obs_change = self._score(ks, values)
-        accept = (delta >= 0.0) | (u < np.exp(np.minimum(delta, 0.0) / temperature))
+        accept = _metropolis_accepts(delta, u, temperature)
         accepted = int(np.count_nonzero(accept))
+        before = self.knots[ks] if cuts else None
         if accepted:
             self.knots[ks[accept]] = values[accept]
             for terms, (where, owners, new) in ((self.prior_terms, prior_change), (self.obs_terms, obs_change)):
                 kept = accept[owners]
                 terms[where[kept]] = new[kept]
+        for c in cuts:
+            snapshot = self.knots.copy()
+            snapshot[ks[c:]] = before[c:]
+            snapshots.append(snapshot)
         return accepted
+
+
+def _metropolis_accepts(delta: np.ndarray, u: np.ndarray, temperature: float) -> np.ndarray:
+    """Metropolis decisions: u < exp(min(delta, 0) / temperature), which holds for every delta >= 0 since u < 1."""
+    return u < np.exp(np.minimum(delta, 0.0) / temperature)
 
 
 def anneal_map(
@@ -350,13 +391,12 @@ def mh_sample(
         state = init_state(data, spec.segments, m)
         engine = _Blocked(m, state.knots, spec, data, sigma)
 
-    def run(count: int) -> int:
-        return sum(accepted for _, accepted in engine.advance(count, cfg.proposal_time, 1.0, rng))
+    def run(count: int, marks=(), snapshots=None) -> int:
+        return sum(accepted for _, accepted in engine.advance(count, cfg.proposal_time, 1.0, rng, marks, snapshots))
 
     accepted = run(cfg.burn_in)
-    samples = []
-    for _ in range((cfg.iterations - cfg.burn_in) // cfg.thinning):
-        accepted += run(cfg.thinning)
-        samples.append(PiecewiseGeodesicPath(m, np.array(engine.knots, copy=True)))
-    accepted += run((cfg.iterations - cfg.burn_in) % cfg.thinning)
+    kept = cfg.iterations - cfg.burn_in
+    stored = []
+    accepted += run(kept, range(cfg.thinning, kept + 1, cfg.thinning), stored)
+    samples = [PiecewiseGeodesicPath(m, knots) for knots in stored]
     return SampleResult(samples=samples, acceptance_rate=accepted / cfg.iterations)

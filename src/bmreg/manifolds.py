@@ -70,9 +70,12 @@ class InvalidTimeError(ValueError):
 
 def wrap_angle(theta):
     """Canonical angle in [0, 2*pi); accepts scalars or arrays."""
-    # np.mod can return the modulus itself for tiny negative inputs; fmod
-    # maps that to 0 and leaves every other value of [0, 2*pi) as it is
-    theta = np.fmod(np.mod(theta, TWO_PI), TWO_PI)
+    # np.mod's bits without its floor division: fmod, plus 2*pi where the
+    # remainder is negative (-0.0 + 0.0 is +0.0, as np.mod gives).  A tiny
+    # negative input then lands on 2*pi itself, which the second fmod maps
+    # to 0, leaving every other value of [0, 2*pi) as it is
+    theta = np.fmod(theta, TWO_PI)
+    theta = np.fmod(theta + TWO_PI * (theta < 0.0), TWO_PI)
     if np.ndim(theta) == 0:
         return float(theta)
     return theta
@@ -84,9 +87,11 @@ def signed_angle_gap(start, end):
     The half-open interval resolves the antipodal tie: the counterclockwise
     arc (+pi) is taken, matching geodesic interpolation on the circle.
     """
-    gap = np.mod(np.asarray(end, dtype=float) - start, TWO_PI)
+    # np.mod of the difference as in wrap_angle, then minus 2*pi above pi:
     # gap - 2*pi is exact for gap in (pi, 2*pi] (Sterbenz), so it stays above -pi
-    gap = np.where(gap > math.pi, gap - TWO_PI, gap)
+    gap = np.fmod(np.asarray(end, dtype=float) - start, TWO_PI)
+    gap = gap + TWO_PI * (gap < 0.0)
+    gap = gap - TWO_PI * (gap > math.pi)
     if np.ndim(gap) == 0:
         return float(gap)
     return gap
@@ -141,9 +146,9 @@ def circle_log_heat(gap, t):
     g = np.fmod(np.abs(np.asarray(gap, dtype=float)), TWO_PI)
     g = np.minimum(g, TWO_PI - g)
     images = max(1, math.ceil(0.5 * (math.sqrt(1.0 + 2.0 * _LOG_TOL * t / math.pi**2) - 1.0)))
-    rest = 0.0
-    for k in range(1, images + 1):
-        # images -k and +k over image 0: exp(-2 pi k (pi k -/+ gap) / t)
+    # images -k and +k over image 0: exp(-2 pi k (pi k -/+ gap) / t)
+    rest = np.exp((TWO_PI / t) * (g - math.pi)) + np.exp((-TWO_PI / t) * (g + math.pi))
+    for k in range(2, images + 1):
         rest = rest + np.exp((TWO_PI * k / t) * (g - math.pi * k)) + np.exp((-TWO_PI * k / t) * (g + math.pi * k))
     return _scalar_or_array(-0.5 * math.log(TWO_PI * t) - g * g / (2.0 * t) + np.log1p(rest))
 
@@ -459,13 +464,13 @@ class Circle(AngleManifold):
     def distance(self, xs, ys):
         return np.abs(signed_angle_gap(np.asarray(xs, dtype=float), ys))
 
-    # Kernel gaps use |y - x| of the raw difference rather than the signed
-    # wrap: subtraction is exactly antisymmetric in floats, so the gap (and
-    # hence the kernel) is bitwise symmetric under swapping x and y.  The
-    # image sum folds the gap into [0, pi] itself, so unwrapped gaps are fine.
+    # Kernel gaps are the raw difference y - x rather than the signed wrap:
+    # subtraction is exactly antisymmetric in floats, and the image sum takes
+    # its absolute value and folds it into [0, pi] itself, so the kernel is
+    # bitwise symmetric under swapping x and y.
 
     def log_heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
-        return circle_log_heat(np.abs(np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float)), t)
+        return circle_log_heat(np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float), t)
 
     def sample_heat_kernel(self, t: float, x, rng: np.random.Generator) -> float:
         # the batch body's arithmetic on plain floats, free of numpy's
@@ -643,13 +648,15 @@ class Torus(AngleManifold):
     point_shape = (2,)
 
     def distance(self, xs, ys):
+        # np.linalg.norm's own sum of squares, without its set-up
         gaps = signed_angle_gap(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
-        return np.linalg.norm(gaps, axis=-1)
+        g0, g1 = gaps[..., 0], gaps[..., 1]
+        return np.sqrt(g0 * g0 + g1 * g1)
 
     def log_heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
-        # As on the circle, gaps are |y - x| per axis so the kernel is bitwise
+        # As on the circle, gaps are y - x per axis so the kernel is bitwise
         # symmetric in its two points; the log factors add.
-        parts = circle_log_heat(np.abs(np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float)), t)
+        parts = circle_log_heat(np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float), t)
         return parts[..., 0] + parts[..., 1]
 
     def sample_heat_kernel(self, t: float, x, rng: np.random.Generator) -> np.ndarray:

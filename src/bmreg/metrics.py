@@ -143,7 +143,8 @@ def dq_distances(
         run, size = list(run), _SCORE_CHUNK if K else 1
         for chunk in (run[i : i + size] for i in range(0, len(run), size)):
             values = chunk[0].at_many(ts, [f.knots for f in chunk]) if K else eval_path_like(chunk[0], ts)[None]
-            out.extend(float(np.sum(weight * dist**q)) ** (1.0 / q) for dist in m.distance(values, gv))
+            sums = np.sum(weight * m.distance(values, gv) ** q, axis=-1)
+            out.extend(total ** (1.0 / q) for total in sums.tolist())
     return np.array(out, dtype=float)
 
 

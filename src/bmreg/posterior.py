@@ -63,14 +63,16 @@ class MarginalVariance:
         return times, 0.5 * (hi - lo) * w
 
     @cached_property
-    def _rule(self):
-        return self.quadrature()
+    def _rule(self) -> tuple[list, np.ndarray]:
+        """The quadrature's times as floats and its normalized log weights as a column."""
+        times, weights = self.quadrature()
+        return times.tolist(), np.log(weights / np.sum(weights))[:, None]
 
     def log_density(self, m: Manifold, values, points) -> np.ndarray:
         """Per-observation log of the band-averaged kernel density."""
-        times, weights = self._rule
-        terms = [m.log_heat_kernel_pairwise(float(t_j), values, points) for t_j in times]
-        return np.logaddexp.reduce(np.stack(terms) + np.log(weights / np.sum(weights))[:, None], axis=0)
+        times, log_weights = self._rule
+        terms = [m.log_heat_kernel_pairwise(t_j, values, points) for t_j in times]
+        return np.logaddexp.reduce(np.stack(terms) + log_weights, axis=0)
 
 
 SigmaMode = Union[KnownVariance, MarginalVariance]

@@ -487,6 +487,24 @@ def test_bad_option_value_is_config_error(dataset, argv):
     assert run_cli(*argv) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fit", "--marginal-A", "1"], "error: --marginal-A must exceed 1 and be finite, got 1.0"),
+        (["compare", "--grid-K", "0"], "error: --grid-K must be >= 1, got 0"),
+        (["generate", "--sigma2", "0"], "error: --sigma2 must be positive and finite, got 0.0"),
+        (["sweep", "--axis", "K", "--values", "4,8", "--c", "nan"], "error: --c must be positive and finite, got nan"),
+        (["compare", "--n", "0"], "error: --n must be >= 1, got 0"),
+    ],
+)
+def test_a_refused_cell_setting_names_its_flag(dataset, capsys, argv, message):
+    if argv[0] == "fit":
+        argv = ["fit", str(dataset), *argv[1:]]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err.strip() == message
+
+
 @pytest.mark.parametrize("seed", [-1, 2**63])
 @pytest.mark.parametrize("command", ["generate", "fit", "contract"])
 def test_out_of_range_seed_is_config_error(dataset, capsys, command, seed):

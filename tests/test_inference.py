@@ -425,19 +425,60 @@ def test_update_counts_guard_the_benchmark(K, counted):
     _assert_blocks_are_colour_runs(counted["blocks"], K)
 
 
-def test_mh_stores_the_state_after_each_thinning_interval(counted, monkeypatch):
-    seen = []
+def _thinned_chain_by_advance_calls(data, sigma, spec, cfg, m, rng):
+    """Stored knots and acceptance rate of a chain cut by advance(burn_in) and advance(thinning) calls."""
+    engine = _Blocked(m, init_state(data, spec.segments, m).knots, spec, data, sigma)
 
-    def stored_path(m, knots):
-        seen.append(counted["draws"])
-        return PiecewiseGeodesicPath(m, knots)
+    def run(count):
+        return sum(accepted for _, accepted in engine.advance(count, cfg.proposal_time, 1.0, rng))
 
-    monkeypatch.setattr(inference, "PiecewiseGeodesicPath", stored_path)
-    m, data, spec, sigma = _example_problem(n=20)
-    mcmc = McmcConfig(iterations=500, burn_in=45, thinning=13, proposal_time=0.05)
-    mh_sample(data, sigma, spec, mcmc, m, np.random.default_rng(6))
-    # the first path is the initial state
-    assert seen == [0] + list(range(45 + 13, 501, 13))
+    accepted, stored = run(cfg.burn_in), []
+    for _ in range((cfg.iterations - cfg.burn_in) // cfg.thinning):
+        accepted += run(cfg.thinning)
+        stored.append(engine.knots.copy())
+    accepted += run((cfg.iterations - cfg.burn_in) % cfg.thinning)
+    return stored, accepted / cfg.iterations
+
+
+def test_mh_stores_the_state_after_each_thinning_interval(monkeypatch):
+    # the sampler scores a colour run once across its thinning points; its
+    # samples equal, bit for bit, those of a chain cut by advance(thinning) calls
+    scored = {"blocks": 0}
+    score = _Blocked._score
+
+    def counting_score(self, ks, values):
+        scored["blocks"] += 1
+        return score(self, ks, values)
+
+    monkeypatch.setattr(_Blocked, "_score", counting_score)
+    spec, sigma = PriorSpec.from_segments(10, 0.1), KnownVariance(0.1)
+    cfg = McmcConfig(iterations=500, burn_in=45, thinning=13, proposal_time=0.05)
+    for kind in ("circle", "sphere", "torus"):
+        m = make_manifold(kind)
+        data = generate_dataset(default_truth(kind), 20, 0.1, PredictorDensity.uniform(), m, np.random.default_rng(6))
+        scored["blocks"] = 0
+        res = mh_sample(data, sigma, spec, cfg, m, np.random.default_rng(7))
+        merged, scored["blocks"] = scored["blocks"], 0
+        stored, rate = _thinned_chain_by_advance_calls(data, sigma, spec, cfg, m, np.random.default_rng(7))
+        assert len(res) == len(stored) == 35
+        assert _bits([p.knots for p in res]) == _bits(stored)
+        assert res.acceptance_rate == rate and 0.0 < rate < 1.0
+        # 11 knots in runs of 6 and 5: thinning by 13 cuts most runs of the reference chain
+        assert merged < scored["blocks"]
+
+
+def test_metropolis_test_needs_one_comparison():
+    # u < 1, so the `delta >= 0 |` clause of the two-comparison form never decides
+    delta = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324])
+    for temperature in (1.0, 1e-3):
+        for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+            u = np.full(len(delta), u)
+            old = (delta >= 0.0) | (u < np.exp(np.minimum(delta, 0.0) / temperature))
+            new = inference._metropolis_accepts(delta, u, temperature)
+            assert new.tolist() == old.tolist()
+    assert inference._metropolis_accepts(delta, np.full(len(delta), 0.5), 1.0).tolist() == [
+        True, True, True, False, False, True, True,
+    ]
 
 
 # ---------------------------------------------------------------- block plans

@@ -96,6 +96,16 @@ def test_angle_helpers_match_their_two_where_forms_bit_for_bit():
     assert signed_angle_gap(start, end).tobytes() == np.where(gap <= -math.pi, gap + TWO_PI, gap).tobytes()
 
 
+def test_torus_distance_is_the_norm_of_its_gaps_bit_for_bit():
+    # Torus.distance writes out np.linalg.norm's sum of the two squared gaps
+    rng = np.random.default_rng(23)
+    xs = _edge_angles(rng, 20_000).reshape(-1, 2)
+    ys = rng.permutation(_edge_angles(rng, 20_000)).reshape(-1, 2)
+    for x, y in ((xs, ys), (xs[:32, None], ys[None, :512]), (xs[0], ys[0])):
+        want = np.linalg.norm(signed_angle_gap(x, y), axis=-1)
+        assert np.asarray(Torus().distance(x, y)).tobytes() == np.asarray(want).tobytes()
+
+
 # ---------------------------------------------------------------- points
 
 

@@ -156,7 +156,7 @@ def test_dq_distances_equals_per_path_dq_distance_bitwise():
         ]
         for g in (truths[m.kind], paths[0]):
             for density in (PredictorDensity.uniform(), triangle):
-                for q in (1.0, 2.0, 4.0):
+                for q in (1.0, 1.5, 2.0, 3.0, 4.0):
                     batch = dq_distances(paths, g, q, density, m)
                     assert batch.dtype == np.float64
                     assert batch.tolist() == [dq_distance(f, g, q, density, m) for f in paths]
@@ -183,7 +183,7 @@ def test_dq_distances_stacked_runs_match_reference_bitwise(kind):
         + [lambda t: truth(0.5 * t)]
         + same_k[38:]
     )
-    for q in (1.0, 2.0, 4.0):
+    for q in (1.0, 1.5, 2.0, 3.0, 4.0):
         batch = dq_distances(fs, truth, q, PredictorDensity.uniform(), m)
         assert batch.tolist() == [_dq_reference(f, truth, q, PredictorDensity.uniform(), m) for f in fs]
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import bmreg
+from bmreg.experiments import default_mcmc_config
 
 
 def test_all_names_resolve_and_cover_imports():
@@ -73,6 +74,22 @@ def test_benchmark_traced_fit_counts_every_knot_update(tmp_path, kind):
     assert expected == 27_000
     spans = json.loads((tmp_path / "spans.json").read_text())
     assert spans["metropolis"]["attempts"] == expected
+
+
+def test_benchmark_traced_contract_counts_every_knot_update(tmp_path):
+    # the sampler splits a colour run's draws at its thinning points but
+    # scores it once; every knot update still makes one sample_heat_kernel
+    # span under mh_sample, so each cell counts default_mcmc_config's iterations
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    contract = ["contract", "--manifold", "torus", "--n-values", "20,40,80", "--replicates", "1", "--workers", "1"]
+    argv = [sys.executable, str(bench / "launch.py"), "--spans", "spans.json", "--", *contract, "--out", "c.csv"]
+    proc = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads((tmp_path / "spans.json").read_text())
+    iterations = default_mcmc_config(20, 5, 0.1).iterations
+    assert iterations == 16_000
+    assert spans["metropolis"]["calls"] == 3
+    assert spans["metropolis"]["attempts"] == 3 * iterations
 
 
 def test_cli_import_leaves_scipy_unloaded():
