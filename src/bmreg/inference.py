@@ -35,7 +35,7 @@ import numpy as np
 
 from bmreg.data import Dataset
 from bmreg.manifolds import Manifold
-from bmreg.paths import PiecewiseGeodesicPath, PriorSpec, sample_prior_path
+from bmreg.paths import PiecewiseGeodesicPath, PriorSpec, sample_prior_path, segment_points
 from bmreg.posterior import SigmaMode
 
 # observations within this distance of a knot time vote for its initial value
@@ -182,13 +182,13 @@ def _block_plan(K: int, interval: np.ndarray, fractions, points, first: int, len
     # owner[j]: position in ks of knot j, or -1; a pair or interval has at most one owner
     owner = np.full(K + 1, -1)
     owner[ks] = np.arange(len(ks))
-    pair_owner = np.maximum(owner[:-1], owner[1:])
-    pairs = np.flatnonzero(pair_owner >= 0)
+    # every pair from the one before ks[0] to the one after ks[-1] meets a knot of ks
+    pairs = slice(max(first - 1, 0), min(first + 2 * length - 1, K))
+    pair_owner = np.maximum(owner[:-1], owner[1:])[pairs]
     obs_owner = np.maximum(owner[interval], owner[interval + 1])
     obs = np.flatnonzero(obs_owner >= 0)
-    left = interval[obs]
     gathered = (fractions[obs], points[obs]) if len(obs) else (None, None)
-    return (pairs, pairs + 1, pair_owner[pairs], obs, obs_owner[obs], left, left + 1, *gathered)
+    return (pairs, pair_owner, obs, obs_owner[obs], interval[obs] - pairs.start, *gathered)
 
 
 class _Blocked:
@@ -199,11 +199,14 @@ class _Blocked:
 
     A block ks = colours[colour][offset:offset + len(ks)] is scored through
     its index plan, which depends only on ks[0] and len(ks): the prior
-    terms it touches (pairs and pairs + 1, with each pair's owning position
-    in ks), the observations it touches with their owners, their left and
-    right knot indices, and their gathered fractions and points.  A chain
-    repeats few block shapes, so each engine keeps the _MAX_PLANS most
-    recently used plans.
+    terms it touches, a contiguous range of pairs, with each pair's owning
+    position in ks; the observations it touches with their owners; their
+    rows, the index of each one's interval in that range of pairs; and their
+    gathered fractions and points.  The block's pairs are both its prior
+    steps and the geodesic segments its observations lie on, so one log map
+    per pair serves every observation (segment_points).  A chain repeats few
+    block shapes, so each engine keeps the _MAX_PLANS most recently used
+    plans.
     """
 
     def __init__(self, m: Manifold, knots: np.ndarray, prior: PriorSpec, data: Dataset | None, sigma: SigmaMode | None):
@@ -227,7 +230,7 @@ class _Blocked:
             self.fractions = pos - self.interval
             self.points = data.points
             self.obs_terms = self._obs_log_density(
-                self.knots, self.interval, self.interval + 1, self.fractions, self.points
+                self.knots[:-1], self.knots[1:], self.interval, self.fractions, self.points
             )
         # the memo holds only the plan inputs, not the engine, so no cycle outlives a chain
         plan = functools.partial(_block_plan, self.K, self.interval, self.fractions, self.points)
@@ -236,8 +239,9 @@ class _Blocked:
     def total(self) -> float:
         return float(self.const + self.prior_terms.sum() + self.obs_terms.sum())
 
-    def _obs_log_density(self, knots: np.ndarray, left, right, fractions, points) -> np.ndarray:
-        values = self.m.interpolate_pairwise(knots[left], knots[right], fractions)
+    def _obs_log_density(self, starts: np.ndarray, ends: np.ndarray, rows, fractions, points) -> np.ndarray:
+        """Observation terms of points at fractions along segments rows of starts -> ends."""
+        values = segment_points(self.m, starts, ends, rows, fractions)
         return self.sigma.log_density(self.m, values, points)
 
     def advance(
@@ -274,16 +278,18 @@ class _Blocked:
 
         Returns the per-knot changes and, for the prior and the observation
         terms, the (term indices, owning position in ks, new values) of the
-        terms the block touches.
+        terms the block touches; the prior's indices are a slice.
         """
         m = self.m
-        pairs, pair_next, pair_owner, obs, obs_owner, left, right, fractions, points = self._plan(int(ks[0]), len(ks))
+        first, length = int(ks[0]), len(ks)
+        pairs, pair_owner, obs, obs_owner, rows, fractions, points = self._plan(first, length)
         proposed = self.knots.copy()
-        proposed[ks] = values
-        new_prior = self.prior.log_steps(m, proposed[pairs], proposed[pair_next])
-        delta = np.bincount(pair_owner, weights=new_prior - self.prior_terms[pairs], minlength=len(ks))
-        new_obs = self._obs_log_density(proposed, left, right, fractions, points) if len(obs) else np.zeros(0)
-        delta += np.bincount(obs_owner, weights=new_obs - self.obs_terms[obs], minlength=len(ks))
+        proposed[first : first + 2 * length - 1 : 2] = values
+        starts, ends = proposed[pairs], proposed[pairs.start + 1 : pairs.stop + 1]
+        new_prior = self.prior.log_steps(m, starts, ends)
+        delta = np.bincount(pair_owner, weights=new_prior - self.prior_terms[pairs], minlength=length)
+        new_obs = self._obs_log_density(starts, ends, rows, fractions, points) if len(obs) else np.zeros(0)
+        delta += np.bincount(obs_owner, weights=new_obs - self.obs_terms[obs], minlength=length)
         return delta, (pairs, pair_owner, new_prior), (obs, obs_owner, new_obs)
 
     def _update_block(
@@ -297,26 +303,30 @@ class _Blocked:
         drawn before those of ks[c:], as two blocks split at c would draw them.
         """
         draw = self.m.sample_heat_kernel
+        run = slice(int(ks[0]), int(ks[-1]) + 1, 2)
+        # the run's knots, a view of self.knots that the accepts are written through
+        centres = self.knots[run]
         ends = [c for c in cuts if c < len(ks)] + [len(ks)]
         start, values, u = 0, [], []
         for end in ends:
-            values += [draw(proposal_time, self.knots[k], rng) for k in ks[start:end]]
-            u.append(rng.uniform(size=end - start))
+            values += [draw(proposal_time, x, rng) for x in centres[start:end]]
+            # rng.uniform(size=n)'s bits, from the same stream
+            u.append(rng.random(end - start))
             start = end
         values = np.asarray(values)
         u = u[0] if len(u) == 1 else np.concatenate(u)
-        delta, prior_change, obs_change = self._score(ks, values)
+        delta, (pairs, pair_owner, new_prior), (obs, obs_owner, new_obs) = self._score(ks, values)
         accept = _metropolis_accepts(delta, u, temperature)
         accepted = int(np.count_nonzero(accept))
-        before = self.knots[ks] if cuts else None
+        before = centres.copy() if cuts else None
         if accepted:
-            self.knots[ks[accept]] = values[accept]
-            for terms, (where, owners, new) in ((self.prior_terms, prior_change), (self.obs_terms, obs_change)):
-                kept = accept[owners]
-                terms[where[kept]] = new[kept]
+            np.copyto(centres, values, where=accept.reshape(accept.shape + (1,) * (values.ndim - 1)))
+            np.copyto(self.prior_terms[pairs], new_prior, where=accept[pair_owner])
+            kept = accept[obs_owner]
+            self.obs_terms[obs[kept]] = new_obs[kept]
         for c in cuts:
             snapshot = self.knots.copy()
-            snapshot[ks[c:]] = before[c:]
+            snapshot[run][c:] = before[c:]
             snapshots.append(snapshot)
         return accepted
 

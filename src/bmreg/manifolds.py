@@ -35,9 +35,12 @@ every term past the constant is below it, the log kernel is -log(volume).
   within about 1e-8 + 0.015 t^2 of a 50-digit reference.
 
 Each manifold has one broadcasting log_map/exp_map pair; the circle and the
-torus share theirs, and their batch samplers, through AngleManifold.  Geodesic
-interpolation is exp_map(x, s * log_map(x, y)) on every manifold, and the
-sphere's heat-kernel sampler shoots exp_map along a tangent step, so a
+torus share theirs, and their batch samplers, through AngleManifold.  A point
+a fraction s along a path segment x_k -> x_{k+1} is exp_map(x_k, s * v_k),
+with the segment's tangent v_k = log_map(x_k, x_{k+1}) taken once and shared
+by every point on it (paths.segment_points, used by path evaluation and the
+samplers); interpolate_pairwise is the per-pair form.  The sphere's
+heat-kernel sampler shoots exp_map along a tangent step, so a
 discretized Brownian path is a geodesic random walk.  Each step starts from
 one standard Gaussian in the tangent plane, v = g - (g . x) x for a standard
 normal g in R^3.  Below the seam the step is sqrt(t) v, an isotropic tangent
@@ -383,7 +386,9 @@ class Manifold(ABC):
         """Point a fraction s in [0, 1] along the minimizing geodesic x->y.
 
         s may be scalar or one per row; antipodal pairs follow log_map's
-        tie-break.
+        tie-break.  This is the per-pair form, one log map per row; path
+        evaluation and the samplers take one per segment
+        (paths.segment_points), with the same bits.
         """
         s = np.asarray(s, dtype=float)
         s = s.reshape(s.shape + (1,) * len(self.point_shape))

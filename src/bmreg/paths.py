@@ -1,8 +1,10 @@
 """Piecewise-geodesic paths on [0, 1] and the discretized Brownian prior.
 
 A path with K segments stores K+1 knots at times k/K and evaluates by
-geodesic interpolation inside each segment.  The knots pass Manifold.stack,
-the point rule that observations share.  The prior draws the first knot
+geodesic interpolation inside each segment: exp_map(x_k, s * log_map(x_k,
+x_{k+1})), with the log map taken once per segment (segment_points, which
+the inference engine shares).  The knots pass Manifold.stack, the point
+rule that observations share.  The prior draws the first knot
 uniformly and each subsequent knot from the heat kernel at time c*h, i.e. a
 Brownian motion run at scale c and discretized at sidelength h = 1/K:
 
@@ -53,18 +55,20 @@ class PiecewiseGeodesicPath:
     def at_many(self, ts, knots=None) -> np.ndarray:
         """Values at times in [0, 1], exact knot values at grid times.  Given
         knots, a (p, K+1, ...) stack with this path's K, returns all p paths'
-        values."""
+        values; a stack with another knot count raises ValueError."""
         stack = self.knots if knots is None else np.asarray(knots, dtype=float)
         # knots and values run along the axis before the coordinate axes
         coords = (slice(None),) * len(self.manifold.point_shape)
         axis = -1 - len(coords)
+        if stack.shape[axis] != self.segments + 1:
+            raise ValueError(f"knot stack has {stack.shape[axis]} knots, this path has {self.segments + 1}")
         ts = np.asarray(ts, dtype=float)
         if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):  # NaN too
             raise OutOfDomainError("path times outside [0, 1]")
         pos = ts * self.segments
         k = np.minimum(np.floor(pos).astype(int), self.segments - 1)
-        s = pos - k
-        out = self.manifold.interpolate_pairwise(stack.take(k, axis), stack.take(k + 1, axis), s)
+        starts, ends = stack[(..., slice(None, -1)) + coords], stack[(..., slice(1, None)) + coords]
+        out = segment_points(self.manifold, starts, ends, k, pos - k, axis)
         nearest = np.rint(pos).astype(int)
         snap = np.abs(pos - nearest) <= _KNOT_SNAP * self.segments
         if np.any(snap):
@@ -92,6 +96,20 @@ class PiecewiseGeodesicPath:
         if path.segments != payload["K"]:
             raise ValueError("knot count does not match K")
         return path
+
+
+def segment_points(m: Manifold, starts: np.ndarray, ends: np.ndarray, rows, s, axis: int = 0) -> np.ndarray:
+    """Points a fraction s along segments rows of the geodesic segments starts -> ends.
+
+    Segment j runs from starts[j] to ends[j] along axis; each value is
+    exp_map(x, s * log_map(x, y)) of its segment, with the log map taken once
+    per segment and gathered per row, so it equals
+    m.interpolate_pairwise(x, y, s) of the gathered end points bit for bit.
+    """
+    s = np.asarray(s, dtype=float)
+    s = s.reshape(s.shape + (1,) * len(m.point_shape))
+    tangents = m.log_map(starts, ends)
+    return m.exp_map(starts.take(rows, axis), s * tangents.take(rows, axis))
 
 
 def constant_path(manifold: Manifold, point, segments: int = 1) -> PiecewiseGeodesicPath:

@@ -342,15 +342,33 @@ def test_block_delta_matches_single_knot_log_posterior_change(kind, sigma):
             assert abs(delta[position] - expected) <= 1e-9
 
 
+def _assert_pairwise_terms(engine, spec, sigma):
+    """The engine's cached terms equal, bit for bit, the prior steps and the per-pair interpolation's observation terms."""
+    m, knots = engine.m, engine.knots
+    values = m.interpolate_pairwise(knots[engine.interval], knots[engine.interval + 1], engine.fractions)
+    assert engine.prior_terms.tobytes() == spec.log_steps(m, knots[:-1], knots[1:]).tobytes()
+    assert engine.obs_terms.tobytes() == sigma.log_density(m, values, engine.points).tobytes()
+
+
 @pytest.mark.parametrize("sigma", SIGMAS, ids=["known", "marginal"])
 @pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
 def test_cached_terms_match_fresh_evaluation_after_updates(kind, sigma):
     m, data, spec, engine, rng = _engine_problem(kind, sigma)
-    # a short anneal, then a short chain at temperature 1; 37 cuts colour blocks
-    accepted = 0
+    # a coincident and an antipodal segment, and on the circle an exact pi gap
+    knots = engine.knots.copy()
+    knots[4] = knots[3]
+    knots[8] = -knots[7] if kind == "sphere" else wrap_angle(knots[7] + math.pi)
+    if kind == "circle":
+        knots[10], knots[11] = 0.0, math.pi
+    engine = _Blocked(m, knots, spec, data, sigma)
+    _assert_pairwise_terms(engine, spec, sigma)
+    # a short anneal, then a short chain at temperature 1 whose runs thinning
+    # points split; 37 cuts colour blocks
+    accepted, snapshots = 0, []
     for temperature in (1.0, 0.5, 0.25, 1.0, 1.0):
-        accepted += sum(a for _, a in engine.advance(37, 0.05 * temperature, temperature, rng))
-    assert accepted > 0
+        accepted += sum(a for _, a in engine.advance(37, 0.05 * temperature, temperature, rng, (7, 30), snapshots))
+    assert accepted > 0 and len(snapshots) == 10
+    _assert_pairwise_terms(engine, spec, sigma)
     path = PiecewiseGeodesicPath(m, engine.knots)
     assert_allclose(engine.prior_terms, spec.log_steps(m, path.knots[:-1], path.knots[1:]), rtol=0, atol=1e-9)
     assert_allclose(engine.obs_terms, sigma.log_density(m, path.at_many(data.ts), data.points), rtol=0, atol=1e-9)

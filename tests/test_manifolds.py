@@ -650,6 +650,18 @@ def test_float_draw_premises_hold_bit_for_bit():
     assert list(map(math.sqrt, roots.tolist())) == np.sqrt(roots).tolist(), "math.sqrt is not np.sqrt"
 
 
+def test_uniform_draw_premise_holds_bit_for_bit():
+    # the blocked engine draws its Metropolis uniforms with rng.random(n);
+    # the chains stay those of rng.uniform(size=n) only while both give the
+    # same bits (uniform's 0 + 1 * u) and leave the generator in one state
+    a, b = np.random.default_rng(97), np.random.default_rng(97)
+    for n in (1, 3, 21, 101):
+        assert a.random(n).tobytes() == b.uniform(size=n).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.standard_normal(n).tobytes() == b.standard_normal(n).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 @pytest.mark.parametrize("t", [5e-5, 2.5e-4])
 def test_sphere_proposals_below_the_seam_take_brownian_steps(t):
     # below the seam a draw is a tangent Gaussian with variance t per axis, so

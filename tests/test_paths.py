@@ -18,6 +18,7 @@ from bmreg.paths import (
     constant_path,
     log_prior,
     sample_prior_path,
+    segment_points,
 )
 
 
@@ -97,6 +98,71 @@ def test_at_many_knot_stack_matches_each_path_bitwise(kind):
         assert np.array_equal(row.view(np.uint64), expected.view(np.uint64))
     with pytest.raises(OutOfDomainError):
         path.at_many([0.5, 1.5], stack)
+
+
+def test_at_many_refuses_a_stack_with_another_knot_count():
+    # a K = 4 path read a 9-knot stack as its own 5 knots: 0.5 at t = 0.5,
+    # where the stack's own path is at 1.0; a 3-knot stack ran past its end
+    path = _circle_path(np.arange(5) * 0.25)
+    nine = np.arange(9) * 0.25
+    assert PiecewiseGeodesicPath(Circle(), nine).at_many([0.5])[0] == 1.0
+    for stack in (nine, np.arange(3) * 0.25, np.stack([nine, nine])):
+        count = stack.shape[-1]
+        with pytest.raises(ValueError, match=f"knot stack has {count} knots, this path has 5"):
+            path.at_many([0.5], stack)
+    sphere = PiecewiseGeodesicPath(Sphere(), Sphere().sample_uniform_many(5, np.random.default_rng(2)))
+    with pytest.raises(ValueError, match="has 6 knots, this path has 5"):
+        sphere.at_many([0.5], Sphere().sample_uniform_many(6, np.random.default_rng(3))[None])
+
+
+def _hard_knots(m, K, rng):
+    """K+1 knots with coincident, antipodal and exact-pi segments among random ones."""
+    knots = m.sample_uniform_many(K + 1, rng)
+    knots[2] = knots[1]  # coincident
+    if m.kind == "sphere":
+        knots[4] = -knots[3]  # antipodal: log_map's frame tie-break
+        knots[5] = [0.0, 0.0, 1.0]
+        knots[6] = [0.0, 0.0, -1.0]
+    else:
+        knots[3], knots[4] = 0.0, math.pi  # a gap of exactly pi
+        knots[5], knots[6] = math.pi, 0.0  # and of exactly -pi
+    return knots
+
+
+def _pairwise_at_many(m, stack, ts, K):
+    """The per-pair form of at_many: interpolate_pairwise of the gathered knots, then the knot snaps."""
+    coords = (slice(None),) * len(m.point_shape)
+    axis = -1 - len(coords)
+    pos = np.asarray(ts, dtype=float) * K
+    k = np.minimum(np.floor(pos).astype(int), K - 1)
+    out = m.interpolate_pairwise(stack.take(k, axis), stack.take(k + 1, axis), pos - k)
+    nearest = np.rint(pos).astype(int)
+    snap = np.abs(pos - nearest) <= 1e-12 * K
+    out[(..., snap) + coords] = stack.take(nearest[snap], axis)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+def test_segment_form_equals_the_pairwise_form_bit_for_bit(kind):
+    m = make_manifold(kind)
+    rng = np.random.default_rng(23)
+    K = 9
+    stack = np.stack([_hard_knots(m, K, rng) for _ in range(4)])
+    grid = np.arange(K + 1) / K
+    # times inside every segment, on and a hair off the knot times (snapped), and the ends
+    ts = np.concatenate([rng.uniform(0, 1, 200), grid, np.nextafter(grid, 2.0), np.nextafter(grid, -1.0)])
+    ts = np.clip(ts, 0.0, 1.0)
+    path = PiecewiseGeodesicPath(m, stack[0])
+    single = path.at_many(ts)
+    assert single.tobytes() == _pairwise_at_many(m, stack[0], ts, K).tobytes()
+    stacked = path.at_many(ts, stack)
+    assert stacked.shape == (4, len(ts)) + m.point_shape
+    assert stacked.tobytes() == _pairwise_at_many(m, stack, ts, K).tobytes()
+    # segment_points itself, rows in any order and repeated, against the gathered pairs
+    rows = rng.integers(0, K, 300)
+    s = np.concatenate([rng.uniform(0, 1, 298), [0.0, 1.0]])
+    got = segment_points(m, stack[0][:-1], stack[0][1:], rows, s)
+    assert got.tobytes() == m.interpolate_pairwise(stack[0][rows], stack[0][rows + 1], s).tobytes()
 
 
 def test_constant_path_everywhere_equal():
