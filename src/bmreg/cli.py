@@ -271,12 +271,16 @@ def cmd_fit(cfg: RunConfig, out: str, dataset_path: str) -> int:
     """fit one estimator to a dataset CSV"""
     try:
         data = Dataset.load_csv(dataset_path, cfg.manifold)
+    except (OSError, ValueError) as exc:  # ValueError includes EmptyDatasetError
+        raise ConfigError(f"cannot read dataset: {exc}") from exc
+    try:
         if cfg.method == "ker":
             bandwidth_rule(data.ts)  # fails on fewer than two times or a zero spread
         # the rate rule fails on fewer than two observations
         cell = cfg.cell(n=data.n, run_id=f"fit-{cfg.method}-seed{cfg.seed}", seed=cfg.seed)
-    except (OSError, ValueError) as exc:  # ValueError includes EmptyDatasetError
-        raise ConfigError(f"cannot read dataset: {exc}") from exc
+    except ValueError as exc:
+        rule = "--method ker" if cfg.method == "ker" else "--rate-epsilon"
+        raise ConfigError(f"{rule} cannot fit dataset {dataset_path}: {exc}") from exc
     _check_fit_outputs(dataset_path, out)
     row, fitted, fit = fit_and_score(cell, data)
     if fit is not None:

@@ -30,6 +30,7 @@ from bmreg.kernel_regression import KernelFit, frechet_mean_weighted
 from bmreg.manifolds import make_manifold
 from bmreg.metrics import (
     PredictorDensity,
+    dq_distance,
     dq_distances,
     generate_dataset,
     theorem_rate_sidelength,
@@ -172,10 +173,10 @@ def fit_and_score(cell: ExperimentCell, data: Dataset):
     when given, else the known variance cell.sigma2; the generator is
     default_rng(cell.seed).  The fitted object is the estimated path
     (dbm/cbm/const), the kernel fit (ker), or the posterior samples
-    (mcmc, run with the chain settings cell.mcmc, default_mcmc_config when
-    None).  The row's K is the knot-interval count the method used: K_FINE
-    for cbm, 0 for the grid-free ker and const.  l1_error is the mean d_1
-    distance to default_truth, and runtime_ms times the fit and its scoring.
+    (mcmc: a SampleResult, from cell.mcmc or default_mcmc_config).  The
+    row's K is the knot-interval count the method used: K_FINE for cbm, 0
+    for ker and const.  l1_error is dq_distance to default_truth (for mcmc
+    the mean dq_distances of the knot stack); runtime_ms times fit and score.
     """
     m = data.manifold()
     f0 = default_truth(data.manifold_kind)
@@ -194,8 +195,10 @@ def fit_and_score(cell: ExperimentCell, data: Dataset):
     else:  # mcmc, the last of METHODS
         mcmc = cell.mcmc or default_mcmc_config(data.n, K, cell.sigma2)
         fitted = mh_sample(data, sigma, PriorSpec.from_segments(K, cell.c), mcmc, m, rng)
-    scored = fitted if method == "mcmc" else [fitted]
-    error = float(np.mean(dq_distances(scored, f0, 1.0, PredictorDensity.uniform(), m)))
+    if method == "mcmc":
+        error = float(np.mean(dq_distances(fitted.knots, f0, 1.0, PredictorDensity.uniform(), m)))
+    else:
+        error = dq_distance(fitted, f0, 1.0, PredictorDensity.uniform(), m)
     runtime_ms = int(round((time.perf_counter() - start) * 1000.0))
     row = ExperimentResult(cell.run_id, method, data.n, K, cell.c, cell.sigma2, cell.seed, error, runtime_ms)
     return row, fitted, fit

@@ -125,19 +125,11 @@ class FitResult:
 
 @dataclass
 class SampleResult:
-    """Thinned post-burn-in Metropolis states; iterates like a list of paths."""
+    """Thinned post-burn-in Metropolis states: knots holds one (K+1, *point_shape) row per
+    stored sample, an (S, K+1, *point_shape) array in chain order."""
 
-    samples: list
+    knots: np.ndarray
     acceptance_rate: float
-
-    def __len__(self):
-        return len(self.samples)
-
-    def __getitem__(self, i):
-        return self.samples[i]
-
-    def __iter__(self):
-        return iter(self.samples)
 
 
 def init_state(data: Dataset, K: int, m: Manifold) -> PiecewiseGeodesicPath:
@@ -408,5 +400,4 @@ def mh_sample(
     kept = cfg.iterations - cfg.burn_in
     stored = []
     accepted += run(kept, range(cfg.thinning, kept + 1, cfg.thinning), stored)
-    samples = [PiecewiseGeodesicPath(m, knots) for knots in stored]
-    return SampleResult(samples=samples, acceptance_rate=accepted / cfg.iterations)
+    return SampleResult(knots=np.stack(stored), acceptance_rate=accepted / cfg.iterations)

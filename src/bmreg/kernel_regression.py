@@ -113,7 +113,10 @@ class KernelFit:
 
     def at_many(self, ts) -> np.ndarray:
         """Estimates at an array of times: one weight row per time, one batched Frechet mean."""
-        half_z2 = 0.5 * ((np.asarray(ts, dtype=float)[:, None] - self.data.ts) / self.bandwidth) ** 2
+        ts = np.asarray(ts, dtype=float)
+        if not ts.size:  # no weight rows, which frechet_mean_weighted refuses
+            return np.zeros((0, *self._manifold.point_shape))
+        half_z2 = 0.5 * ((ts[:, None] - self.data.ts) / self.bandwidth) ** 2
         weights = np.exp(-half_z2)
         # a time far from every observation underflows its whole row; the mean
         # is scale-free per row, so that row's exponents shift by their minimum

@@ -14,7 +14,6 @@ manifold quadrature rules.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,9 +21,9 @@ import numpy as np
 
 from bmreg.data import Dataset
 from bmreg.manifolds import Manifold
-from bmreg.paths import PiecewiseGeodesicPath, eval_path_like
+from bmreg.paths import PiecewiseGeodesicPath, eval_path_like, knot_values
 
-_SCORE_CHUNK = 32  # paths per array pass in dq_distances
+_SCORE_CHUNK = 32  # knot rows per array pass in dq_distances
 
 
 @dataclass(frozen=True)
@@ -119,33 +118,28 @@ def _check_order(q: float) -> float:
 
 
 def dq_distances(
-    fs,
+    knots,
     g,
     q: float,
     density: PredictorDensity,
     m: Manifold,
     grid: QuadratureGrid = QuadratureGrid(),
 ) -> np.ndarray:
-    """Weighted L_q distance from each regression function in fs to g.
+    """Weighted L_q distance from the path of each row of a knot stack to g.
 
-    g and the quadrature weight are evaluated once and shared by every f,
-    so scoring many posterior samples against one truth evaluates the
-    truth once.  Runs of consecutive same-K paths are evaluated as knot
-    stacks of at most _SCORE_CHUNK paths, one array pass each; any other f
-    is evaluated on its own.
+    knots is a (p, K+1, *point_shape) stack with K + 1 >= 2, such as
+    SampleResult.knots; another shape, or rows that fail the point rule
+    (m.stack), raise ValueError.  g and the quadrature weight are evaluated
+    once and shared by every row, and the rows are evaluated _SCORE_CHUNK
+    at a time, one array pass each (paths.knot_values).
     """
-    q = _check_order(q)
+    stack = np.asarray(knots, dtype=float)
+    if stack.ndim != 2 + len(m.point_shape) or stack.shape[1] < 2:
+        raise ValueError(f"knot stack must be (p, K+1) + {m.point_shape} with K + 1 >= 2, got shape {stack.shape}")
+    m.stack(stack.reshape(-1, *stack.shape[2:]))
     ts = grid.times()
-    gv = eval_path_like(g, ts)
-    weight = grid.weights() * density.weight(ts)
-    out = []
-    for K, run in itertools.groupby(fs, lambda f: f.segments if isinstance(f, PiecewiseGeodesicPath) else None):
-        run, size = list(run), _SCORE_CHUNK if K else 1
-        for chunk in (run[i : i + size] for i in range(0, len(run), size)):
-            values = chunk[0].at_many(ts, [f.knots for f in chunk]) if K else eval_path_like(chunk[0], ts)[None]
-            sums = np.sum(weight * m.distance(values, gv) ** q, axis=-1)
-            out.extend(total ** (1.0 / q) for total in sums.tolist())
-    return np.array(out, dtype=float)
+    chunks = (knot_values(m, stack[i : i + _SCORE_CHUNK], ts) for i in range(0, len(stack), _SCORE_CHUNK))
+    return np.array(_dq_rows(chunks, g, q, density, m, grid), dtype=float)
 
 
 def dq_distance(
@@ -156,8 +150,17 @@ def dq_distance(
     m: Manifold,
     grid: QuadratureGrid = QuadratureGrid(),
 ) -> float:
-    """Weighted L_q distance between two regression functions."""
-    return float(dq_distances([f], g, q, density, m, grid)[0])
+    """Weighted L_q distance between two regression functions of any kind."""
+    return _dq_rows([eval_path_like(f, grid.times())[None]], g, q, density, m, grid)[0]
+
+
+def _dq_rows(chunks, g, q: float, density: PredictorDensity, m: Manifold, grid: QuadratureGrid) -> list:
+    """d_q to g of each row of each chunk of values on the grid times; g and the weight are evaluated once."""
+    q = _check_order(q)
+    ts = grid.times()
+    gv, weight = eval_path_like(g, ts), grid.weights() * density.weight(ts)
+    sums = (np.sum(weight * m.distance(values, gv) ** q, axis=-1) for values in chunks)
+    return [total ** (1.0 / q) for chunk in sums for total in chunk.tolist()]
 
 
 def dinf_distance(f, g, m: Manifold, grid: QuadratureGrid = QuadratureGrid()) -> float:

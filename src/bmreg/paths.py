@@ -1,10 +1,10 @@
 """Piecewise-geodesic paths on [0, 1] and the discretized Brownian prior.
 
 A path with K segments stores K+1 knots at times k/K and evaluates by
-geodesic interpolation inside each segment: exp_map(x_k, s * log_map(x_k,
-x_{k+1})), with the log map taken once per segment (segment_points, which
-the inference engine shares).  The knots pass Manifold.stack, the point
-rule that observations share.  The prior draws the first knot
+geodesic interpolation inside each segment (knot_values, also of a knot
+stack): exp_map(x_k, s * log_map(x_k, x_{k+1})), one log map per segment
+(segment_points, shared by the engine).  The knots pass Manifold.stack, the
+point rule that observations share.  The prior draws the first knot
 uniformly and each subsequent knot from the heat kernel at time c*h, i.e. a
 Brownian motion run at scale c and discretized at sidelength h = 1/K:
 
@@ -52,28 +52,9 @@ class PiecewiseGeodesicPath:
     def knot_times(self) -> np.ndarray:
         return np.arange(self.segments + 1) / self.segments
 
-    def at_many(self, ts, knots=None) -> np.ndarray:
-        """Values at times in [0, 1], exact knot values at grid times.  Given
-        knots, a (p, K+1, ...) stack with this path's K, returns all p paths'
-        values; a stack with another knot count raises ValueError."""
-        stack = self.knots if knots is None else np.asarray(knots, dtype=float)
-        # knots and values run along the axis before the coordinate axes
-        coords = (slice(None),) * len(self.manifold.point_shape)
-        axis = -1 - len(coords)
-        if stack.shape[axis] != self.segments + 1:
-            raise ValueError(f"knot stack has {stack.shape[axis]} knots, this path has {self.segments + 1}")
-        ts = np.asarray(ts, dtype=float)
-        if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):  # NaN too
-            raise OutOfDomainError("path times outside [0, 1]")
-        pos = ts * self.segments
-        k = np.minimum(np.floor(pos).astype(int), self.segments - 1)
-        starts, ends = stack[(..., slice(None, -1)) + coords], stack[(..., slice(1, None)) + coords]
-        out = segment_points(self.manifold, starts, ends, k, pos - k, axis)
-        nearest = np.rint(pos).astype(int)
-        snap = np.abs(pos - nearest) <= _KNOT_SNAP * self.segments
-        if np.any(snap):
-            out[(..., snap) + coords] = stack.take(nearest[snap], axis)
-        return out
+    def at_many(self, ts) -> np.ndarray:
+        """Values at times in [0, 1], exact knot values at grid times: knot_values of this path's knots."""
+        return knot_values(self.manifold, self.knots, ts)
 
     # -- serialization -------------------------------------------------------
 
@@ -96,6 +77,28 @@ class PiecewiseGeodesicPath:
         if path.segments != payload["K"]:
             raise ValueError("knot count does not match K")
         return path
+
+
+def knot_values(m: Manifold, knots: np.ndarray, ts) -> np.ndarray:
+    """Values at times ts in [0, 1] of the path of K+1 knots, exact at knot times; K >= 1 is read
+    from the knot axis, so a (p, K+1, *point_shape) stack gives one (len(ts), *point_shape) row per path."""
+    knots = np.asarray(knots, dtype=float)
+    # knots and values run along the axis before the coordinate axes
+    coords = (slice(None),) * len(m.point_shape)
+    axis = -1 - len(coords)
+    segments = knots.shape[axis] - 1
+    ts = np.asarray(ts, dtype=float)
+    if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):  # NaN too
+        raise OutOfDomainError("path times outside [0, 1]")
+    pos = ts * segments
+    k = np.minimum(np.floor(pos).astype(int), segments - 1)
+    starts, ends = knots[(..., slice(None, -1)) + coords], knots[(..., slice(1, None)) + coords]
+    out = segment_points(m, starts, ends, k, pos - k, axis)
+    nearest = np.rint(pos).astype(int)
+    snap = np.abs(pos - nearest) <= _KNOT_SNAP * segments
+    if np.any(snap):
+        out[(..., snap) + coords] = knots.take(nearest[snap], axis)
+    return out
 
 
 def segment_points(m: Manifold, starts: np.ndarray, ends: np.ndarray, rows, s, axis: int = 0) -> np.ndarray:

@@ -198,21 +198,27 @@ class TestFit:
         assert "cannot read dataset" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "text", ["t,coord1\n0.5,0.3\n", "t,coord1\n0.5,0.3\n0.5,0.4\n0.5,0.1\n"], ids=["one-row", "equal-times"]
+        "text, need",
+        [
+            ("t,coord1\n0.5,0.3\n", "need at least two predictor values"),
+            ("t,coord1\n0.5,0.3\n0.5,0.4\n0.5,0.1\n", "predictor values have zero robust spread"),
+            ("t,coord1\n0.5,0.3\n0.5,0.4\n", "predictor values have zero robust spread"),
+        ],
+        ids=["one-row", "equal-times", "two-rows-one-time"],
     )
-    def test_ker_on_unusable_times_is_config_error(self, workdir, capsys, text):
-        data = workdir / "d.csv"
-        data.write_text(text)
-        assert run_cli("fit", str(data), "--manifold", "circle", "--method", "ker", "--out", "f.json") == 2
-        assert "cannot read dataset" in capsys.readouterr().err
-        assert not (workdir / "f.json").exists()
+    def test_ker_on_unusable_times_is_config_error(self, workdir, capsys, text, need):
+        # the dataset loads, so the refusal names the method and the dataset, not the read
+        (workdir / "d.csv").write_text(text)
+        assert run_cli("fit", "d.csv", "--manifold", "circle", "--method", "ker", "--out", "f.json") == 2
+        assert capsys.readouterr().err == f"error: --method ker cannot fit dataset d.csv: {need}\n"
+        assert sorted(p.name for p in workdir.iterdir()) == ["d.csv"]
 
     def test_rate_rule_on_one_observation_is_config_error(self, workdir, capsys):
         (workdir / "one.csv").write_text("t,coord1\n0.5,0.3\n")
         argv = ["fit", "one.csv", "--method", "dbm", "--rate-epsilon", "0.1", "--out", "f.json"]
         assert run_cli(*argv) == 2
-        assert "cannot read dataset: need n >= 2" in capsys.readouterr().err
-        assert not (workdir / "f.json").exists()
+        assert capsys.readouterr().err == "error: --rate-epsilon cannot fit dataset one.csv: need n >= 2\n"
+        assert sorted(p.name for p in workdir.iterdir()) == ["one.csv"]
 
     def test_ker_where_every_weight_underflows(self, workdir):
         # bandwidth 6.0e-4: quadrature times more than about 39 bandwidths

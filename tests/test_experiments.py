@@ -278,7 +278,7 @@ class TestRunCell:
         row, fitted = run_cell(make_cell("mcmc", mcmc=FAST_MCMC))
         assert row.K == 5
         assert isinstance(fitted, SampleResult)
-        assert len(fitted) == 10
+        assert fitted.knots.shape == (10, 6)
 
     def test_mcmc_scores_samples_against_one_truth_evaluation(self, monkeypatch):
         calls = []
@@ -294,7 +294,7 @@ class TestRunCell:
         monkeypatch.setattr(experiments, "default_truth", counting_truth)
         cell = make_cell("mcmc", mcmc=FAST_MCMC)
         _, fitted = run_cell(cell)
-        assert len(fitted) == 10
+        assert len(fitted.knots) == 10
         # generate_dataset plus one quadrature-grid evaluation
         assert len(calls) <= cell.n + QuadratureGrid().nodes
 

@@ -228,7 +228,7 @@ def test_mh_prior_only_increment_resultant():
     spec = PriorSpec.from_segments(20, 1.0)  # increment time 0.05
     cfg = McmcConfig(iterations=60_000, burn_in=5_000, thinning=110, proposal_time=0.05)
     res = mh_sample(None, None, spec, cfg, m, np.random.default_rng(3), prior_only=True)
-    gaps = np.concatenate([signed_angle_gap(p.knots[:-1], p.knots[1:]) for p in res])
+    gaps = signed_angle_gap(res.knots[:, :-1], res.knots[:, 1:]).ravel()
     resultant = abs(np.mean(np.exp(1j * gaps)))
     rho = math.exp(-0.05 / 2)
     se = math.sqrt((1 - rho**2) / (2 * len(gaps)))
@@ -246,8 +246,8 @@ def test_mh_deterministic_and_strictly_mixing():
     cfg = McmcConfig(iterations=2_000, burn_in=500, thinning=5, proposal_time=0.05)
     a = mh_sample(data, sigma, spec, cfg, m, np.random.default_rng(21))
     b = mh_sample(data, sigma, spec, cfg, m, np.random.default_rng(21))
-    assert len(a) == len(b) == (2_000 - 500) // 5
-    assert all(np.array_equal(x.knots, y.knots) for x, y in zip(a, b))
+    assert a.knots.shape == b.knots.shape == ((2_000 - 500) // 5, spec.segments + 1)
+    assert a.knots.tobytes() == b.knots.tobytes()
     assert a.acceptance_rate == b.acceptance_rate
     assert 0.0 < a.acceptance_rate < 1.0
 
@@ -274,7 +274,7 @@ def test_mh_two_knot_matches_brute_force_grid():
 
     cfg = McmcConfig(iterations=110_000, burn_in=10_000, thinning=1, proposal_time=0.5)
     res = mh_sample(data, sigma, spec, cfg, m, np.random.default_rng(11))
-    knot0 = np.array([p.knots[0] for p in res])
+    knot0 = res.knots[:, 0]
     hist, _ = np.histogram(knot0, bins=36, range=(0.0, 2 * math.pi))
     tv = 0.5 * float(np.abs(hist / hist.sum() - marginal).sum())
     assert tv < 0.05
@@ -302,7 +302,7 @@ def test_mh_prior_only_matches_direct_prior_sampling_level():
     spec = PriorSpec.from_segments(10, 1.0)
     cfg = McmcConfig(iterations=30_000, burn_in=5_000, thinning=50, proposal_time=0.1)
     res = mh_sample(None, None, spec, cfg, m, np.random.default_rng(8), prior_only=True)
-    chain_lp = np.mean([log_prior(p, spec) for p in res])
+    chain_lp = np.mean([log_prior(PiecewiseGeodesicPath(m, knots), spec) for knots in res.knots])
     rng = np.random.default_rng(9)
     from bmreg.paths import sample_prior_path
 
@@ -439,7 +439,7 @@ def test_update_counts_guard_the_benchmark(K, counted):
     mcmc = McmcConfig(iterations=1_003, burn_in=101, thinning=7, proposal_time=0.05)
     res = mh_sample(data, sigma, spec, mcmc, m, np.random.default_rng(4))
     assert counted["draws"] == mcmc.iterations
-    assert len(res) == (mcmc.iterations - mcmc.burn_in) // mcmc.thinning
+    assert len(res.knots) == (mcmc.iterations - mcmc.burn_in) // mcmc.thinning
     _assert_blocks_are_colour_runs(counted["blocks"], K)
 
 
@@ -478,8 +478,8 @@ def test_mh_stores_the_state_after_each_thinning_interval(monkeypatch):
         res = mh_sample(data, sigma, spec, cfg, m, np.random.default_rng(7))
         merged, scored["blocks"] = scored["blocks"], 0
         stored, rate = _thinned_chain_by_advance_calls(data, sigma, spec, cfg, m, np.random.default_rng(7))
-        assert len(res) == len(stored) == 35
-        assert _bits([p.knots for p in res]) == _bits(stored)
+        assert len(res.knots) == len(stored) == 35
+        assert res.knots.tobytes() == _bits(stored)
         assert res.acceptance_rate == rate and 0.0 < rate < 1.0
         # 11 knots in runs of 6 and 5: thinning by 13 cuts most runs of the reference chain
         assert merged < scored["blocks"]
@@ -519,7 +519,7 @@ def _seeded_run(kind, case):
     thinning = 10 if case == "prior" else case
     cfg = McmcConfig(iterations=600, burn_in=37, thinning=thinning, proposal_time=0.05)
     res = mh_sample(data, sigma, spec, cfg, m, rng, prior_only=case == "prior")
-    return _bits([p.knots for p in res]), _bits(res.acceptance_rate)
+    return res.knots.tobytes(), _bits(res.acceptance_rate)
 
 
 @pytest.mark.parametrize("case", [1, 3, 10, "prior", "anneal"])

@@ -17,6 +17,7 @@ from bmreg.kernel_regression import (
 )
 from bmreg.manifolds import Circle, Sphere, Torus, wrap_angle
 from bmreg.metrics import PredictorDensity, generate_dataset
+from bmreg.paths import PiecewiseGeodesicPath
 
 TWO_PI = 2.0 * math.pi
 
@@ -310,6 +311,20 @@ def test_kernel_fit_at_many_matches_scalar_calls_bitwise(kind):
     for t, expected in zip(ts, reference):
         got = fit.at_many([t])[0]
         assert type(got) is type(expected) and np.array_equal(_bits(got), _bits(expected))
+
+
+@pytest.mark.parametrize("m", [Circle(), Sphere(), Torus()], ids=lambda m: m.kind)
+def test_kernel_fit_at_no_times_is_empty_like_a_path(m):
+    rng = np.random.default_rng(5)
+    knots = m.sample_uniform_many(4, rng)
+    data = generate_dataset(lambda t: knots[0], 12, 0.1, PredictorDensity.uniform(), m, rng)
+    path = PiecewiseGeodesicPath(m, knots)
+    for ts in ([], np.zeros(0)):
+        got = KernelFit.from_rule(data).at_many(ts)
+        assert got.shape == path.at_many(ts).shape == (0, *m.point_shape) and got.dtype == np.float64
+    # frechet_mean_weighted keeps its own refusal of no weight rows for direct callers
+    with pytest.raises(ValueError, match="one per point"):
+        frechet_mean_weighted(data.points, np.zeros((0, data.n)), m)
 
 
 def test_kernel_fit_tracks_smooth_truth():

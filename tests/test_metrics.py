@@ -141,60 +141,90 @@ def _dq_reference(f, g, q, density, m, grid=QuadratureGrid()):
     return float(np.sum(grid.weights() * density.weight(ts) * dist**q)) ** (1.0 / q)
 
 
+_TRUTHS = {
+    "circle": lambda t: (t + 0.5) ** 2,
+    "torus": lambda t: np.array([(t + 0.5) ** 2, 0.5 * (t + 0.5) ** 2]),
+    "sphere": lambda t: np.array([math.cos(3 * t), math.sin(3 * t), 0.0]),
+}
+
+
 def test_dq_distances_equals_per_path_dq_distance_bitwise():
     rng = np.random.default_rng(29)
     triangle = PredictorDensity([0.0, 0.3, 1.0], [0.5, 1.5, 0.5], threshold=0.7)
-    truths = {
-        "circle": lambda t: (t + 0.5) ** 2,
-        "torus": lambda t: np.array([(t + 0.5) ** 2, 0.5 * (t + 0.5) ** 2]),
-        "sphere": lambda t: np.array([math.cos(3 * t), math.sin(3 * t), 0.0]),
-    }
     for m in (Circle(), Sphere(), Torus()):
-        paths = [
-            PiecewiseGeodesicPath(m, m.sample_uniform_many(int(k), rng))
-            for k in rng.integers(2, 9, size=4)
-        ]
-        for g in (truths[m.kind], paths[0]):
-            for density in (PredictorDensity.uniform(), triangle):
-                for q in (1.0, 1.5, 2.0, 3.0, 4.0):
-                    batch = dq_distances(paths, g, q, density, m)
-                    assert batch.dtype == np.float64
-                    assert batch.tolist() == [dq_distance(f, g, q, density, m) for f in paths]
-                    assert batch.tolist() == [_dq_reference(f, g, q, density, m) for f in paths]
+        for k in rng.integers(2, 9, size=2):
+            stack = np.stack([m.sample_uniform_many(int(k), rng) for _ in range(4)])
+            paths = [PiecewiseGeodesicPath(m, knots) for knots in stack]
+            for g in (_TRUTHS[m.kind], paths[0]):
+                for density in (PredictorDensity.uniform(), triangle):
+                    for q in (1.0, 1.5, 2.0, 3.0, 4.0):
+                        batch = dq_distances(stack, g, q, density, m)
+                        assert batch.dtype == np.float64
+                        assert batch.tolist() == [dq_distance(f, g, q, density, m) for f in paths]
+                        assert batch.tolist() == [_dq_reference(f, g, q, density, m) for f in paths]
 
 
 @pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
 def test_dq_distances_stacked_runs_match_reference_bitwise(kind):
-    # 40 same-K paths cross a chunk edge; other K, a kernel fit and a
-    # callable break the runs
+    # 40 rows cross the 32-row chunk edge and end in a partial chunk; a path
+    # of another K, a kernel fit and a callable are scored one by one
     m = make_manifold(kind)
     rng = np.random.default_rng(31)
-    truth = {
-        "circle": lambda t: (t + 0.5) ** 2,
-        "torus": lambda t: np.array([(t + 0.5) ** 2, 0.5 * (t + 0.5) ** 2]),
-        "sphere": lambda t: np.array([math.cos(3 * t), math.sin(3 * t), 0.0]),
-    }[kind]
+    truth = _TRUTHS[kind]
     fit = KernelFit.from_rule(generate_dataset(truth, 30, 0.1, PredictorDensity.uniform(), m, rng))
-    same_k = [PiecewiseGeodesicPath(m, m.sample_uniform_many(6, rng)) for _ in range(40)]
-    fs = (
-        same_k[:35]
-        + [PiecewiseGeodesicPath(m, m.sample_uniform_many(4, rng)), fit]
-        + same_k[35:38]
-        + [lambda t: truth(0.5 * t)]
-        + same_k[38:]
-    )
+    stack = np.stack([m.sample_uniform_many(6, rng) for _ in range(40)])
+    paths = [PiecewiseGeodesicPath(m, knots) for knots in stack]
+    others = [PiecewiseGeodesicPath(m, m.sample_uniform_many(4, rng)), fit, lambda t: truth(0.5 * t)]
+    uniform = PredictorDensity.uniform()
     for q in (1.0, 1.5, 2.0, 3.0, 4.0):
-        batch = dq_distances(fs, truth, q, PredictorDensity.uniform(), m)
-        assert batch.tolist() == [_dq_reference(f, truth, q, PredictorDensity.uniform(), m) for f in fs]
+        batch = dq_distances(stack, truth, q, uniform, m)
+        assert batch.tolist() == [dq_distance(f, truth, q, uniform, m) for f in paths]
+        assert batch.tolist() == [_dq_reference(f, truth, q, uniform, m) for f in paths]
+        for f in others:
+            assert dq_distance(f, truth, q, uniform, m) == _dq_reference(f, truth, q, uniform, m)
 
 
 def test_dq_distances_empty_and_invalid_order():
     m = Circle()
     g = lambda t: t
-    empty = dq_distances([], g, 1.0, PredictorDensity.uniform(), m)
+    empty = dq_distances(np.zeros((0, 5)), g, 1.0, PredictorDensity.uniform(), m)
     assert empty.shape == (0,) and empty.dtype == np.float64
     with pytest.raises(ValueError):
-        dq_distances([], g, 0.5, PredictorDensity.uniform(), m)
+        dq_distances(np.zeros((0, 5)), g, 0.5, PredictorDensity.uniform(), m)
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+def test_dq_distances_checks_the_knot_stack(kind):
+    # a stack comes from callers, not from paths that checked their knots
+    m = make_manifold(kind)
+    uniform, truth = PredictorDensity.uniform(), _TRUTHS[kind]
+    stack = np.stack([m.sample_uniform_many(5, np.random.default_rng(seed)) for seed in range(3)])
+    for empty in (np.zeros((0, 5, *m.point_shape)), stack[:0]):
+        got = dq_distances(empty, truth, 1.0, uniform, m)
+        assert got.shape == (0,) and got.dtype == np.float64
+    assert dq_distances(stack.tolist(), truth, 1.0, uniform, m).tolist() == [
+        dq_distance(PiecewiseGeodesicPath(m, knots), truth, 1.0, uniform, m) for knots in stack
+    ]
+    nan, inf = stack.copy(), stack.copy()
+    nan[1, 2] = math.nan
+    inf[2, 4] = -math.inf
+    wide = np.concatenate([stack.reshape(3, 5, -1), np.zeros((3, 5, 1))], axis=-1)
+    bad = {
+        "one path, not a stack": (stack[0], "knot stack must be"),
+        "one knot per row": (stack[:, :1], "knot stack must be"),
+        "a stack of stacks": (stack[None], "knot stack must be"),
+        "no knot axis": ([], "knot stack must be"),
+        "a coordinate too many": (wide, "knot stack must be" if kind == "circle" else "coordinates"),
+        "a NaN knot": (nan, "finite"),
+        "an infinite knot": (inf, "finite"),
+    }
+    if kind != "circle":
+        bad["a coordinate too few"] = (stack[..., :-1], "coordinates")
+    if kind == "sphere":
+        bad["an off-sphere knot"] = (stack * 1.01, "unit vectors")
+    for case, (knots, message) in bad.items():
+        with pytest.raises(ValueError, match=message):
+            dq_distances(knots, truth, 1.0, uniform, m)
 
 
 def test_dinf_includes_knot_times():

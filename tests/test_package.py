@@ -31,7 +31,7 @@ def test_readme_library_tour_runs(capsys):
     tour = re.search(r"## Library tour\n\n```python\n(.*?)```", readme, re.S).group(1)
     exec(compile(tour, "README.md", "exec"), {})
     printed = capsys.readouterr().out.splitlines()
-    assert len(printed) == 3 and "nan" not in " ".join(printed)
+    assert len(printed) == 4 and "nan" not in " ".join(printed)
 
 
 def test_benchmark_microbenchmarks_run(tmp_path):

@@ -16,6 +16,7 @@ from bmreg.paths import (
     PriorSpec,
     SidelengthMismatchError,
     constant_path,
+    knot_values,
     log_prior,
     sample_prior_path,
     segment_points,
@@ -90,29 +91,13 @@ def test_at_many_knot_stack_matches_each_path_bitwise(kind):
     K = 6
     stack = np.stack([m.sample_uniform_many(K + 1, rng) for _ in range(5)])
     ts = np.concatenate([rng.uniform(0, 1, size=40), np.arange(K + 1) / K])
-    path = PiecewiseGeodesicPath(m, stack[0])
-    values = path.at_many(ts, stack)
+    values = knot_values(m, stack, ts)
     assert values.shape == (5, len(ts)) + m.point_shape
     for knots, row in zip(stack, values):
         expected = PiecewiseGeodesicPath(m, knots).at_many(ts)
         assert np.array_equal(row.view(np.uint64), expected.view(np.uint64))
     with pytest.raises(OutOfDomainError):
-        path.at_many([0.5, 1.5], stack)
-
-
-def test_at_many_refuses_a_stack_with_another_knot_count():
-    # a K = 4 path read a 9-knot stack as its own 5 knots: 0.5 at t = 0.5,
-    # where the stack's own path is at 1.0; a 3-knot stack ran past its end
-    path = _circle_path(np.arange(5) * 0.25)
-    nine = np.arange(9) * 0.25
-    assert PiecewiseGeodesicPath(Circle(), nine).at_many([0.5])[0] == 1.0
-    for stack in (nine, np.arange(3) * 0.25, np.stack([nine, nine])):
-        count = stack.shape[-1]
-        with pytest.raises(ValueError, match=f"knot stack has {count} knots, this path has 5"):
-            path.at_many([0.5], stack)
-    sphere = PiecewiseGeodesicPath(Sphere(), Sphere().sample_uniform_many(5, np.random.default_rng(2)))
-    with pytest.raises(ValueError, match="has 6 knots, this path has 5"):
-        sphere.at_many([0.5], Sphere().sample_uniform_many(6, np.random.default_rng(3))[None])
+        knot_values(m, stack, [0.5, 1.5])
 
 
 def _hard_knots(m, K, rng):
@@ -155,7 +140,7 @@ def test_segment_form_equals_the_pairwise_form_bit_for_bit(kind):
     path = PiecewiseGeodesicPath(m, stack[0])
     single = path.at_many(ts)
     assert single.tobytes() == _pairwise_at_many(m, stack[0], ts, K).tobytes()
-    stacked = path.at_many(ts, stack)
+    stacked = knot_values(m, stack, ts)
     assert stacked.shape == (4, len(ts)) + m.point_shape
     assert stacked.tobytes() == _pairwise_at_many(m, stack, ts, K).tobytes()
     # segment_points itself, rows in any order and repeated, against the gathered pairs
