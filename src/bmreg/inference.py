@@ -35,7 +35,7 @@ import numpy as np
 
 from bmreg.data import Dataset
 from bmreg.manifolds import Manifold
-from bmreg.paths import PiecewiseGeodesicPath, PriorSpec, sample_prior_path, segment_points
+from bmreg.paths import PiecewiseGeodesicPath, PriorSpec, sample_prior_path, segment_points, segment_positions
 from bmreg.posterior import SigmaMode
 
 # observations within this distance of a knot time vote for its initial value
@@ -179,8 +179,7 @@ def _block_plan(K: int, interval: np.ndarray, fractions, points, first: int, len
     pair_owner = np.maximum(owner[:-1], owner[1:])[pairs]
     obs_owner = np.maximum(owner[interval], owner[interval + 1])
     obs = np.flatnonzero(obs_owner >= 0)
-    gathered = (fractions[obs], points[obs]) if len(obs) else (None, None)
-    return (pairs, pair_owner, obs, obs_owner[obs], interval[obs] - pairs.start, *gathered)
+    return (pairs, pair_owner, obs, obs_owner[obs], interval[obs] - pairs.start, fractions[obs], points[obs])
 
 
 class _Blocked:
@@ -198,7 +197,7 @@ class _Blocked:
     steps and the geodesic segments its observations lie on, so one log map
     per pair serves every observation (segment_points).  A chain repeats few
     block shapes, so each engine keeps the _MAX_PLANS most recently used
-    plans.
+    plans.  With no data (data and sigma None) there are zero observations.
     """
 
     def __init__(self, m: Manifold, knots: np.ndarray, prior: PriorSpec, data: Dataset | None, sigma: SigmaMode | None):
@@ -212,18 +211,11 @@ class _Blocked:
         self.colours = (np.arange(0, self.K + 1, 2), np.arange(1, self.K + 1, 2))
         self.colour = 0
         self.offset = 0
-        if data is None:
-            self.interval = np.zeros(0, dtype=int)
-            self.fractions = self.points = None
-            self.obs_terms = np.zeros(0)
-        else:
-            pos = np.asarray(data.ts, dtype=float) * self.K
-            self.interval = np.minimum(np.floor(pos).astype(int), self.K - 1)
-            self.fractions = pos - self.interval
-            self.points = data.points
-            self.obs_terms = self._obs_log_density(
-                self.knots[:-1], self.knots[1:], self.interval, self.fractions, self.points
-            )
+        ts, self.points = (np.zeros(0), np.zeros((0, *m.point_shape))) if data is None else (data.ts, data.points)
+        self.interval, self.fractions = segment_positions(ts, self.K)
+        self.obs_terms = self._obs_log_density(
+            self.knots[:-1], self.knots[1:], self.interval, self.fractions, self.points
+        )
         # the memo holds only the plan inputs, not the engine, so no cycle outlives a chain
         plan = functools.partial(_block_plan, self.K, self.interval, self.fractions, self.points)
         self._plan = functools.lru_cache(maxsize=_MAX_PLANS)(plan)
@@ -233,6 +225,8 @@ class _Blocked:
 
     def _obs_log_density(self, starts: np.ndarray, ends: np.ndarray, rows, fractions, points) -> np.ndarray:
         """Observation terms of points at fractions along segments rows of starts -> ends."""
+        if not len(rows):
+            return np.zeros(0)
         values = segment_points(self.m, starts, ends, rows, fractions)
         return self.sigma.log_density(self.m, values, points)
 
@@ -280,7 +274,7 @@ class _Blocked:
         starts, ends = proposed[pairs], proposed[pairs.start + 1 : pairs.stop + 1]
         new_prior = self.prior.log_steps(m, starts, ends)
         delta = np.bincount(pair_owner, weights=new_prior - self.prior_terms[pairs], minlength=length)
-        new_obs = self._obs_log_density(starts, ends, rows, fractions, points) if len(obs) else np.zeros(0)
+        new_obs = self._obs_log_density(starts, ends, rows, fractions, points)
         delta += np.bincount(obs_owner, weights=new_obs - self.obs_terms[obs], minlength=length)
         return delta, (pairs, pair_owner, new_prior), (obs, obs_owner, new_obs)
 
@@ -376,22 +370,17 @@ def mh_sample(
     cfg: McmcConfig,
     m: Manifold,
     rng: np.random.Generator,
-    prior_only: bool = False,
 ) -> SampleResult:
-    """Fixed-temperature Metropolis chain over knot paths.
+    """Fixed-temperature Metropolis chain over knot paths, started from init_state.
 
-    With prior_only the likelihood is dropped (data may be None), which turns
-    the chain into a sampler of the discretized Brownian-motion prior; this
-    variant exists for calibration tests.
+    With data and sigma both None there is no likelihood: the chain samples
+    the discretized Brownian-motion prior, started from a sample_prior_path
+    draw.  Exactly one of them None raises ValueError.
     """
-    if prior_only:
-        state = sample_prior_path(spec, m, rng)
-        engine = _Blocked(m, state.knots, spec, None, None)
-    else:
-        if data is None or sigma is None:
-            raise ValueError("data and sigma are required unless prior_only")
-        state = init_state(data, spec.segments, m)
-        engine = _Blocked(m, state.knots, spec, data, sigma)
+    if (data is None) != (sigma is None):
+        raise ValueError("pass data and sigma together, or neither to sample the prior")
+    state = sample_prior_path(spec, m, rng) if data is None else init_state(data, spec.segments, m)
+    engine = _Blocked(m, state.knots, spec, data, sigma)
 
     def run(count: int, marks=(), snapshots=None) -> int:
         return sum(accepted for _, accepted in engine.advance(count, cfg.proposal_time, 1.0, rng, marks, snapshots))

@@ -72,20 +72,17 @@ class InvalidTimeError(ValueError):
 
 
 def wrap_angle(theta):
-    """Canonical angle in [0, 2*pi); accepts scalars or arrays."""
+    """Canonical angle in [0, 2*pi), as numpy returns it: an array, or a numpy float for a scalar."""
     # np.mod's bits without its floor division: fmod, plus 2*pi where the
     # remainder is negative (-0.0 + 0.0 is +0.0, as np.mod gives).  A tiny
     # negative input then lands on 2*pi itself, which the second fmod maps
     # to 0, leaving every other value of [0, 2*pi) as it is
     theta = np.fmod(theta, TWO_PI)
-    theta = np.fmod(theta + TWO_PI * (theta < 0.0), TWO_PI)
-    if np.ndim(theta) == 0:
-        return float(theta)
-    return theta
+    return np.fmod(theta + TWO_PI * (theta < 0.0), TWO_PI)
 
 
 def signed_angle_gap(start, end):
-    """Shortest signed arc from start to end, in (-pi, pi].
+    """Shortest signed arc from start to end, in (-pi, pi], as numpy returns it (see wrap_angle).
 
     The half-open interval resolves the antipodal tie: the counterclockwise
     arc (+pi) is taken, matching geodesic interpolation on the circle.
@@ -94,10 +91,7 @@ def signed_angle_gap(start, end):
     # gap - 2*pi is exact for gap in (pi, 2*pi] (Sterbenz), so it stays above -pi
     gap = np.fmod(np.asarray(end, dtype=float) - start, TWO_PI)
     gap = gap + TWO_PI * (gap < 0.0)
-    gap = gap - TWO_PI * (gap > math.pi)
-    if np.ndim(gap) == 0:
-        return float(gap)
-    return gap
+    return gap - TWO_PI * (gap > math.pi)
 
 
 # Kernel settings.  Series and image sums keep every term down to
@@ -129,10 +123,6 @@ def _check_time(t: float) -> float:
     return t
 
 
-def _scalar_or_array(out: np.ndarray):
-    return float(out) if out.ndim == 0 else out
-
-
 def circle_log_heat(gap, t):
     """log p_t on the circle by the wrapped-Gaussian image sum, in log form.
 
@@ -144,7 +134,7 @@ def circle_log_heat(gap, t):
     """
     t = _check_time(t)
     if t >= _CIRCLE_FLAT_TIME:
-        return _scalar_or_array(np.full(np.shape(gap), -math.log(TWO_PI)))
+        return np.full(np.shape(gap), -math.log(TWO_PI))
     # fmod equals mod bit for bit on nonnegative input, and is faster
     g = np.fmod(np.abs(np.asarray(gap, dtype=float)), TWO_PI)
     g = np.minimum(g, TWO_PI - g)
@@ -153,7 +143,7 @@ def circle_log_heat(gap, t):
     rest = np.exp((TWO_PI / t) * (g - math.pi)) + np.exp((-TWO_PI / t) * (g + math.pi))
     for k in range(2, images + 1):
         rest = rest + np.exp((TWO_PI * k / t) * (g - math.pi * k)) + np.exp((-TWO_PI * k / t) * (g + math.pi * k))
-    return _scalar_or_array(-0.5 * math.log(TWO_PI * t) - g * g / (2.0 * t) + np.log1p(rest))
+    return -0.5 * math.log(TWO_PI * t) - g * g / (2.0 * t) + np.log1p(rest)
 
 
 def circle_heat_eigen(gap, t):
@@ -171,7 +161,7 @@ def circle_heat_eigen(gap, t):
     total = np.ones(gap.shape)
     for m in range(1, harmonics + 1):
         total = total + 2.0 * math.exp(-0.5 * m * m * t) * np.cos(m * gap)
-    return _scalar_or_array(total / TWO_PI)
+    return total / TWO_PI
 
 
 def _legendre_coefficients(t: float) -> np.ndarray:
@@ -201,7 +191,7 @@ def sphere_heat_series(cos_gamma, t):
     b1 = b2 = 0.0
     for ell in range(len(coefs) - 1, -1, -1):
         b1, b2 = coefs[ell] + ((2 * ell + 1) / (ell + 1)) * x * b1 - ((ell + 1) / (ell + 2)) * b2, b1
-    return _scalar_or_array(b1)
+    return b1
 
 
 # Below this z = pi (pi - gamma) / t the caustic factor takes I0(z) e^{-z}
@@ -254,7 +244,7 @@ def sphere_log_heat_expansion(gamma, t):
         i0e = (np.exp(zc[:, None] * _I0_COS) * _I0_WEIGHTS).sum(axis=1)
         van_vleck[caustic] = 0.5 * np.log(2.0 * math.pi**2 * gc / (t * np.sinc(ec / math.pi))) + np.log(i0e)
     out = -math.log(TWO_PI * t) - g * g / (2.0 * t) + van_vleck + np.log1p(t * slope)
-    return _scalar_or_array(out.reshape(shape))
+    return out.reshape(shape)
 
 
 def sphere_series_edge(t: float) -> float:
@@ -303,7 +293,7 @@ def _sphere_log_heat(gamma, t, table) -> np.ndarray:
     if t < SPHERE_SEAM_TIME:
         return sphere_log_heat_expansion(g, t)
     if t >= _SPHERE_FLAT_TIME:
-        return _scalar_or_array(np.full(g.shape, -math.log(4.0 * math.pi)))
+        return np.full(g.shape, -math.log(4.0 * math.pi))
     tail = g > sphere_series_edge(t)
     beyond = np.count_nonzero(tail)
     if beyond == g.size:
@@ -316,7 +306,7 @@ def _sphere_log_heat(gamma, t, table) -> np.ndarray:
     out = ((c[..., 0] * u + c[..., 1]) * u + c[..., 2]) * u + c[..., 3] - g * g / (2.0 * t)
     if beyond:
         out[tail] = sphere_log_heat_expansion(g[tail], t)
-    return _scalar_or_array(out)
+    return out
 
 
 def sphere_log_heat(gamma, t):
@@ -336,8 +326,8 @@ class Manifold(ABC):
 
     Geodesic operations broadcast: each takes single points or stacked
     point arrays, and pairs two arrays row by row.  Batch draws take stacked
-    centres or a count and return stacked points; heat_kernel and
-    sample_heat_kernel are the single-point forms.
+    centres or a count.  The benchmark calls and counts the forms kept beside
+    them: heat_kernel (a float), sample_heat_kernel and interpolate_pairwise.
     """
 
     kind: str

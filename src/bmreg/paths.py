@@ -1,9 +1,10 @@
 """Piecewise-geodesic paths on [0, 1] and the discretized Brownian prior.
 
-A path with K segments stores K+1 knots at times k/K and evaluates by
-geodesic interpolation inside each segment (knot_values, also of a knot
-stack): exp_map(x_k, s * log_map(x_k, x_{k+1})), one log map per segment
-(segment_points, shared by the engine).  The knots pass Manifold.stack, the
+A path with K segments stores K+1 knots at times k/K.  A time lies a
+fraction s along segment k (segment_positions), where the path takes
+exp_map(x_k, s * log_map(x_k, x_{k+1})) with one log map per segment
+(segment_points); knot_values evaluates a path or a knot stack by both, and
+so does the engine its observations.  The knots pass Manifold.stack, the
 point rule that observations share.  The prior draws the first knot
 uniformly and each subsequent knot from the heat kernel at time c*h, i.e. a
 Brownian motion run at scale c and discretized at sidelength h = 1/K:
@@ -79,21 +80,31 @@ class PiecewiseGeodesicPath:
         return path
 
 
+def segment_positions(ts, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(k, s): each time of [0, 1] lies a fraction s along segment k of K, k + s == ts * K exactly, and
+    t = 1 ends the last segment, (K - 1, 1.0).  K < 1 raises ValueError; NaN or t outside [0, 1] OutOfDomainError."""
+    if K < 1:
+        raise ValueError(f"a path needs at least two knots, got {K + 1}")
+    ts = np.asarray(ts, dtype=float)
+    if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):  # NaN too
+        raise OutOfDomainError("path times outside [0, 1]")
+    pos = ts * K
+    k = np.minimum(np.floor(pos).astype(int), K - 1)
+    return k, pos - k
+
+
 def knot_values(m: Manifold, knots: np.ndarray, ts) -> np.ndarray:
-    """Values at times ts in [0, 1] of the path of K+1 knots, exact at knot times; K >= 1 is read
-    from the knot axis, so a (p, K+1, *point_shape) stack gives one (len(ts), *point_shape) row per path."""
+    """Values at times ts in [0, 1] of the path of K+1 knots, exact at knot times, placed by segment_positions
+    (K >= 1); a (p, K+1, *point_shape) knot stack gives one (len(ts), *point_shape) row per path."""
     knots = np.asarray(knots, dtype=float)
     # knots and values run along the axis before the coordinate axes
     coords = (slice(None),) * len(m.point_shape)
     axis = -1 - len(coords)
     segments = knots.shape[axis] - 1
-    ts = np.asarray(ts, dtype=float)
-    if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):  # NaN too
-        raise OutOfDomainError("path times outside [0, 1]")
-    pos = ts * segments
-    k = np.minimum(np.floor(pos).astype(int), segments - 1)
+    k, s = segment_positions(ts, segments)
     starts, ends = knots[(..., slice(None, -1)) + coords], knots[(..., slice(1, None)) + coords]
-    out = segment_points(m, starts, ends, k, pos - k, axis)
+    out = segment_points(m, starts, ends, k, s, axis)
+    pos = k + s
     nearest = np.rint(pos).astype(int)
     snap = np.abs(pos - nearest) <= _KNOT_SNAP * segments
     if np.any(snap):

@@ -431,6 +431,13 @@ class TestCheckKernels:
         assert "PASS positivity" in out
         assert re.search(r"^PASS sphere-polar-cdf: max CDF error \S+$", out, re.M)
 
+    def test_ks_statistic_equals_scipys(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(7)
+        for draws, cdf in [(rng.uniform(size=4000), lambda x: x), (np.sqrt(rng.uniform(size=999)), lambda x: x**2)]:
+            assert checks._ks_statistic(draws, cdf) == stats.kstest(draws, cdf).statistic
+
     def test_shifted_polar_cdf_fails(self, capsys, monkeypatch):
         # a sampler whose polar angles come out 0.1 % too long
         exact = checks._polar_cdf

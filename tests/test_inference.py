@@ -32,7 +32,7 @@ from bmreg.manifolds import (
     wrap_angle,
 )
 from bmreg.metrics import PredictorDensity, dinf_distance, generate_dataset
-from bmreg.paths import PiecewiseGeodesicPath, PriorSpec, log_prior
+from bmreg.paths import PiecewiseGeodesicPath, PriorSpec, log_prior, segment_positions
 from bmreg.posterior import KnownVariance, MarginalVariance, log_posterior
 
 
@@ -227,7 +227,7 @@ def test_mh_prior_only_increment_resultant():
     m = Circle()
     spec = PriorSpec.from_segments(20, 1.0)  # increment time 0.05
     cfg = McmcConfig(iterations=60_000, burn_in=5_000, thinning=110, proposal_time=0.05)
-    res = mh_sample(None, None, spec, cfg, m, np.random.default_rng(3), prior_only=True)
+    res = mh_sample(None, None, spec, cfg, m, np.random.default_rng(3))
     gaps = signed_angle_gap(res.knots[:, :-1], res.knots[:, 1:]).ravel()
     resultant = abs(np.mean(np.exp(1j * gaps)))
     rho = math.exp(-0.05 / 2)
@@ -235,10 +235,13 @@ def test_mh_prior_only_increment_resultant():
     assert abs(resultant - rho) < 3 * se
 
 
-def test_mh_requires_data_unless_prior_only():
+def test_mh_takes_data_and_sigma_together():
+    # both None samples the prior; exactly one of them None is refused
     m = Circle()
-    with pytest.raises(ValueError):
-        mh_sample(None, None, PriorSpec.from_segments(2), McmcConfig(10, 0, 1, 0.1), m, np.random.default_rng(0))
+    data, args = _circle_data([0.5], [1.0]), (PriorSpec.from_segments(2), McmcConfig(10, 0, 1, 0.1), m)
+    for pair in [(data, None), (None, KnownVariance(0.1))]:
+        with pytest.raises(ValueError, match="together"):
+            mh_sample(*pair, *args, np.random.default_rng(0))
 
 
 def test_mh_deterministic_and_strictly_mixing():
@@ -301,7 +304,7 @@ def test_mh_prior_only_matches_direct_prior_sampling_level():
     m = Circle()
     spec = PriorSpec.from_segments(10, 1.0)
     cfg = McmcConfig(iterations=30_000, burn_in=5_000, thinning=50, proposal_time=0.1)
-    res = mh_sample(None, None, spec, cfg, m, np.random.default_rng(8), prior_only=True)
+    res = mh_sample(None, None, spec, cfg, m, np.random.default_rng(8))
     chain_lp = np.mean([log_prior(PiecewiseGeodesicPath(m, knots), spec) for knots in res.knots])
     rng = np.random.default_rng(9)
     from bmreg.paths import sample_prior_path
@@ -361,6 +364,9 @@ def test_cached_terms_match_fresh_evaluation_after_updates(kind, sigma):
     if kind == "circle":
         knots[10], knots[11] = 0.0, math.pi
     engine = _Blocked(m, knots, spec, data, sigma)
+    # the engine places observations by the path's own rule
+    k, s = segment_positions(data.ts, spec.segments)
+    assert (engine.interval.tobytes(), engine.fractions.tobytes()) == (k.tobytes(), s.tobytes())
     _assert_pairwise_terms(engine, spec, sigma)
     # a short anneal, then a short chain at temperature 1 whose runs thinning
     # points split; 37 cuts colour blocks
@@ -518,7 +524,9 @@ def _seeded_run(kind, case):
         return _bits(fit.path.knots), _bits(fit.acceptance_rate), _bits(fit.best_log_posterior), _bits(fit.trace)
     thinning = 10 if case == "prior" else case
     cfg = McmcConfig(iterations=600, burn_in=37, thinning=thinning, proposal_time=0.05)
-    res = mh_sample(data, sigma, spec, cfg, m, rng, prior_only=case == "prior")
+    if case == "prior":
+        data = sigma = None
+    res = mh_sample(data, sigma, spec, cfg, m, rng)
     return res.knots.tobytes(), _bits(res.acceptance_rate)
 
 

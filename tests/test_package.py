@@ -103,6 +103,16 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_check_kernels_leaves_scipy_unloaded():
+    # the runtime needs numpy alone: the density check computes its KS statistics itself
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys; from bmreg.cli import main; code = main(['check-kernels']); print(code, 'scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_sphere_kernel_and_sampler_leave_scipy_unloaded():
     # the sphere's kernel table and polar CDF are built with numpy alone
     src = Path(__file__).resolve().parents[1] / "src"

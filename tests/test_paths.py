@@ -20,6 +20,7 @@ from bmreg.paths import (
     log_prior,
     sample_prior_path,
     segment_points,
+    segment_positions,
 )
 
 
@@ -98,6 +99,30 @@ def test_at_many_knot_stack_matches_each_path_bitwise(kind):
         assert np.array_equal(row.view(np.uint64), expected.view(np.uint64))
     with pytest.raises(OutOfDomainError):
         knot_values(m, stack, [0.5, 1.5])
+    # a one-knot path and a stack of them have no segment to place a time on
+    for one_knot in (stack[0, :1], stack[:, :1]):
+        with pytest.raises(ValueError, match="at least two knots, got 1"):
+            knot_values(m, one_knot, [0.0, 0.5])
+
+
+@pytest.mark.parametrize("K", [1, 2, 7, 200])
+def test_segment_positions_split_each_time_exactly(K):
+    rng = np.random.default_rng(K)
+    grid = np.arange(K + 1) / K
+    # the ends, random times, and the knot times with their neighbours on either side
+    ts = np.concatenate([[0.0, 1.0], rng.random(500), grid, np.nextafter(grid[1:], 0), np.nextafter(grid[:-1], 1)])
+    k, s = segment_positions(ts, K)
+    assert (k[0], s[0], k[1], s[1]) == (0, 0.0, K - 1, 1.0)
+    # exact, so knot_values can snap at k + s
+    assert ((k + s) == ts * K).all()
+    assert ((k >= 0) & (k < K) & (s >= 0.0) & (s <= 1.0)).all()
+    for bad in ([0.5, 1.5], [-1e-300], [0.5, math.nan]):
+        with pytest.raises(OutOfDomainError):
+            segment_positions(bad, K)
+    empty = segment_positions([], K)
+    assert [a.shape for a in empty] == [(0,), (0,)]
+    with pytest.raises(ValueError, match="at least two knots, got 1"):
+        segment_positions(ts, 0)
 
 
 def _hard_knots(m, K, rng):
