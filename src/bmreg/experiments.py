@@ -12,6 +12,7 @@ output bytes do not depend on the worker-pool size.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -117,6 +118,8 @@ class ExperimentCell:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         for name, value in (("n", self.n), ("K", self.K)):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         for name, value in (("c", self.c), ("sigma2", self.sigma2)):
@@ -186,7 +189,7 @@ def fit_and_score(cell: ExperimentCell, data: Dataset):
     method, K, fit = cell.method, cell.K, None
     if method in ("dbm", "cbm"):
         K = K_FINE if method == "cbm" else K
-        fit = anneal_map(data, sigma, PriorSpec.from_segments(K, cell.c), cell.anneal, m, rng)
+        fit = anneal_map(data, sigma, PriorSpec(K, cell.c), cell.anneal, m, rng)
         fitted = fit.path
     elif method == "ker":
         fitted, K = KernelFit.from_rule(data), 0
@@ -194,7 +197,7 @@ def fit_and_score(cell: ExperimentCell, data: Dataset):
         fitted, K = constant_path(m, frechet_mean_weighted(data.points, np.ones(data.n), m)), 0
     else:  # mcmc, the last of METHODS
         mcmc = cell.mcmc or default_mcmc_config(data.n, K, cell.sigma2)
-        fitted = mh_sample(data, sigma, PriorSpec.from_segments(K, cell.c), mcmc, m, rng)
+        fitted = mh_sample(data, sigma, PriorSpec(K, cell.c), mcmc, m, rng)
     if method == "mcmc":
         error = float(np.mean(dq_distances(fitted.knots, f0, 1.0, PredictorDensity.uniform(), m)))
     else:
@@ -276,9 +279,8 @@ def sweep_cells(axis: str, values, base_seed: int, replicates: int, base: Experi
         raise ValueError("axis values must be distinct")
     if axis in _IGNORED_AXES.get(base.method, ()):
         raise ValueError(f"method {base.method} does not read {axis}; sweep an axis it reads")
-    kind = float if axis == "c" else int
     return [
-        _seeded(replace(base, **{axis: kind(value)}), base_seed, index, replicate)
+        _seeded(replace(base, **{axis: float(value) if axis == "c" else value}), base_seed, index, replicate)
         for index, value in enumerate(values)
         for replicate in range(replicates)
     ]

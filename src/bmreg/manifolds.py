@@ -21,9 +21,10 @@ every term past the constant is below it, the log kernel is -log(volume).
   (Minakshisundaram-Pleijel; Varadhan 1967) to first order in t, with a
   caustic factor at the antipode (sphere_log_heat_expansion).
 - Sphere, t >= SPHERE_SEAM_TIME: the Legendre series with eigenvalues
-  l*(l+1), read from a table built once per t: a cubic through four
-  neighbouring nodes of log p_t + gamma^2/(2t) on SPHERE_TABLE_NODES (1024)
-  uniform intervals, within 2e-11 of the series up to 0.7 of the edge
+  l*(l+1), read from a table built once per t, one memo of 512 times for
+  the kernel and the sampler: a cubic through four neighbouring nodes of
+  log p_t + gamma^2/(2t) on SPHERE_TABLE_NODES (1024) uniform intervals,
+  within 2e-11 of the series up to 0.7 of the edge
   (_sphere_table).  The series cancels where the kernel is tiny against
   its peak, so beyond sphere_series_edge(t), where its roundoff passes the
   expansion's error, the expansion is used instead; at t = 0.1 that is
@@ -51,10 +52,10 @@ its length from the kernel's polar CDF, at the uniform exp(-|v|^2 / 2),
 which is independent of the direction.  The CDF of t lies on 2,048 nodes up
 to min(pi, sqrt(80 t)), past which the polar law holds about e^-40 of its mass;
 below _POLAR_EXPANSION_TIME (0.058) its density is the small-time
-expansion, within 0.015 t^2 <= 5e-5 in log, and from there on the series
-table (_polar_cdf).  Every manifold draws one centre on plain Python
-floats, bit for bit the batch body's row; the sphere's keeps np.exp and
-np.interp for their bits (Sphere.sample_heat_kernel).
+expansion, within 0.015 t^2 <= 5e-5 in log, and from there on the
+kernel's own table (_polar_cdf).  Every manifold draws one centre on plain
+Python floats, bit for bit the batch body's row; the sphere's keeps np.exp
+and np.interp for their bits (Sphere.sample_heat_kernel).
 """
 
 from __future__ import annotations
@@ -262,6 +263,7 @@ def sphere_series_edge(t: float) -> float:
 SPHERE_TABLE_NODES = 1024
 
 
+@functools.lru_cache(maxsize=512)
 def _sphere_table(t: float) -> tuple[float, np.ndarray]:
     """(spacing h, coefficients) of a cubic table of log p_t + gamma^2/(2t) on [0, min(edge, pi)].
 
@@ -270,7 +272,7 @@ def _sphere_table(t: float) -> tuple[float, np.ndarray]:
     first.  Adding gamma^2/(2t) removes the steep Gaussian term, so what is
     left is smooth on the scale of h.  The node at -h is the kernel's mirror
     image and the one past the end lies within h of the edge, where the
-    series still holds its digits.
+    series still holds its digits.  The kernel and _polar_cdf share the memo.
     """
     h = min(sphere_series_edge(t), math.pi) / SPHERE_TABLE_NODES
     g = np.arange(-1, SPHERE_TABLE_NODES + 2) * h
@@ -282,12 +284,15 @@ def _sphere_table(t: float) -> tuple[float, np.ndarray]:
     return h, np.stack([cubic, quadratic, linear, f1], axis=1)
 
 
-# the tables of the times at which a kernel is evaluated (see _polar_cdf)
-_kernel_table = functools.lru_cache(maxsize=512)(_sphere_table)
+def sphere_log_heat(gamma, t):
+    """log p_t on the sphere at geodesic angle(s) gamma in [0, pi].
 
-
-def _sphere_log_heat(gamma, t, table) -> np.ndarray:
-    """sphere_log_heat, with table(t) giving the _sphere_table of t."""
+    Below SPHERE_SEAM_TIME: sphere_log_heat_expansion.  At or above it: the
+    log of sphere_heat_series, read from its table for t (_sphere_table), up
+    to sphere_series_edge(t), and the expansion beyond it, where the series
+    has lost its digits to cancellation.  From _SPHERE_FLAT_TIME on the kernel
+    is flat, -log(4 pi).
+    """
     t = _check_time(t)
     g = np.asarray(gamma, dtype=float)
     if t < SPHERE_SEAM_TIME:
@@ -298,7 +303,7 @@ def _sphere_log_heat(gamma, t, table) -> np.ndarray:
     beyond = np.count_nonzero(tail)
     if beyond == g.size:
         return sphere_log_heat_expansion(g, t)
-    h, coefs = table(t)
+    h, coefs = _sphere_table(t)
     x = g / h
     i = np.minimum(x.astype(np.intp), SPHERE_TABLE_NODES - 1)
     u = x - i
@@ -307,18 +312,6 @@ def _sphere_log_heat(gamma, t, table) -> np.ndarray:
     if beyond:
         out[tail] = sphere_log_heat_expansion(g[tail], t)
     return out
-
-
-def sphere_log_heat(gamma, t):
-    """log p_t on the sphere at geodesic angle(s) gamma in [0, pi].
-
-    Below SPHERE_SEAM_TIME: sphere_log_heat_expansion.  At or above it: the
-    log of sphere_heat_series, read from its table for t (_sphere_table), up
-    to sphere_series_edge(t), and the expansion beyond it, where the series
-    has lost its digits to cancellation.  From _SPHERE_FLAT_TIME on the kernel
-    is flat, -log(4 pi).
-    """
-    return _sphere_log_heat(gamma, t, _kernel_table)
 
 
 class Manifold(ABC):
@@ -516,16 +509,15 @@ def _polar_cdf(t: float) -> tuple[float, np.ndarray]:
 
     top = min(pi, sqrt(80 t)), beyond which the polar law holds about e^-40
     of its mass.  The density is sphere_log_heat_expansion below
-    _POLAR_EXPANSION_TIME and the series table from there on; an anneal
-    draws at one time per temperature level and evaluates the kernel at few
-    of them, so that table is not kept.
+    _POLAR_EXPANSION_TIME and sphere_log_heat from there on, read from the
+    one table memo (_sphere_table) that serves the kernel too.
     """
     top = min(math.pi, math.sqrt(80.0 * t))
     theta = top * _POLAR_UNIT
     if t < _POLAR_EXPANSION_TIME:
         log_kernel = sphere_log_heat_expansion(theta, t)
     else:
-        log_kernel = _sphere_log_heat(theta, t, _sphere_table)
+        log_kernel = sphere_log_heat(theta, t)
     density = np.exp(log_kernel) * np.sin(theta)
     cdf = np.concatenate([[0.0], np.cumsum(density[1:] + density[:-1])])
     return top, cdf / cdf[-1]

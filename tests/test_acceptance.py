@@ -161,7 +161,7 @@ def test_criterion_03_sampler_fidelity(capsys):
 def test_criterion_04_prior_correctness(capsys):
     start = time.perf_counter()
     m = Circle()
-    spec = PriorSpec.from_segments(1, 0.7)
+    spec = PriorSpec(1, 0.7)
 
     # the log prior matches the closed form uniform x heat-kernel product
     rng = np.random.default_rng(BASE_SEED)
@@ -181,7 +181,7 @@ def test_criterion_04_prior_correctness(capsys):
 
     # sampled prior increments against the wrapped-normal law; equiprobable
     # bins keep every expected count large so the chi-square is calibrated
-    inc_spec = PriorSpec.from_segments(4, 0.5)
+    inc_spec = PriorSpec(4, 0.5)
     rng2 = np.random.default_rng(BASE_SEED + 1)
     gaps = np.concatenate(
         [
@@ -213,7 +213,7 @@ def test_criterion_05_sampler_vs_grid_oracle(capsys):
     m = Circle()
     x_obs = 2.0
     data = Dataset("circle", np.array([0.5]), np.array([x_obs]))
-    spec = PriorSpec.from_segments(1, 1.0)
+    spec = PriorSpec(1, 1.0)
     sigma = KnownVariance(0.5)
 
     G = 360

@@ -89,7 +89,12 @@ BAD_FIELDS = [
     ("manifold", "plane", "unknown manifold kind"),
     ("method", "boost", "method must be one of"),
     ("n", 0, "n must be >= 1"),
+    ("n", 2.5, "n must be an integer"),
+    ("n", False, "n must be an integer"),
     ("K", 0, "K must be >= 1"),
+    ("K", 2.5, "K must be an integer"),
+    ("K", 40.0, "K must be an integer"),
+    ("K", False, "K must be an integer"),
     ("c", 0.0, "c must be positive and finite"),
     ("c", math.nan, "c must be positive and finite"),
     ("c", math.inf, "c must be positive and finite"),
@@ -139,6 +144,7 @@ class TestCellChecks:
     def test_default_cell_and_every_method_pass(self):
         for method in experiments.METHODS:
             assert ExperimentCell(method=method, marginal_bound=2.0).method == method
+        assert ExperimentCell(n=np.int64(30), K=np.int32(40)) == ExperimentCell()
 
 
 class TestCellBuilders:
@@ -219,13 +225,13 @@ class TestCellBuilders:
             ("dbm-n30-K40-c5.0-r0", "dbm", 30, 40, 5.0, 2949250078490400029, 18313530633565599649),
             ("dbm-n30-K40-c5.0-r1", "dbm", 30, 40, 5.0, 716934671522810620, 16081215226598010240),
         ]
-        assert pinned(sweep_cells("K", [1.0, 40], 7, 2)) == [
+        assert pinned(sweep_cells("K", [1, 40], 7, 2)) == [
             ("dbm-n30-K1-c0.01-r0", "dbm", 30, 1, 0.01, 2949250078490400029, 12621519705464921952),
             ("dbm-n30-K1-c0.01-r1", "dbm", 30, 1, 0.01, 716934671522810620, 14853835112432511361),
             ("dbm-n30-K40-c0.01-r0", "dbm", 30, 40, 0.01, 2949250078490400029, 18313530633565599649),
             ("dbm-n30-K40-c0.01-r1", "dbm", 30, 40, 0.01, 716934671522810620, 16081215226598010240),
         ]
-        assert pinned(sweep_cells("n", [20.0, 40], 7, 2)) == [
+        assert pinned(sweep_cells("n", [20, 40], 7, 2)) == [
             ("dbm-n20-K40-c0.01-r0", "dbm", 20, 40, 0.01, 5690672657305437079, 12621519705464921952),
             ("dbm-n20-K40-c0.01-r1", "dbm", 20, 40, 0.01, 3458357250337847670, 14853835112432511361),
             ("dbm-n40-K40-c0.01-r0", "dbm", 40, 40, 0.01, 8850426777061681323, 18313530633565599649),

@@ -25,8 +25,8 @@ from bmreg.manifolds import (
     Circle,
     Manifold,
     Sphere,
-    _kernel_table,
     _polar_cdf,
+    _sphere_table,
     make_manifold,
     signed_angle_gap,
     wrap_angle,
@@ -137,7 +137,7 @@ def _example_problem(seed=42, n=40):
     m = Circle()
     rng = np.random.default_rng(seed)
     data = generate_dataset(lambda t: 1.0, n, 0.05, PredictorDensity.uniform(), m, rng)
-    return m, data, PriorSpec.from_segments(40, 0.01), KnownVariance(0.05)
+    return m, data, PriorSpec(40, 0.01), KnownVariance(0.05)
 
 
 def test_anneal_zero_iterations_returns_init_state():
@@ -187,7 +187,7 @@ def test_anneal_deterministic_under_seed():
 def test_fit_cbm_runs_on_fine_grid():
     m, data, _, sigma = _example_problem()
     cfg = AnnealConfig(cooling_factor=0.5, steps_per_temperature=100, temperature_floor=0.01)
-    fit = anneal_map(data, sigma, PriorSpec.from_segments(K_FINE, 0.01), cfg, m, np.random.default_rng(9))
+    fit = anneal_map(data, sigma, PriorSpec(K_FINE, 0.01), cfg, m, np.random.default_rng(9))
     assert fit.path.segments == K_FINE
     assert dinf_distance(fit.path, lambda t: 1.0, m) < 0.4
 
@@ -225,7 +225,7 @@ def test_trace_subsampled_reads_the_block_of_each_update(steps):
 
 def test_mh_prior_only_increment_resultant():
     m = Circle()
-    spec = PriorSpec.from_segments(20, 1.0)  # increment time 0.05
+    spec = PriorSpec(20, 1.0)  # increment time 0.05
     cfg = McmcConfig(iterations=60_000, burn_in=5_000, thinning=110, proposal_time=0.05)
     res = mh_sample(None, None, spec, cfg, m, np.random.default_rng(3))
     gaps = signed_angle_gap(res.knots[:, :-1], res.knots[:, 1:]).ravel()
@@ -238,7 +238,7 @@ def test_mh_prior_only_increment_resultant():
 def test_mh_takes_data_and_sigma_together():
     # both None samples the prior; exactly one of them None is refused
     m = Circle()
-    data, args = _circle_data([0.5], [1.0]), (PriorSpec.from_segments(2), McmcConfig(10, 0, 1, 0.1), m)
+    data, args = _circle_data([0.5], [1.0]), (PriorSpec(2), McmcConfig(10, 0, 1, 0.1), m)
     for pair in [(data, None), (None, KnownVariance(0.1))]:
         with pytest.raises(ValueError, match="together"):
             mh_sample(*pair, *args, np.random.default_rng(0))
@@ -261,7 +261,7 @@ def test_mh_two_knot_matches_brute_force_grid():
     m = Circle()
     x_obs = 2.0
     data = _circle_data([0.5], [x_obs])
-    spec = PriorSpec.from_segments(1, 1.0)
+    spec = PriorSpec(1, 1.0)
     sigma = KnownVariance(0.5)
 
     G = 360
@@ -302,7 +302,7 @@ def test_proposal_density_is_symmetric():
 def test_mh_prior_only_matches_direct_prior_sampling_level():
     # chain stationary law == discretized BM prior: compare mean log prior
     m = Circle()
-    spec = PriorSpec.from_segments(10, 1.0)
+    spec = PriorSpec(10, 1.0)
     cfg = McmcConfig(iterations=30_000, burn_in=5_000, thinning=50, proposal_time=0.1)
     res = mh_sample(None, None, spec, cfg, m, np.random.default_rng(8))
     chain_lp = np.mean([log_prior(PiecewiseGeodesicPath(m, knots), spec) for knots in res.knots])
@@ -320,7 +320,7 @@ def _engine_problem(kind, sigma, seed=17, n=30, K=12):
     m = make_manifold(kind)
     rng = np.random.default_rng(seed)
     data = generate_dataset(default_truth(kind), n, 0.1, PredictorDensity.uniform(), m, rng)
-    spec = PriorSpec.from_segments(K, 0.05)
+    spec = PriorSpec(K, 0.05)
     knots = init_state(data, K, m).knots
     # move every knot off the windowed modes so no term sits at a special value
     knots = m.sample_heat_kernel_many(0.02, knots, rng)
@@ -431,7 +431,7 @@ def _assert_blocks_are_colour_runs(blocks, K):
 def test_update_counts_guard_the_benchmark(K, counted):
     """The benchmark divides fit time by these counts (`updates_per_probe`)."""
     m, data, _, sigma = _example_problem(n=20)
-    spec = PriorSpec.from_segments(K, 0.01)
+    spec = PriorSpec(K, 0.01)
     cfg = AnnealConfig(cooling_factor=0.5, steps_per_temperature=37, temperature_floor=0.05)
     fit = anneal_map(data, sigma, spec, cfg, m, np.random.default_rng(4))
     updates = _annealed_levels(cfg) * cfg.steps_per_temperature
@@ -475,7 +475,7 @@ def test_mh_stores_the_state_after_each_thinning_interval(monkeypatch):
         return score(self, ks, values)
 
     monkeypatch.setattr(_Blocked, "_score", counting_score)
-    spec, sigma = PriorSpec.from_segments(10, 0.1), KnownVariance(0.1)
+    spec, sigma = PriorSpec(10, 0.1), KnownVariance(0.1)
     cfg = McmcConfig(iterations=500, burn_in=45, thinning=13, proposal_time=0.05)
     for kind in ("circle", "sphere", "torus"):
         m = make_manifold(kind)
@@ -517,7 +517,7 @@ def _seeded_run(kind, case):
     m = make_manifold(kind)
     rng = np.random.default_rng(31)
     data = generate_dataset(default_truth(kind), 25, 0.1, PredictorDensity.uniform(), m, rng)
-    spec, sigma = PriorSpec.from_segments(10, 0.1), KnownVariance(0.1)
+    spec, sigma = PriorSpec(10, 0.1), KnownVariance(0.1)
     if case == "anneal":
         cfg = AnnealConfig(cooling_factor=0.5, steps_per_temperature=23, temperature_floor=0.05)
         fit = anneal_map(data, sigma, spec, cfg, m, rng)
@@ -594,7 +594,7 @@ def test_plan_cache_never_holds_more_than_its_bound(monkeypatch):
 
 
 def test_every_memo_keeps_512_entries_and_manifolds_keep_none():
-    memos = [_kernel_table, _polar_cdf]
+    memos = [_sphere_table, _polar_cdf]
     m, data, spec, sigma = _example_problem(n=20)
     memos.append(_Blocked(m, init_state(data, spec.segments, m).knots, spec, data, sigma)._plan)
     assert [memo.cache_parameters()["maxsize"] for memo in memos] == [512] * 3

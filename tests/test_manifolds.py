@@ -24,9 +24,9 @@ from bmreg.manifolds import (
     Sphere,
     Torus,
     TWO_PI,
-    _kernel_table,
     _polar_cdf,
     _sphere_frame,
+    _sphere_table,
     circle_heat_eigen,
     circle_log_heat,
     make_manifold,
@@ -333,17 +333,18 @@ def test_sphere_log_kernel_matches_series_where_it_resolves(t):
     assert_allclose(sphere_log_heat(gaps, t), series, rtol=0, atol=1e-6)
 
 
-def test_sampler_times_keep_no_kernel_table():
-    # an anneal draws at one new time per temperature level; only the polar CDF
-    # memo grows, whether its density is the expansion (0.0123) or the series (0.0789)
+def test_kernel_and_sampler_share_one_table_per_time():
+    # a draw below _POLAR_EXPANSION_TIME reads the expansion and builds no
+    # table; above it the draw builds its time's table and the kernel reuses it
     _polar_cdf.cache_clear()
-    for t in (0.0123456789, 0.0789):
-        assert t >= SPHERE_SEAM_TIME
-        tables = _kernel_table.cache_info().currsize
-        cdfs = _polar_cdf.cache_info().currsize
-        Sphere().sample_heat_kernel(t, np.array([0.0, 0.0, 1.0]), np.random.default_rng(5))
-        assert _polar_cdf.cache_info().currsize == cdfs + 1
-        assert _kernel_table.cache_info().currsize == tables
+    _sphere_table.cache_clear()
+    north, sphere = np.array([0.0, 0.0, 1.0]), Sphere()
+    sphere.sample_heat_kernel(0.0123456789, north, np.random.default_rng(5))
+    assert _sphere_table.cache_info().misses == 0
+    sphere.sample_heat_kernel(0.0789, north, np.random.default_rng(5))
+    sphere.log_heat_kernel_pairwise(0.0789, north, np.array([0.0, 0.6, 0.8]))
+    info = _sphere_table.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize("t", [1.1e-3, 0.02, 0.057, 0.058, 0.137])

@@ -218,37 +218,39 @@ def test_from_dict_validates_shape():
 
 
 def test_prior_spec_validation():
-    with pytest.raises(ValueError):
-        PriorSpec(sidelength=0.3)
-    with pytest.raises(ValueError):
-        PriorSpec(sidelength=0.5, scale=0.0)
-    with pytest.raises(ValueError):
-        PriorSpec(sidelength=1.5)
+    # fewer than one segment, a fraction or a bool, by either constructor
+    for segments in (0, -3, 2.5, True, 40.0):
+        for build in (PriorSpec, PriorSpec.from_segments):
+            with pytest.raises(ValueError, match="segments"):
+                build(segments, 0.01)
+    with pytest.raises(ValueError, match="scale must be positive and finite"):
+        PriorSpec(segments=2, scale=0.0)
     spec = PriorSpec.from_segments(40, 0.01)
+    assert spec == PriorSpec(np.int64(40), 0.01)
     assert spec.segments == 40
     assert_allclose(spec.step_time, 0.01 / 40, rtol=0, atol=1e-18)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_prior_spec_rejects_a_non_finite_scale(value):
     with pytest.raises(ValueError, match="scale must be positive and finite"):
-        PriorSpec(sidelength=0.5, scale=value)
-    with pytest.raises(ValueError, match="sidelength"):
-        PriorSpec(sidelength=value)
+        PriorSpec(segments=2, scale=value)
+    with pytest.raises(ValueError, match="segments"):
+        PriorSpec(segments=value)
 
 
 def test_log_prior_frozen_constant_path_value():
     # circle, K=2, constant path, c=1: density (1/(2 pi)) * p_{1/2}(0,0)^2 with
     # p_{1/2}(0,0) = 1/sqrt(pi) up to e^{-4 pi^2} image terms, so the log is
     # -log(2 pi) - log(pi)
-    spec = PriorSpec.from_segments(2, 1.0)
+    spec = PriorSpec(2, 1.0)
     path = _circle_path([0.0, 0.0, 0.0])
     expected = -math.log(2 * math.pi) - math.log(math.pi)
     assert_allclose(log_prior(path, spec), expected, rtol=0, atol=1e-12)
 
 
 def test_log_prior_shift_invariant_on_circle():
-    spec = PriorSpec.from_segments(4, 0.5)
+    spec = PriorSpec(4, 0.5)
     rng = np.random.default_rng(2)
     knots = rng.uniform(0, 2 * math.pi, size=5)
     base = log_prior(_circle_path(knots), spec)
@@ -258,7 +260,7 @@ def test_log_prior_shift_invariant_on_circle():
 
 
 def test_log_prior_penalizes_rough_paths():
-    spec = PriorSpec.from_segments(4, 0.1)
+    spec = PriorSpec(4, 0.1)
     smooth = _circle_path([1.0, 1.05, 1.1, 1.15, 1.2])
     rough = _circle_path([1.0, 2.5, 0.2, 3.0, 1.4])
     assert log_prior(smooth, spec) > log_prior(rough, spec)
@@ -266,13 +268,13 @@ def test_log_prior_penalizes_rough_paths():
 
 def test_log_prior_sidelength_mismatch():
     with pytest.raises(SidelengthMismatchError):
-        log_prior(_circle_path([0.0, 1.0, 2.0]), PriorSpec.from_segments(4, 1.0))
+        log_prior(_circle_path([0.0, 1.0, 2.0]), PriorSpec(4, 1.0))
 
 
 @pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
 def test_sample_prior_path_deterministic(kind):
     m = make_manifold(kind)
-    spec = PriorSpec.from_segments(5, 0.7)
+    spec = PriorSpec(5, 0.7)
     a = sample_prior_path(spec, m, np.random.default_rng(42))
     b = sample_prior_path(spec, m, np.random.default_rng(42))
     assert np.array_equal(a.knots, b.knots)
@@ -281,7 +283,7 @@ def test_sample_prior_path_deterministic(kind):
 
 def test_prior_increment_moments_circle():
     # first circular moment of each increment is exp(-c*h/2)
-    spec = PriorSpec.from_segments(40, 1.0)
+    spec = PriorSpec(40, 1.0)
     rng = np.random.default_rng(7)
     gaps = []
     for _ in range(400):
@@ -296,7 +298,7 @@ def test_prior_increment_moments_circle():
 
 
 def test_prior_increments_uncorrelated():
-    spec = PriorSpec.from_segments(20, 1.0)
+    spec = PriorSpec(20, 1.0)
     rng = np.random.default_rng(13)
     first, second = [], []
     for _ in range(500):
@@ -310,7 +312,7 @@ def test_prior_increments_uncorrelated():
 
 
 def test_prior_start_is_uniform():
-    spec = PriorSpec.from_segments(2, 1.0)
+    spec = PriorSpec(2, 1.0)
     rng = np.random.default_rng(17)
     starts = np.array([sample_prior_path(spec, Circle(), rng).knots[0] for _ in range(20_000)])
     resultant = math.hypot(float(np.mean(np.cos(starts))), float(np.mean(np.sin(starts))))

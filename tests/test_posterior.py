@@ -37,7 +37,7 @@ def test_log_posterior_frozen_sum():
     # adds the frozen K=2 constant-path prior: -log(2 pi) - log(pi)
     m = Circle()
     path = constant_path(m, 0.0, segments=2)
-    prior = PriorSpec.from_segments(2, 1.0)
+    prior = PriorSpec(2, 1.0)
     expected = -math.log(2 * math.pi) - math.log(math.pi) - 0.5 * math.log(math.pi)
     got = log_posterior(path, _single_obs_dataset(), KnownVariance(0.5), prior)
     assert_allclose(got, expected, rtol=0, atol=1e-12)
@@ -67,7 +67,7 @@ def test_posterior_shift_invariant_on_circle():
     knots = rng.uniform(0, 2 * math.pi, size=5)
     ts = rng.uniform(0, 1, size=10)
     xs = rng.uniform(0, 2 * math.pi, size=10)
-    prior = PriorSpec.from_segments(4, 0.5)
+    prior = PriorSpec(4, 0.5)
     sigma = KnownVariance(0.3)
     base = log_posterior(PiecewiseGeodesicPath(m, knots), Dataset("circle", ts, xs), sigma, prior)
     for shift in [0.7, 3.1]:
@@ -208,7 +208,7 @@ def test_circle_points_as_one_column_give_the_same_posterior():
     column = Dataset("circle", flat.ts, flat.points[:, None])
     assert column.points.shape == flat.points.shape == (10,)
     path = PiecewiseGeodesicPath(m, m.sample_uniform_many(5, rng))
-    sigma, prior = KnownVariance(0.1), PriorSpec.from_segments(4, 0.01)
+    sigma, prior = KnownVariance(0.1), PriorSpec(4, 0.01)
     assert log_posterior(path, column, sigma, prior) == log_posterior(path, flat, sigma, prior)
 
 
