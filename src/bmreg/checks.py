@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bmreg.manifolds import (
+    SPHERE_SEAM_TIME,
     TWO_PI,
     Circle,
     Sphere,
@@ -39,6 +40,8 @@ CHECK_LOG_TIMES = (1e-5, 5e-5, 2.5e-4, 1e-3, 0.05, 0.1)
 CHECK_POLAR_TIMES = (1e-3, 0.05, 0.1)
 # a time at which every kernel is flat, -log(volume)
 CHECK_FLAT_TIME = 1e300
+# gaps on [0, pi] that fall between the nodes of the sphere's small-time table
+TABLE_GAPS = np.linspace(0.0, math.pi, 1001)
 # (manifold, t, gap, log p_t) from 50-digit references: the image sum on the
 # circle, the Mehler-Dirichlet integral of the Legendre series on the sphere
 FROZEN_LOG_KERNELS = (
@@ -151,7 +154,9 @@ def check_log_kernels() -> CheckResult:
       -(2 pi - g)^2/(2t)), everywhere, within 1e-12 relative;
     - torus: the sum of that two-image form over both axes, likewise;
     - sphere: log of the Legendre series where gamma^2/(2t) <= 20, within
-      1e-6; the expansion everywhere, within 0.03 t + 1e-6;
+      1e-6; the expansion everywhere, within 0.03 t + 1e-6, and below
+      SPHERE_SEAM_TIME, where the kernel's table is built from it, within
+      1e-12 max(|expansion|, 1) on TABLE_GAPS;
     - the frozen references, within 0.03 t + 1e-6;
     - at CHECK_FLAT_TIME, the eigenfunction sum on the circle and the torus
       and the Legendre series on the sphere, within 1e-14.
@@ -179,6 +184,10 @@ def check_log_kernels() -> CheckResult:
         conditioned = gaps**2 <= 40.0 * t
         score(sphere[conditioned], np.log(sphere_heat_series(np.cos(gaps[conditioned]), t)), 1e-6)
         score(sphere, sphere_log_heat_expansion(gaps, t), 0.03 * t + 1e-6)
+        if t < SPHERE_SEAM_TIME:
+            # the kernel's table is built from the expansion here; read it between its nodes too
+            expansion = sphere_log_heat_expansion(TABLE_GAPS, t)
+            score(_log_kernel_at("sphere", t, TABLE_GAPS), expansion, 1e-12 * np.maximum(np.abs(expansion), 1.0))
     for kind, t, gap, want in FROZEN_LOG_KERNELS:
         got = _log_kernel_at(kind, t, np.array([gap]))
         finite = finite and bool(np.all(np.isfinite(got)))

@@ -275,13 +275,15 @@ def sweep_cells(axis: str, values, base_seed: int, replicates: int, base: Experi
     values = list(values)
     if len(values) < 2:
         raise ValueError("need at least two axis values")
+    # each value passes the cell's own check first, so True is refused as no integer, not as a repeat of 1
+    cells = [replace(base, **{axis: float(value) if axis == "c" else value}) for value in values]
     if len(set(values)) != len(values):
         raise ValueError("axis values must be distinct")
     if axis in _IGNORED_AXES.get(base.method, ()):
         raise ValueError(f"method {base.method} does not read {axis}; sweep an axis it reads")
     return [
-        _seeded(replace(base, **{axis: float(value) if axis == "c" else value}), base_seed, index, replicate)
-        for index, value in enumerate(values)
+        _seeded(cell, base_seed, index, replicate)
+        for index, cell in enumerate(cells)
         for replicate in range(replicates)
     ]
 

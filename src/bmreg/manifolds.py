@@ -17,18 +17,20 @@ every term past the constant is below it, the log kernel is -log(volume).
   plus log1p of the others relative to it, with the gap folded into [0, pi].
   The eigenfunction sum is kept as its oracle.  The torus adds the logs of
   its two circle factors.
-- Sphere, t < SPHERE_SEAM_TIME (1e-3): the small-time expansion
-  (Minakshisundaram-Pleijel; Varadhan 1967) to first order in t, with a
-  caustic factor at the antipode (sphere_log_heat_expansion).
-- Sphere, t >= SPHERE_SEAM_TIME: the Legendre series with eigenvalues
-  l*(l+1), read from a table built once per t, one memo of 512 times for
-  the kernel and the sampler: a cubic through four neighbouring nodes of
-  log p_t + gamma^2/(2t) on SPHERE_TABLE_NODES (1024) uniform intervals,
-  within 2e-11 of the series up to 0.7 of the edge
-  (_sphere_table).  The series cancels where the kernel is tiny against
-  its peak, so beyond sphere_series_edge(t), where its roundoff passes the
-  expansion's error, the expansion is used instead; at t = 0.1 that is
-  gamma > 2.35.
+- Sphere, every t below the flat time: a table built once per t, one memo of
+  512 times for the kernel and the sampler, read up to its edge: a cubic
+  through four neighbouring nodes of log p_t + gamma^2/(2t) on
+  SPHERE_TABLE_NODES (1024) uniform intervals (_sphere_table).  Beyond the
+  edge, the small-time expansion (Minakshisundaram-Pleijel; Varadhan 1967)
+  to first order in t, with a caustic factor at the antipode
+  (sphere_log_heat_expansion).  Below SPHERE_SEAM_TIME (1e-3) the table is
+  built from the expansion up to pi/2, where the expansion switches its
+  formula for a(gamma), and is within 2e-13 max(|log p_t|, 1) of it.  At or
+  above the seam it is built from the Legendre series with eigenvalues
+  l*(l+1) up to sphere_series_edge(t), and is within 2e-11 of the series up
+  to 0.7 of that edge.  The series cancels where the kernel is tiny against
+  its peak, so its edge is where its roundoff passes the expansion's error;
+  at t = 0.1 that is gamma > 2.35.
 - Near gamma = pi the expansion's factor sqrt(gamma / sin gamma) diverges;
   the caustic factor sqrt(2 pi z) I0(z) e^{-z}, z = pi (pi - gamma) / t,
   cancels the divergence, so the log kernel stays finite at the antipode.
@@ -97,9 +99,9 @@ def signed_angle_gap(start, end):
 
 # Kernel settings.  Series and image sums keep every term down to
 # SERIES_TOLERANCE; their term counts follow from t and the tolerance, so no
-# cap truncates them.  Below SPHERE_SEAM_TIME the sphere kernel is its
-# small-time expansion; at or above it a table of the Legendre series,
-# except beyond sphere_series_edge(t), where the series has cancelled and the
+# cap truncates them.  Below SPHERE_SEAM_TIME the sphere kernel's table is
+# built from its small-time expansion; at or above it from the Legendre
+# series, up to sphere_series_edge(t), where the series has cancelled and the
 # expansion takes over.
 SERIES_TOLERANCE = 1e-14
 SPHERE_SEAM_TIME = 1e-3
@@ -263,20 +265,32 @@ def sphere_series_edge(t: float) -> float:
 SPHERE_TABLE_NODES = 1024
 
 
+def _sphere_table_edge(t: float) -> float:
+    """Angle up to which sphere_log_heat reads the table of t: pi/2 below SPHERE_SEAM_TIME, where the
+    expansion switches its formula for a(gamma), and sphere_series_edge(t) at or above it."""
+    return 0.5 * math.pi if t < SPHERE_SEAM_TIME else sphere_series_edge(t)
+
+
 @functools.lru_cache(maxsize=512)
 def _sphere_table(t: float) -> tuple[float, np.ndarray]:
     """(spacing h, coefficients) of a cubic table of log p_t + gamma^2/(2t) on [0, min(edge, pi)].
 
-    Row i is the Lagrange cubic through the log of sphere_heat_series at
-    gamma = (i-1) h, ..., (i+2) h, in powers of u = gamma/h - i, highest
-    first.  Adding gamma^2/(2t) removes the steep Gaussian term, so what is
-    left is smooth on the scale of h.  The node at -h is the kernel's mirror
-    image and the one past the end lies within h of the edge, where the
-    series still holds its digits.  The kernel and _polar_cdf share the memo.
+    The edge is _sphere_table_edge(t).  The source is the log of
+    sphere_heat_series at or above SPHERE_SEAM_TIME, and
+    sphere_log_heat_expansion below it.  Row i is the Lagrange cubic through
+    the source at gamma = (i-1) h, ..., (i+2) h, in powers of u = gamma/h - i,
+    highest first.  Adding gamma^2/(2t) removes the steep Gaussian term, so
+    what is left is smooth on the scale of h.  The node at -h is the
+    kernel's mirror image and the one past the end lies within h of the
+    edge, where the source still holds its digits.  The kernel and
+    _polar_cdf share the memo.
     """
-    h = min(sphere_series_edge(t), math.pi) / SPHERE_TABLE_NODES
+    h = min(_sphere_table_edge(t), math.pi) / SPHERE_TABLE_NODES
     g = np.arange(-1, SPHERE_TABLE_NODES + 2) * h
-    f = np.log(sphere_heat_series(np.cos(g), t)) + g * g / (2.0 * t)
+    if t < SPHERE_SEAM_TIME:
+        f = sphere_log_heat_expansion(np.abs(g), t) + g * g / (2.0 * t)
+    else:
+        f = np.log(sphere_heat_series(np.cos(g), t)) + g * g / (2.0 * t)
     f0, f1, f2, f3 = f[:-3], f[1:-2], f[2:-1], f[3:]
     cubic = (f3 - f0) / 6.0 + 0.5 * (f1 - f2)
     quadratic = 0.5 * (f0 + f2) - f1
@@ -287,25 +301,26 @@ def _sphere_table(t: float) -> tuple[float, np.ndarray]:
 def sphere_log_heat(gamma, t):
     """log p_t on the sphere at geodesic angle(s) gamma in [0, pi].
 
-    Below SPHERE_SEAM_TIME: sphere_log_heat_expansion.  At or above it: the
-    log of sphere_heat_series, read from its table for t (_sphere_table), up
-    to sphere_series_edge(t), and the expansion beyond it, where the series
-    has lost its digits to cancellation.  From _SPHERE_FLAT_TIME on the kernel
-    is flat, -log(4 pi).
+    Below _SPHERE_FLAT_TIME every t takes one path: the table for t
+    (_sphere_table) up to its edge, and sphere_log_heat_expansion beyond it.
+    Below SPHERE_SEAM_TIME the table holds the expansion up to pi/2; at or
+    above it, the log of sphere_heat_series up to sphere_series_edge(t),
+    beyond which the series has lost its digits to cancellation.  From
+    _SPHERE_FLAT_TIME on the kernel is flat, -log(4 pi).  A NaN angle gives
+    NaN.
     """
     t = _check_time(t)
     g = np.asarray(gamma, dtype=float)
-    if t < SPHERE_SEAM_TIME:
-        return sphere_log_heat_expansion(g, t)
     if t >= _SPHERE_FLAT_TIME:
         return np.full(g.shape, -math.log(4.0 * math.pi))
-    tail = g > sphere_series_edge(t)
+    tail = g > _sphere_table_edge(t)
     beyond = np.count_nonzero(tail)
     if beyond == g.size:
         return sphere_log_heat_expansion(g, t)
     h, coefs = _sphere_table(t)
     x = g / h
-    i = np.minimum(x.astype(np.intp), SPHERE_TABLE_NODES - 1)
+    # fmin before the cast sends a NaN angle to the last row, with u NaN
+    i = np.fmin(x, SPHERE_TABLE_NODES - 1).astype(np.intp)
     u = x - i
     c = coefs.take(i, axis=0)
     out = ((c[..., 0] * u + c[..., 1]) * u + c[..., 2]) * u + c[..., 3] - g * g / (2.0 * t)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bmreg import checks, cli, experiments
+from bmreg import checks, cli, experiments, manifolds
 from bmreg.cli import main
 from bmreg.data import Dataset
 from bmreg.experiments import ContractReport, ExperimentCell, ExperimentResult, run_cell
@@ -444,6 +444,18 @@ class TestCheckKernels:
         monkeypatch.setattr(checks, "_polar_cdf", lambda t: (1.001 * exact(t)[0], exact(t)[1]))
         assert run_cli("check-kernels") == 1
         assert "FAIL sphere-polar-cdf" in capsys.readouterr().out
+
+    def test_shifted_small_time_table_fails(self, capsys, monkeypatch):
+        # a small-time sphere table 1e-9 high in log, which the 0.03 t + 1e-6 bound alone lets through
+        exact = manifolds._sphere_table
+
+        def shifted(t):
+            h, coefs = exact(t)
+            return h, coefs + [0.0, 0.0, 0.0, 1e-9 * (t < manifolds.SPHERE_SEAM_TIME)]
+
+        monkeypatch.setattr(manifolds, "_sphere_table", shifted)
+        assert run_cli("check-kernels") == 1
+        assert "FAIL log-kernels" in capsys.readouterr().out
 
     @staticmethod
     def perturb_kernels(monkeypatch, perturbation):

@@ -91,10 +91,12 @@ BAD_FIELDS = [
     ("n", 0, "n must be >= 1"),
     ("n", 2.5, "n must be an integer"),
     ("n", False, "n must be an integer"),
+    ("n", True, "n must be an integer"),
     ("K", 0, "K must be >= 1"),
     ("K", 2.5, "K must be an integer"),
     ("K", 40.0, "K must be an integer"),
     ("K", False, "K must be an integer"),
+    ("K", True, "K must be an integer"),
     ("c", 0.0, "c must be positive and finite"),
     ("c", math.nan, "c must be positive and finite"),
     ("c", math.inf, "c must be positive and finite"),

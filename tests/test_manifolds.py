@@ -325,6 +325,27 @@ def test_sphere_table_matches_series_within_most_of_the_edge(t):
     assert_allclose(sphere_log_heat(gaps, t), series, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("t", [1e-8, 1e-5, 5e-5, 2.5e-4, float(np.nextafter(SPHERE_SEAM_TIME, 0.0))])
+def test_sphere_small_time_table_matches_the_expansion(t):
+    # below the seam the table is built from the expansion on [0, pi/2] and
+    # the expansion itself is read beyond it
+    gaps = np.linspace(0.0, math.pi, 200_001)
+    expansion = sphere_log_heat_expansion(gaps, t)
+    got = sphere_log_heat(gaps, t)
+    assert np.all(np.abs(got - expansion) <= 1e-12 * np.maximum(np.abs(expansion), 1.0))
+    far = gaps > 0.5 * math.pi
+    assert np.array_equal(got[far], expansion[far])
+
+
+@pytest.mark.parametrize("t", [2.5e-4, 0.1])
+def test_sphere_nan_angle_gives_nan(t):
+    # a NaN angle reads the table's last row with a NaN offset, so it carries through
+    out = sphere_log_heat(np.array([math.nan, 0.3]), t)
+    assert math.isnan(out[0]) and out[1] == sphere_log_heat(0.3, t)
+    assert math.isnan(sphere_log_heat(math.nan, t))
+    assert math.isnan(Sphere().heat_kernel(t, [math.nan, 0.0, 1.0], [0.0, 0.0, 1.0]))
+
+
 @pytest.mark.parametrize("t", TABLE_TIMES)
 def test_sphere_log_kernel_matches_series_where_it_resolves(t):
     # where gamma^2/(2t) <= 20 the series keeps about 1e-8 of its digits, table and expansion alike
@@ -335,16 +356,21 @@ def test_sphere_log_kernel_matches_series_where_it_resolves(t):
 
 def test_kernel_and_sampler_share_one_table_per_time():
     # a draw below _POLAR_EXPANSION_TIME reads the expansion and builds no
-    # table; above it the draw builds its time's table and the kernel reuses it
+    # table; above it the draw builds its time's table and the kernel reuses
+    # it.  Below the seam the draw is a tangent Gaussian and only the kernel
+    # builds a table.
     _polar_cdf.cache_clear()
     _sphere_table.cache_clear()
     north, sphere = np.array([0.0, 0.0, 1.0]), Sphere()
     sphere.sample_heat_kernel(0.0123456789, north, np.random.default_rng(5))
+    sphere.sample_heat_kernel(2.5e-4, north, np.random.default_rng(5))
     assert _sphere_table.cache_info().misses == 0
+    sphere.log_heat_kernel_pairwise(2.5e-4, north, np.array([0.0, 0.6, 0.8]))
+    assert _sphere_table.cache_info().misses == 1
     sphere.sample_heat_kernel(0.0789, north, np.random.default_rng(5))
     sphere.log_heat_kernel_pairwise(0.0789, north, np.array([0.0, 0.6, 0.8]))
     info = _sphere_table.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (2, 1)
 
 
 @pytest.mark.parametrize("t", [1.1e-3, 0.02, 0.057, 0.058, 0.137])
