@@ -173,8 +173,9 @@ def fit_and_score(cell: ExperimentCell, data: Dataset):
     """Fit one estimator and score it; returns (result row, fitted object, FitResult or None).
 
     The noise model is the marginal-variance band of cell.marginal_bound
-    when given, else the known variance cell.sigma2; the generator is
-    default_rng(cell.seed).  The fitted object is the estimated path
+    when given, else the known variance cell.sigma2.  Only the methods that
+    draw (dbm, cbm, mcmc) make a generator, default_rng(cell.seed), and they
+    make it before the timer starts.  The fitted object is the estimated path
     (dbm/cbm/const), the kernel fit (ker), or the posterior samples
     (mcmc: a SampleResult, from cell.mcmc or default_mcmc_config).  The
     row's K is the knot-interval count the method used: K_FINE for cbm, 0
@@ -184,9 +185,10 @@ def fit_and_score(cell: ExperimentCell, data: Dataset):
     m = data.manifold()
     f0 = default_truth(data.manifold_kind)
     sigma = MarginalVariance(cell.marginal_bound) if cell.marginal_bound is not None else KnownVariance(cell.sigma2)
-    rng = np.random.default_rng(cell.seed)
-    start = time.perf_counter()
     method, K, fit = cell.method, cell.K, None
+    # made before the timer: the first np.random access imports numpy.random
+    rng = np.random.default_rng(cell.seed) if method in ("dbm", "cbm", "mcmc") else None
+    start = time.perf_counter()
     if method in ("dbm", "cbm"):
         K = K_FINE if method == "cbm" else K
         fit = anneal_map(data, sigma, PriorSpec(K, cell.c), cell.anneal, m, rng)

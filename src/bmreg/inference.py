@@ -113,7 +113,9 @@ class FitResult:
     def to_dict(self) -> dict:
         # at most _MAX_TRACE update counts, evenly spaced; each reads the block that made it
         ends = np.array([i for i, _ in self.trace])
-        keep = np.unique(np.linspace(0, ends[-1], _MAX_TRACE).round().astype(int))
+        # the rounded grid is sorted, so dropping adjacent repeats is np.unique (which imports numpy.ma)
+        grid = np.linspace(0, ends[-1], _MAX_TRACE).round().astype(int)
+        keep = grid[np.diff(grid, prepend=-1) != 0]
         blocks = np.searchsorted(ends, keep)
         return {
             "path": self.path.to_dict(),

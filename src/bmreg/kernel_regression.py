@@ -29,6 +29,16 @@ class NoConvergenceError(RuntimeError):
     """Frechet iteration failed to settle within the iteration budget."""
 
 
+def _median(x: np.ndarray) -> float:
+    """np.median of a 1-d float array, bit for bit, NaN if it holds one;
+    np.median's first call imports numpy.ma."""
+    s = np.sort(x)
+    if math.isnan(s[-1]):
+        return math.nan
+    mid = len(s) // 2
+    return float(s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2.0)
+
+
 def bandwidth_rule(ts) -> float:
     """Rule-of-thumb bandwidth: robust scale times (4 / 3n)^(1/5).
 
@@ -39,7 +49,7 @@ def bandwidth_rule(ts) -> float:
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1 or len(ts) < 2:
         raise ValueError("need at least two predictor values")
-    scale = 1.4826 * float(np.median(np.abs(ts - np.median(ts))))
+    scale = 1.4826 * _median(np.abs(ts - _median(ts)))
     if scale == 0.0:
         raise DegeneratePredictorsError("predictor values have zero robust spread")
     return scale * (4.0 / (3.0 * len(ts))) ** 0.2

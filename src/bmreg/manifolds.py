@@ -15,6 +15,8 @@ every term past the constant is below it, the log kernel is -log(volume).
 
 - Circle, all t: the image sum in log form, the k = 0 image in closed form
   plus log1p of the others relative to it, with the gap folded into [0, pi].
+  Image -1, at most exp(-2 pi^2 / t) relative, joins above t = 0.6123,
+  where that peak reaches SERIES_TOLERANCE.
   The eigenfunction sum is kept as its oracle.  The torus adds the logs of
   its two circle factors.
 - Sphere, every t below the flat time: a table built once per t, one memo of
@@ -132,7 +134,9 @@ def circle_log_heat(gap, t):
     The gap is folded into [0, pi].  The k = 0 image is kept in closed form,
     -log(2 pi t)/2 - gap^2/(2t), and the others enter relative to it through
     log1p, so nothing underflows.  Images |k| <= K are kept with
-    2 pi^2 K (K + 1) / t >= log(1 / SERIES_TOLERANCE).  From
+    2 pi^2 K (K + 1) / t >= log(1 / SERIES_TOLERANCE), except image -1,
+    whose peak (at gap 0) is exp(-2 pi^2 / t): it is kept only once
+    2 pi^2 < log(1 / SERIES_TOLERANCE) t, that is above t = 0.6123.  From
     _CIRCLE_FLAT_TIME on the kernel is flat, -log(2 pi).
     """
     t = _check_time(t)
@@ -142,8 +146,10 @@ def circle_log_heat(gap, t):
     g = np.fmod(np.abs(np.asarray(gap, dtype=float)), TWO_PI)
     g = np.minimum(g, TWO_PI - g)
     images = max(1, math.ceil(0.5 * (math.sqrt(1.0 + 2.0 * _LOG_TOL * t / math.pi**2) - 1.0)))
-    # images -k and +k over image 0: exp(-2 pi k (pi k -/+ gap) / t)
-    rest = np.exp((TWO_PI / t) * (g - math.pi)) + np.exp((-TWO_PI / t) * (g + math.pi))
+    # images -k and +k over image 0: exp(-2 pi k (pi k -/+ gap) / t); image -1 peaks at exp(-2 pi^2 / t)
+    rest = np.exp((TWO_PI / t) * (g - math.pi))
+    if 2.0 * math.pi**2 < _LOG_TOL * t:
+        rest = rest + np.exp((-TWO_PI / t) * (g + math.pi))
     for k in range(2, images + 1):
         rest = rest + np.exp((TWO_PI * k / t) * (g - math.pi * k)) + np.exp((-TWO_PI * k / t) * (g + math.pi * k))
     return -0.5 * math.log(TWO_PI * t) - g * g / (2.0 * t) + np.log1p(rest)

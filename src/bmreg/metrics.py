@@ -107,7 +107,9 @@ def _union_times(f, g, grid: QuadratureGrid) -> np.ndarray:
     for h in (f, g):
         if isinstance(h, PiecewiseGeodesicPath):
             ts.append(h.knot_times())
-    return np.unique(np.concatenate(ts))
+    # np.unique's sorted distinct values, without the numpy.ma import its first call makes
+    times = np.sort(np.concatenate(ts))
+    return times[np.append(True, times[1:] != times[:-1])]
 
 
 def _check_order(q: float) -> float:

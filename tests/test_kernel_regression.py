@@ -44,6 +44,32 @@ def test_bandwidth_rule_degenerate_inputs():
         bandwidth_rule([0.3])
 
 
+def test_bandwidth_rule_equals_the_numpy_median_form_bitwise():
+    # the sort-based median gives np.median's bits, ties and repeated values included
+    rng = np.random.default_rng(41)
+    for draw in range(320):
+        n = int(rng.integers(2, 62))
+        if draw % 4 == 0:
+            ts = rng.integers(0, 4, n) / 4.0  # heavy ties
+        elif draw % 4 == 1:
+            ts = np.repeat(rng.uniform(0, 1, (n + 1) // 2), 2)[:n]  # every value repeated
+        elif draw % 4 == 2:
+            ts = np.exp(rng.uniform(-20.0, 20.0, n))  # middle values orders of magnitude apart
+        else:
+            ts = rng.uniform(0, 1, n)
+        scale = 1.4826 * np.median(np.abs(ts - np.median(ts)))
+        if scale == 0.0:
+            with pytest.raises(DegeneratePredictorsError):
+                bandwidth_rule(ts)
+        else:
+            assert bandwidth_rule(ts) == scale * (4 / (3 * n)) ** 0.2
+
+
+@pytest.mark.parametrize("ts", [[0.1, math.nan, 0.3], [0.1, 0.2, 0.3, math.nan], [math.nan, math.nan]])
+def test_bandwidth_rule_of_a_nan_is_nan(ts):
+    assert math.isnan(bandwidth_rule(ts))
+
+
 # ---------------------------------------------------------------- Frechet mean
 
 

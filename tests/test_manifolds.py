@@ -153,6 +153,34 @@ def test_circle_representations_agree_on_grid():
         assert np.max(np.abs(a - b)) < 1e-12
 
 
+def _circle_log_heat_every_image(gap, t):
+    """circle_log_heat with image -1 added at every t: the body before the image -1 rule."""
+    g = np.fmod(np.abs(np.asarray(gap, dtype=float)), TWO_PI)
+    g = np.minimum(g, TWO_PI - g)
+    log_tol = math.log(1e14)
+    images = max(1, math.ceil(0.5 * (math.sqrt(1.0 + 2.0 * log_tol * t / math.pi**2) - 1.0)))
+    rest = np.exp((TWO_PI / t) * (g - math.pi)) + np.exp((-TWO_PI / t) * (g + math.pi))
+    for k in range(2, images + 1):
+        rest = rest + np.exp((TWO_PI * k / t) * (g - math.pi * k)) + np.exp((-TWO_PI * k / t) * (g + math.pi * k))
+    return -0.5 * math.log(TWO_PI * t) - g * g / (2.0 * t) + np.log1p(rest)
+
+
+# image -1 peaks at exp(-2 pi^2 / t), below 1e-14 before t = 0.6123 and kept from there on
+@pytest.mark.parametrize(
+    "t, atol",
+    [(t, 0.0) for t in (5e-5, 2.5e-4, 0.05, 1 / 14, 0.1, 0.125, 0.2, 0.4)]
+    + [(t, 1e-14) for t in (0.45, 0.5, 0.55, 0.6, 0.611, math.nextafter(0.612, 0.0))]
+    + [(t, 0.0) for t in (0.613, 0.8, 1.0, 1.3, 5.0, 30.0, 60.0)],
+)
+def test_circle_kernel_drops_image_minus_one_only_below_the_tolerance(t, atol):
+    gaps = np.random.default_rng(29).uniform(-TWO_PI, TWO_PI, 1_000_000)
+    got, want = circle_log_heat(gaps, t), _circle_log_heat_every_image(gaps, t)
+    if atol == 0.0:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= atol
+
+
 def test_circle_kernel_monotone_in_gap():
     gaps = np.linspace(0.0, math.pi, 200)
     for t in [0.05, 0.5, 2.0]:

@@ -238,6 +238,20 @@ def test_dinf_includes_knot_times():
     assert_allclose(dinf_distance(f, g, m, QuadratureGrid(32)), 1.5, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("nodes", [33, 61, 512])
+def test_dinf_joins_times_as_np_unique_does(nodes):
+    # knot times k/K coincide with grid times wherever K divides nodes - 1, so the join drops repeats
+    m, grid = Circle(), QuadratureGrid(nodes)
+    rng = np.random.default_rng(nodes)
+    for Kf, Kg in [(4, 8), (6, 10), (32, 1), (12, 5)]:
+        f = PiecewiseGeodesicPath(m, rng.uniform(0.0, 2.0 * math.pi, Kf + 1))
+        g = PiecewiseGeodesicPath(m, rng.uniform(0.0, 2.0 * math.pi, Kg + 1))
+        ts = np.unique(np.concatenate([grid.times(), f.knot_times(), g.knot_times()]))
+        assert dinf_distance(f, g, m, grid) == float(np.max(m.distance(f.at_many(ts), g.at_many(ts))))
+        ts = np.unique(np.concatenate([grid.times(), f.knot_times()]))
+        assert dinf_distance(f, np.sin, m, grid) == float(np.max(m.distance(f.at_many(ts), np.sin(ts))))
+
+
 def test_restricted_weight_zeroes_region_in_dq():
     m = Circle()
     # restriction keeps only t >= 0.5 where the triangle density exceeds 1

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import bmreg
+from bmreg.cli import main
 from bmreg.experiments import default_mcmc_config
 
 
@@ -101,6 +102,36 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, then, loaded",
+    [
+        (["--help"], "", [False, False]),
+        (["fit", "data.csv", "--method", "ker", "--out", "fit.json"], "", [False, False]),
+        (["fit", "data.csv", "--method", "dbm", "--anneal-steps", "5", "--out", "fit.json"], "", [False, True]),
+        (
+            ["--help"],
+            "from bmreg import Circle, constant_path, dinf_distance; m = Circle()\n"
+            "dinf_distance(constant_path(m, 0.0, 4), constant_path(m, 1.0, 8), m)\n",
+            [False, False],
+        ),
+    ],
+    ids=["help", "ker", "dbm", "dinf"],
+)
+def test_cli_loads_numpy_ma_never_and_numpy_random_only_to_draw(tmp_path, argv, then, loaded):
+    # np.unique and np.median import numpy.ma on their first call, and the first np.random
+    # access imports numpy.random with hashlib and OpenSSL; printed: [numpy.ma, numpy.random] loaded
+    main(["generate", "--manifold", "circle", "--n", "30", "--seed", "3", "--out", str(tmp_path / "data.csv")])
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys\nfrom bmreg.cli import main\ntry:\n    main({argv!r})\nexcept SystemExit:\n    pass\n"
+        f"{then}print(['numpy.ma' in sys.modules, 'numpy.random' in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loaded)
 
 
 def test_check_kernels_leaves_scipy_unloaded():
