@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,14 @@ _MAX_TRACE = 256
 _MAX_PLANS = 512
 
 
+def _check_counts(config, *names: str) -> None:
+    """ValueError naming the first of a config's count fields that is not an integer (a bool is not)."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AnnealConfig:
     """Geometric cooling schedule for the simulated annealer."""
@@ -65,6 +74,7 @@ class AnnealConfig:
             raise ValueError("initial_temperature must be positive and finite")
         if not 0.0 < self.cooling_factor < 1.0:
             raise ValueError("cooling_factor must be in (0, 1)")
+        _check_counts(self, "steps_per_temperature")
         if self.steps_per_temperature < 0:
             raise ValueError("steps_per_temperature must be nonnegative")
         if not 0.0 < self.temperature_floor < math.inf:
@@ -85,6 +95,7 @@ class McmcConfig:
     proposal_time: float
 
     def __post_init__(self):
+        _check_counts(self, "iterations", "burn_in", "thinning")
         if self.iterations < 1:
             raise ValueError("iterations must be positive")
         if not 0 <= self.burn_in < self.iterations:
@@ -138,30 +149,21 @@ def init_state(data: Dataset, K: int, m: Manifold) -> PiecewiseGeodesicPath:
     """Windowed-mode initial path: each knot gets the local kernel-density mode.
 
     For knot time kh the candidates are the observed points with
-    |t_i - kh| <= INIT_WINDOW; the winner maximizes the kernel-density score
-    sum_l p_t(x_j, x_l) over the candidates.  Knots with empty windows copy
-    the nearest nonempty window's value (ties toward the smaller index); if
-    every window is empty the candidate set falls back to all observations.
+    |t_i - kh| <= INIT_WINDOW, row k of one (K+1, n) window mask; the winner
+    maximizes the kernel-density score sum_l p_t(x_j, x_l) over the candidates.
+    Knots with empty windows copy the nearest nonempty window's value (argmin's
+    first minimum: ties toward the smaller index); if every window is empty
+    the candidate set falls back to all observations.
     """
     if K < 1:
         raise ValueError("need at least one segment")
-    chosen = [None] * (K + 1)
-    for k in range(K + 1):
-        mask = np.abs(data.ts - k / K) <= INIT_WINDOW
-        if not np.any(mask):
-            continue
-        chosen[k] = _density_mode(m, data.points[mask])
-    filled = [k for k, v in enumerate(chosen) if v is not None]
-    if not filled:
-        everywhere = _density_mode(m, data.points)
-        chosen = [everywhere] * (K + 1)
-    else:
-        filled_arr = np.asarray(filled)
-        for k in range(K + 1):
-            if chosen[k] is None:
-                nearest = filled_arr[np.argmin(np.abs(filled_arr - k))]
-                chosen[k] = chosen[nearest]
-    return PiecewiseGeodesicPath(m, chosen)
+    windows = np.abs(data.ts - np.arange(K + 1)[:, None] / K) <= INIT_WINDOW
+    if not windows.any():
+        windows = np.ones((1, len(data.ts)), dtype=bool)
+    filled = np.flatnonzero(windows.any(axis=1))
+    modes = np.stack([_density_mode(m, data.points[windows[k]]) for k in filled])
+    nearest = np.abs(filled - np.arange(K + 1)[:, None]).argmin(axis=1)
+    return PiecewiseGeodesicPath(m, modes[nearest])
 
 
 def _density_mode(m: Manifold, candidates: np.ndarray):

@@ -66,8 +66,10 @@ def frechet_mean_weighted(
     Starts at the highest-weight point, repeatedly maps all points to the
     tangent space at the current estimate, and steps to the exponential of
     the weighted mean tangent vector until the step is below FRECHET_TOLERANCE.
-    Weights of shape (q, n) give q means in one array pass; each row stops
-    when its own step is below it, and any row unsettled after max_iterations fails.
+    Weights of shape (q, n) give q means in one array pass over the index set
+    of the rows still moving: a row leaves it once its own step is within the
+    tolerance, the others step in place, and a row still moving after
+    max_iterations fails.
     """
     pts = m.stack(points)
     w = np.asarray(weights, dtype=float)
@@ -80,28 +82,18 @@ def frechet_mean_weighted(
         raise ValueError("weights must be finite and nonnegative with a positive sum")
     # fancy indexing copies, so no estimate aliases the caller's points
     x = pts[rows.argmax(axis=2)[:, 0]]
-    # once some rows settle before others: the estimates, and the rows x still holds
-    out = live = None
+    live = np.arange(len(x))
     for _ in range(max_iterations):
-        # a lone row broadcasts as one point, numpy's cheaper path
-        tangents = m.log_map(x if len(x) == 1 else x[:, None], pts)
-        step = (np.matmul(rows, tangents.reshape(len(x), len(pts), -1)) / totals)[:, 0]
-        squared = np.vecdot(step, step)
-        if squared.min() <= FRECHET_TOLERANCE * FRECHET_TOLERANCE:
-            settled = squared <= FRECHET_TOLERANCE * FRECHET_TOLERANCE
-            if settled.all():
-                break
-            if out is None:
-                out, live = x, np.arange(len(x))
-            out[live[settled]] = x[settled]
-            keep = ~settled
-            live, x, rows, totals, step = live[keep], x[keep], rows[keep], totals[keep], step[keep]
-        x = m.exp_map(x, step.reshape(x.shape))
+        tangents = m.log_map(x[live, None], pts)
+        step = (np.matmul(rows[live], tangents.reshape(len(live), len(pts), -1)) / totals[live])[:, 0]
+        # a NaN step never settles, so its row fails at the budget
+        moving = ~(np.vecdot(step, step) <= FRECHET_TOLERANCE * FRECHET_TOLERANCE)
+        live = live[moving]
+        if not len(live):
+            break
+        x[live] = m.exp_map(x[live], step[moving].reshape(len(live), *x.shape[1:]))
     else:
         raise NoConvergenceError(f"no convergence after {max_iterations} iterations")
-    if out is not None:
-        out[live] = x
-        x = out
     return x if w.ndim == 2 else x[0]
 
 

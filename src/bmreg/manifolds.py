@@ -379,7 +379,7 @@ class Manifold(ABC):
         Antipodal pairs take a documented deterministic tie-break rather than
         raising: the counterclockwise arc on the circle (per coordinate on the
         torus); on the sphere the great circle through the first frame
-        direction of x (_sphere_frame).  Coincident points map to zero.
+        direction of x (_sphere_frame).  Only coincident points map to zero.
         """
 
     @abstractmethod
@@ -499,6 +499,7 @@ class Circle(AngleManifold):
 # interpolation call, ndarray methods and take beat np.sum, np.linalg.norm
 # and np.cross, whose Python-level set-up dominates there; the bits are the same.
 _AXES = np.eye(3)
+_TINY = np.finfo(float).tiny
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
@@ -551,7 +552,7 @@ class Sphere(Manifold):
     volume = 4.0 * math.pi
     diameter = math.pi
     point_shape = (3,)
-    # below this sine of the geodesic angle the direction is degenerate
+    # below this sine of the geodesic angle an antipodal pair's direction is degenerate
     _DEGENERATE = 1e-9
 
     def stack(self, points) -> np.ndarray:
@@ -572,9 +573,10 @@ class Sphere(Manifold):
         gamma = self.distance(xs, ys)[..., None]
         u = ys - np.cos(gamma) * xs
         degenerate = np.sin(gamma) < self._DEGENERATE
-        if np.any(degenerate):
-            u = np.where(degenerate, _sphere_frame(xs)[0], u)
-        return np.where(gamma < self._DEGENERATE, 0.0, gamma * (u / _row_norm(u)))
+        if np.any(degenerate):  # an antipodal u has lost its direction to roundoff
+            u = np.where(degenerate & (gamma > 0.5 * math.pi), _sphere_frame(xs)[0], u)
+        # u is 0 only for coincident points, whose tangent is then 0
+        return gamma * (u / np.maximum(_row_norm(u), _TINY))
 
     def exp_map(self, xs, vs):
         xs = np.asarray(xs, dtype=float)

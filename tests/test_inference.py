@@ -54,6 +54,11 @@ def test_anneal_config_validation():
         AnnealConfig(proposal_time=0.0)
     with pytest.raises(ValueError):
         AnnealConfig(steps_per_temperature=-1)
+    # a fractional or bool count is refused by name; a numpy integer passes
+    AnnealConfig(steps_per_temperature=np.int64(3))
+    for bad in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="steps_per_temperature must be an integer"):
+            AnnealConfig(steps_per_temperature=bad, temperature_floor=0.5)
 
 
 def test_mcmc_config_validation():
@@ -68,6 +73,12 @@ def test_mcmc_config_validation():
     with pytest.raises(ValueError):
         McmcConfig(iterations=100, burn_in=95, thinning=10, proposal_time=0.1)
     McmcConfig(iterations=100, burn_in=90, thinning=10, proposal_time=0.1)
+    # a fractional or bool count is refused by name; numpy integers pass
+    McmcConfig(iterations=np.int64(10), burn_in=np.int32(2), thinning=np.int64(1), proposal_time=0.1)
+    counts = {"iterations": 100, "burn_in": 10, "thinning": 2}
+    for name, bad in [("iterations", 100.5), ("burn_in", 10.5), ("thinning", 2.5), ("thinning", True)]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            McmcConfig(**{**counts, name: bad}, proposal_time=0.1)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -128,6 +139,54 @@ def test_init_state_empty_dataset_and_sphere():
     path = init_state(data, 3, m)
     assert path.knots.shape == (4, 3)
     assert_allclose(path.knots, np.tile(pts[0], (4, 1)), rtol=0, atol=0)
+
+
+def _init_state_by_knot(data, K, m):
+    """init_state as a per-knot loop: one window and mode per knot, then a nearest-fill loop."""
+    chosen = [None] * (K + 1)
+    for k in range(K + 1):
+        mask = np.abs(data.ts - k / K) <= inference.INIT_WINDOW
+        if np.any(mask):
+            chosen[k] = inference._density_mode(m, data.points[mask])
+    filled = np.asarray([k for k, v in enumerate(chosen) if v is not None])
+    if not len(filled):
+        return PiecewiseGeodesicPath(m, [inference._density_mode(m, data.points)] * (K + 1))
+    for k in range(K + 1):
+        if chosen[k] is None:
+            chosen[k] = chosen[filled[np.argmin(np.abs(filled - k))]]
+    return PiecewiseGeodesicPath(m, chosen)
+
+
+def _assert_init_state_matches_loop(data, K, m):
+    path, loop = init_state(data, K, m), _init_state_by_knot(data, K, m)
+    assert path.knots.shape == loop.knots.shape == (K + 1, *m.point_shape)
+    assert path.knots.tobytes() == loop.knots.tobytes()
+    return path
+
+
+@pytest.mark.parametrize("n", [1, 3, 30, 800])
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+def test_init_state_matches_the_per_knot_loop_bitwise(kind, n):
+    m = make_manifold(kind)
+    rng = np.random.default_rng(1000 + n)
+    data = generate_dataset(default_truth(kind), n, 0.1, PredictorDensity.uniform(), m, rng)
+    for K in (1, 2, 5, 40, 200):
+        _assert_init_state_matches_loop(data, K, m)
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+def test_init_state_empty_windows_and_equidistant_fill_match_the_loop(kind):
+    m = make_manifold(kind)
+    pts = m.sample_uniform_many(3, np.random.default_rng(5))
+    # no time within INIT_WINDOW of 0 or 1: every knot takes the mode of all observations
+    data = Dataset(kind, np.array([0.3, 0.35, 0.62]), pts)
+    path = _assert_init_state_matches_loop(data, 1, m)
+    assert path.knots.tobytes() == np.stack([inference._density_mode(m, pts)] * 2).tobytes()
+    # knots 0 and 2 of K = 4 are filled; knot 1 lies as far from each and takes knot 0
+    data = Dataset(kind, np.array([0.0, 0.5, 0.5]), pts)
+    path = _assert_init_state_matches_loop(data, 4, m)
+    assert path.knots[1].tobytes() == path.knots[0].tobytes() == pts[0].tobytes()
+    assert path.knots[3].tobytes() == path.knots[4].tobytes() == path.knots[2].tobytes()
 
 
 # ---------------------------------------------------------------- annealing

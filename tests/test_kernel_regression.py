@@ -8,7 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bmreg.data import Dataset
+from bmreg.experiments import ExperimentCell, cell_dataset
 from bmreg.kernel_regression import (
+    FRECHET_TOLERANCE,
     DegeneratePredictorsError,
     KernelFit,
     NoConvergenceError,
@@ -351,6 +353,22 @@ def test_kernel_fit_at_no_times_is_empty_like_a_path(m):
     # frechet_mean_weighted keeps its own refusal of no weight rows for direct callers
     with pytest.raises(ValueError, match="one per point"):
         frechet_mean_weighted(data.points, np.zeros((0, data.n)), m)
+
+
+@pytest.mark.parametrize(("n", "data_seed"), [(2, 9012), (3, 9007), (5, 5006)])
+def test_small_sphere_kernel_fit_converges_where_its_mean_nears_a_point(n, data_seed):
+    # at these datasets some grid row's mean comes within 1e-9 of its heaviest
+    # point; a log map that read such a pair as coincident never settled there
+    data = cell_dataset(ExperimentCell(manifold="sphere", n=n, data_seed=data_seed))
+    fit = KernelFit.from_rule(data)
+    ts = np.linspace(0.0, 1.0, 512)
+    est = fit.at_many(ts)
+    assert est.shape == (512, 3) and np.isfinite(est).all()
+    # every estimate is a fixed point: its weighted mean tangent is within the tolerance
+    m = Sphere()
+    w = np.exp(-0.5 * ((ts[:, None] - data.ts) / fit.bandwidth) ** 2)
+    steps = (w[:, :, None] * m.log_map(est[:, None], data.points)).sum(axis=1) / w.sum(axis=1, keepdims=True)
+    assert np.linalg.norm(steps, axis=-1).max() <= 2 * FRECHET_TOLERANCE
 
 
 def test_kernel_fit_tracks_smooth_truth():

@@ -528,6 +528,32 @@ def test_sphere_antipodal_tie_break_deterministic():
     assert_allclose(m.distance(x, mid1), math.pi / 2, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("gap", [1e-10, 1e-12])
+def test_sphere_log_map_of_a_close_pair_has_its_length_and_points_to_y(gap):
+    m = Sphere()
+    rng = np.random.default_rng(17)
+    xs = np.vstack([[0.0, 0.0, 1.0], m.sample_uniform_many(8, rng)])
+    # a unit tangent at each x, and the point gap along it
+    e1 = _sphere_frame(xs)[0]
+    ys = m.exp_map(xs, gap * e1)
+    vs = m.log_map(xs, ys)
+    lengths = np.linalg.norm(vs, axis=-1)
+    assert_allclose(lengths, m.distance(xs, ys), rtol=1e-12, atol=0)
+    # ys carry roundoff of about 1e-16, a relative 1e-4 of the smaller gap
+    assert_allclose(lengths, gap, rtol=1e-3, atol=0)
+    # the unit direction is the chord's
+    chord = (ys - xs) / np.linalg.norm(ys - xs, axis=-1, keepdims=True)
+    assert_allclose(vs / lengths[:, None], chord, rtol=0, atol=1e-3)
+    assert_allclose(vs[0], [gap, 0.0, 0.0], rtol=1e-12, atol=0)
+
+
+def test_sphere_log_map_of_coincident_points_is_exact_zero():
+    m = Sphere()
+    xs = np.vstack([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], m.sample_uniform_many(8, np.random.default_rng(19))])
+    assert np.array_equal(m.log_map(xs, xs), np.zeros_like(xs))
+    assert np.array_equal(m.log_map(xs[3], xs[3]), np.zeros(3))
+
+
 def test_torus_diameter_pair():
     m = Torus()
     d = m.distance(np.zeros(2), np.array([math.pi, math.pi]))
