@@ -12,7 +12,6 @@ output bytes do not depend on the worker-pool size.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -36,7 +35,7 @@ from bmreg.metrics import (
     generate_dataset,
     theorem_rate_sidelength,
 )
-from bmreg.paths import PriorSpec, constant_path
+from bmreg.paths import PriorSpec, constant_path, is_count
 from bmreg.posterior import KnownVariance, MarginalVariance
 
 # the contraction study's: c = 0.01 over-smooths the sampler, and epsilon
@@ -118,7 +117,7 @@ class ExperimentCell:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         for name, value in (("n", self.n), ("K", self.K)):
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            if not is_count(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")

@@ -11,9 +11,10 @@ Under the chain-structured prior, knot k meets only knots k-1 and k+1 and the
 observations in the two adjacent intervals, so given the odd knots the even
 knots are conditionally independent, and the other way round.  Updates
 therefore run in two colours: all even knots, then all odd knots, and so on.
-Each run of one colour is scored in one vectorized pass and decided by one
-vectorized Metropolis test, which is the same chain as updating its knots one
-at a time (systematic-scan Metropolis-within-Gibbs).  Counts are per knot
+Each run of one colour is scored in one vectorized pass, one kernel call
+over its prior steps and its observations at every noise time, and decided
+by one vectorized Metropolis test, which is the same chain as updating its
+knots one at a time (systematic-scan Metropolis-within-Gibbs).  Counts are per knot
 update: a temperature level makes exactly steps_per_temperature updates and a
 chain exactly `iterations`; a colour run that would cross a level or the
 burn-in boundary is cut there and resumes after it.  A thinning point splits
@@ -29,14 +30,15 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from bmreg.data import Dataset
 from bmreg.manifolds import Manifold
-from bmreg.paths import PiecewiseGeodesicPath, PriorSpec, sample_prior_path, segment_points, segment_positions
+from bmreg.paths import (
+    PiecewiseGeodesicPath, PriorSpec, is_count, sample_prior_path, segment_points, segment_positions,
+)
 from bmreg.posterior import SigmaMode
 
 # observations within this distance of a knot time vote for its initial value
@@ -55,7 +57,7 @@ def _check_counts(config, *names: str) -> None:
     """ValueError naming the first of a config's count fields that is not an integer (a bool is not)."""
     for name in names:
         value = getattr(config, name)
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        if not is_count(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -172,7 +174,19 @@ def _density_mode(m: Manifold, candidates: np.ndarray):
     return candidates[int(np.argmax(scores))]
 
 
-def _block_plan(K: int, interval: np.ndarray, fractions, points, first: int, length: int) -> tuple:
+def _kernel_blocks(times: tuple, pairs: int, observations: int) -> tuple:
+    """(time, rows) blocks of one kernel call: the prior step over the pairs, then each noise time over the
+    observations, if there are any."""
+    prior_step, *noise = times
+    return ((prior_step, pairs), *((t, observations) for t in noise)) if observations else ((prior_step, pairs),)
+
+
+def _stacked(points: np.ndarray, copies: int) -> np.ndarray:
+    """The observed points once per noise time, as the kernel blocks lay them out."""
+    return np.concatenate([points] * copies) if len(points) else points
+
+
+def _block_plan(K: int, interval: np.ndarray, fractions, points, times: tuple, first: int, length: int) -> tuple:
     """Index plan of the colour run first, first + 2, ... of length knots (see _Blocked)."""
     ks = np.arange(first, first + 2 * length, 2)
     # owner[j]: position in ks of knot j, or -1; a pair or interval has at most one owner
@@ -183,7 +197,11 @@ def _block_plan(K: int, interval: np.ndarray, fractions, points, first: int, len
     pair_owner = np.maximum(owner[:-1], owner[1:])[pairs]
     obs_owner = np.maximum(owner[interval], owner[interval + 1])
     obs = np.flatnonzero(obs_owner >= 0)
-    return (pairs, pair_owner, obs, obs_owner[obs], interval[obs] - pairs.start, fractions[obs], points[obs])
+    blocks = _kernel_blocks(times, len(pair_owner), len(obs))
+    return (
+        pairs, pair_owner, obs, obs_owner[obs], interval[obs] - pairs.start, fractions[obs],
+        _stacked(points[obs], len(times) - 1), blocks,
+    )
 
 
 class _Blocked:
@@ -196,43 +214,53 @@ class _Blocked:
     its index plan, which depends only on ks[0] and len(ks): the prior
     terms it touches, a contiguous range of pairs, with each pair's owning
     position in ks; the observations it touches with their owners; their
-    rows, the index of each one's interval in that range of pairs; and their
-    gathered fractions and points.  The block's pairs are both its prior
-    steps and the geodesic segments its observations lie on, so one log map
-    per pair serves every observation (segment_points).  A chain repeats few
-    block shapes, so each engine keeps the _MAX_PLANS most recently used
-    plans.  With no data (data and sigma None) there are zero observations.
+    rows, the index of each one's interval in that range of pairs; their
+    gathered fractions, and their points once per noise time; and the
+    blocks of its one kernel call, the prior step's over the pairs and each
+    noise time's over the observations (_terms).  The block's pairs are both
+    its prior steps and the geodesic segments its observations lie on, so
+    one log map per pair serves every observation (segment_points).  A
+    chain repeats few block shapes, so each engine keeps the _MAX_PLANS most
+    recently used plans.  With no data (data and sigma None) there are zero
+    observations.
     """
 
     def __init__(self, m: Manifold, knots: np.ndarray, prior: PriorSpec, data: Dataset | None, sigma: SigmaMode | None):
         self.m = m
         self.knots = np.array(knots, copy=True)
         self.K = len(knots) - 1
-        self.prior = prior
         self.const = -math.log(m.volume)
-        self.prior_terms = prior.log_steps(m, self.knots[:-1], self.knots[1:])
         self.sigma = sigma
         self.colours = (np.arange(0, self.K + 1, 2), np.arange(1, self.K + 1, 2))
         self.colour = 0
         self.offset = 0
         ts, self.points = (np.zeros(0), np.zeros((0, *m.point_shape))) if data is None else (data.ts, data.points)
         self.interval, self.fractions = segment_positions(ts, self.K)
-        self.obs_terms = self._obs_log_density(
-            self.knots[:-1], self.knots[1:], self.interval, self.fractions, self.points
+        # the kernel times of every call: the prior step, then each noise time
+        times = (prior.step_time, *(() if sigma is None else sigma.times))
+        self.prior_terms, self.obs_terms = self._terms(
+            _kernel_blocks(times, self.K, len(ts)), self.knots[:-1], self.knots[1:],
+            self.interval, self.fractions, _stacked(self.points, len(times) - 1),
         )
         # the memo holds only the plan inputs, not the engine, so no cycle outlives a chain
-        plan = functools.partial(_block_plan, self.K, self.interval, self.fractions, self.points)
+        plan = functools.partial(_block_plan, self.K, self.interval, self.fractions, self.points, times)
         self._plan = functools.lru_cache(maxsize=_MAX_PLANS)(plan)
 
     def total(self) -> float:
         return float(self.const + self.prior_terms.sum() + self.obs_terms.sum())
 
-    def _obs_log_density(self, starts: np.ndarray, ends: np.ndarray, rows, fractions, points) -> np.ndarray:
-        """Observation terms of points at fractions along segments rows of starts -> ends."""
-        if not len(rows):
-            return np.zeros(0)
-        values = segment_points(self.m, starts, ends, rows, fractions)
-        return self.sigma.log_density(self.m, values, points)
+    def _terms(self, blocks: tuple, starts: np.ndarray, ends: np.ndarray, rows, fractions, points) -> tuple:
+        """Prior terms of the pairs starts -> ends and observation terms of the points at fractions
+        along segments rows of them, from one kernel call over blocks (see _Blocked).
+
+        points holds the observed points once per noise time, as blocks lays them out.
+        """
+        xs = [starts]
+        if len(rows):
+            xs += [segment_points(self.m, starts, ends, rows, fractions)] * (len(blocks) - 1)
+        logs = self.m.log_heat_kernel_pairwise(blocks, np.concatenate(xs), np.concatenate([ends, points]))
+        pairs = len(starts)
+        return logs[:pairs], (self.sigma.combine(logs[pairs:]) if len(rows) else logs[pairs:])
 
     def advance(
         self, count: int, proposal_time: float, temperature: float, rng: np.random.Generator, marks=(), snapshots=None
@@ -262,23 +290,22 @@ class _Blocked:
     def _score(self, ks: np.ndarray, values: np.ndarray):
         """Log-posterior change of moving each knot of ks (pairwise non-adjacent) alone to its value.
 
-        ks is a colour run.  Its plan (see _Blocked) supplies every index and
-        gathered observation, so a block only evaluates the prior and noise
-        kernels at the proposed end points and sums them per owner.
+        ks is a colour run.  Its plan (see _Blocked) supplies every index,
+        gathered observation and kernel block, so a block makes one kernel
+        call, over the prior steps and the observations at the proposed end
+        points, and sums the changes per owner.
 
         Returns the per-knot changes and, for the prior and the observation
         terms, the (term indices, owning position in ks, new values) of the
         terms the block touches; the prior's indices are a slice.
         """
-        m = self.m
         first, length = int(ks[0]), len(ks)
-        pairs, pair_owner, obs, obs_owner, rows, fractions, points = self._plan(first, length)
+        pairs, pair_owner, obs, obs_owner, rows, fractions, points, blocks = self._plan(first, length)
         proposed = self.knots.copy()
         proposed[first : first + 2 * length - 1 : 2] = values
         starts, ends = proposed[pairs], proposed[pairs.start + 1 : pairs.stop + 1]
-        new_prior = self.prior.log_steps(m, starts, ends)
+        new_prior, new_obs = self._terms(blocks, starts, ends, rows, fractions, points)
         delta = np.bincount(pair_owner, weights=new_prior - self.prior_terms[pairs], minlength=length)
-        new_obs = self._obs_log_density(starts, ends, rows, fractions, points)
         delta += np.bincount(obs_owner, weights=new_obs - self.obs_terms[obs], minlength=length)
         return delta, (pairs, pair_owner, new_prior), (obs, obs_owner, new_obs)
 

@@ -9,7 +9,10 @@ Heat kernels follow the Delta/2 generator convention: an eigenvalue lam of the
 Laplace-Beltrami operator contributes exp(-lam * t / 2), so on the circle the
 time-t kernel is the wrapped normal with variance t.  Each manifold has one
 kernel body, log_heat_kernel_pairwise, finite at every t > 0 and every pair;
-heat_kernel_pairwise is its exp.  Sums keep every term down to
+heat_kernel_pairwise is its exp.  It also takes (time, rows) blocks that
+split the pairs' leading axis, each scored at its own time with the bits of
+a call at that time alone, so a colour run of the inference engine scores
+its prior steps and its observations in one call.  Sums keep every term down to
 SERIES_TOLERANCE (1e-14), with term counts taken from t, never capped; once
 every term past the constant is below it, the log kernel is -log(volume).
 
@@ -128,6 +131,57 @@ def _check_time(t: float) -> float:
     return t
 
 
+@functools.lru_cache(maxsize=512)
+def _block_spans(blocks: tuple, leading: int) -> tuple:
+    """((row slice, checked time), ...) of (time, rows) blocks laid end to end over a leading axis,
+    which they must cover."""
+    spans, start = [], 0
+    for t, rows in blocks:
+        if rows < 0:
+            raise ValueError(f"a kernel block needs rows >= 0, got {rows}")
+        spans.append((slice(start, start + rows), _check_time(t)))
+        start += rows
+    if not spans or start != leading:
+        raise ValueError(f"kernel blocks need at least one block and cover {start} rows, the pairs have {leading}")
+    return tuple(spans)
+
+
+def _circle_images(t: float) -> int:
+    """The K of the images |k| <= K that the circle kernel keeps at time t."""
+    return max(1, math.ceil(0.5 * (math.sqrt(1.0 + 2.0 * _LOG_TOL * t / math.pi**2) - 1.0)))
+
+
+@functools.lru_cache(maxsize=512)
+def _circle_factors(blocks: tuple, shape: tuple) -> tuple:
+    """circle_log_heat's per-row factors over (time, rows) blocks, for a gap of that shape.
+
+    2 pi / t, 2 t and -log(2 pi t) / 2, each taken once per block in the
+    float call's arithmetic and laid out in the gap's shape, so every
+    product runs over contiguous rows; then the (rows, t, K) of each block
+    that keeps image -1 and is not flat, and the rows of each flat block.
+    """
+    spans = _block_spans(blocks, shape[0])
+    counts = [(rows.stop - rows.start) * math.prod(shape[1:]) for rows, _ in spans]
+
+    def per_row(factor):
+        return np.repeat([factor(t) for _, t in spans], counts).reshape(shape)
+
+    far = [
+        (rows, t, _circle_images(t)) for rows, t in spans if 2.0 * math.pi**2 < _LOG_TOL * t and t < _CIRCLE_FLAT_TIME
+    ]
+    flat = [rows for rows, t in spans if t >= _CIRCLE_FLAT_TIME]
+    scale, twice = per_row(lambda t: TWO_PI / t), per_row(lambda t: 2.0 * t)
+    return scale, twice, per_row(lambda t: -0.5 * math.log(TWO_PI * t)), far, flat
+
+
+def _far_images(rest, g, t: float, images: int):
+    """rest plus images -1 and 2 <= |k| <= images over image 0, in the order the kernel adds them."""
+    rest = rest + np.exp((-TWO_PI / t) * (g + math.pi))
+    for k in range(2, images + 1):
+        rest = rest + np.exp((TWO_PI * k / t) * (g - math.pi * k)) + np.exp((-TWO_PI * k / t) * (g + math.pi * k))
+    return rest
+
+
 def circle_log_heat(gap, t):
     """log p_t on the circle by the wrapped-Gaussian image sum, in log form.
 
@@ -138,21 +192,37 @@ def circle_log_heat(gap, t):
     whose peak (at gap 0) is exp(-2 pi^2 / t): it is kept only once
     2 pi^2 < log(1 / SERIES_TOLERANCE) t, that is above t = 0.6123.  From
     _CIRCLE_FLAT_TIME on the kernel is flat, -log(2 pi).
+
+    t may also be a tuple of (time, rows) blocks that partition the gap's
+    leading axis (Manifold.log_heat_kernel_pairwise).  The gap is folded
+    once; the closed form and image +1 read per-row factors from a memo
+    keyed by the blocks (_circle_factors); each block adds its further
+    images, or takes the flat value, on its own rows.  Every row keeps the
+    bits of a call at its block's time alone.
     """
-    t = _check_time(t)
-    if t >= _CIRCLE_FLAT_TIME:
-        return np.full(np.shape(gap), -math.log(TWO_PI))
+    blocked = isinstance(t, tuple)
+    if blocked:
+        scale, twice, const, far, flat = _circle_factors(t, np.shape(gap))
+    else:
+        t = _check_time(t)
+        if t >= _CIRCLE_FLAT_TIME:
+            return np.full(np.shape(gap), -math.log(TWO_PI))
+        scale, twice, const = TWO_PI / t, 2.0 * t, -0.5 * math.log(TWO_PI * t)
     # fmod equals mod bit for bit on nonnegative input, and is faster
     g = np.fmod(np.abs(np.asarray(gap, dtype=float)), TWO_PI)
     g = np.minimum(g, TWO_PI - g)
-    images = max(1, math.ceil(0.5 * (math.sqrt(1.0 + 2.0 * _LOG_TOL * t / math.pi**2) - 1.0)))
-    # images -k and +k over image 0: exp(-2 pi k (pi k -/+ gap) / t); image -1 peaks at exp(-2 pi^2 / t)
-    rest = np.exp((TWO_PI / t) * (g - math.pi))
-    if 2.0 * math.pi**2 < _LOG_TOL * t:
-        rest = rest + np.exp((-TWO_PI / t) * (g + math.pi))
-    for k in range(2, images + 1):
-        rest = rest + np.exp((TWO_PI * k / t) * (g - math.pi * k)) + np.exp((-TWO_PI * k / t) * (g + math.pi * k))
-    return -0.5 * math.log(TWO_PI * t) - g * g / (2.0 * t) + np.log1p(rest)
+    # images -1 and +1 over image 0: exp(-2 pi (pi -/+ gap) / t); image -1 peaks at exp(-2 pi^2 / t)
+    rest = np.exp(scale * (g - math.pi))
+    if not blocked:
+        if 2.0 * math.pi**2 < _LOG_TOL * t:
+            rest = _far_images(rest, g, t, _circle_images(t))
+        return const - g * g / twice + np.log1p(rest)
+    for rows, tk, images in far:
+        rest[rows] = _far_images(rest[rows], g[rows], tk, images)
+    out = const - g * g / twice + np.log1p(rest)
+    for rows in flat:
+        out[rows] = -math.log(TWO_PI)
+    return out
 
 
 def circle_heat_eigen(gap, t):
@@ -404,17 +474,21 @@ class Manifold(ABC):
         """p_t(x, y) for two single points: the scalar form of heat_kernel_pairwise."""
         return float(self.heat_kernel_pairwise(t, x, y))
 
-    def heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
-        """p_t(x, y), the exp of log_heat_kernel_pairwise; it underflows to 0 far out in the tail."""
+    def heat_kernel_pairwise(self, t, xs, ys) -> np.ndarray:
+        """p_t(x, y), the exp of log_heat_kernel_pairwise (t a time or blocks of one); it underflows to 0 far out
+        in the tail."""
         return np.exp(self.log_heat_kernel_pairwise(t, xs, ys))
 
     @abstractmethod
-    def log_heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
+    def log_heat_kernel_pairwise(self, t, xs, ys) -> np.ndarray:
         """log p_t(x, y), finite and bitwise symmetric in x, y, over broadcast arrays of points.
 
         Leading shapes broadcast: rows pair row by row, a single point goes
         against every row, and xs[:, None] against ys[None] is the full
-        cross matrix.
+        cross matrix.  t is a time, or a tuple of (time, rows) blocks that
+        partition the leading axis of the broadcast pairs in order: each
+        block's rows are scored at its own time, in one pass, with the bits
+        of a call at that time on those rows alone.
         """
 
     # -- sampling --------------------------------------------------------------
@@ -478,7 +552,7 @@ class Circle(AngleManifold):
     # its absolute value and folds it into [0, pi] itself, so the kernel is
     # bitwise symmetric under swapping x and y.
 
-    def log_heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
+    def log_heat_kernel_pairwise(self, t, xs, ys) -> np.ndarray:
         return circle_log_heat(np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float), t)
 
     def sample_heat_kernel(self, t: float, x, rng: np.random.Generator) -> float:
@@ -585,8 +659,14 @@ class Sphere(Manifold):
         out = np.cos(angle) * xs + np.sin(angle) * (vs / np.where(angle > 0.0, angle, 1.0))
         return out / _row_norm(out)
 
-    def log_heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
-        return sphere_log_heat(self.distance(xs, ys), t)
+    def log_heat_kernel_pairwise(self, t, xs, ys) -> np.ndarray:
+        gamma = self.distance(xs, ys)
+        if not isinstance(t, tuple):
+            return sphere_log_heat(gamma, t)
+        out = np.empty(gamma.shape)
+        for rows, tk in _block_spans(t, len(gamma)):
+            out[rows] = sphere_log_heat(gamma[rows], tk)
+        return out
 
     # -- sampling ------------------------------------------------------------
 
@@ -663,7 +743,7 @@ class Torus(AngleManifold):
         g0, g1 = gaps[..., 0], gaps[..., 1]
         return np.sqrt(g0 * g0 + g1 * g1)
 
-    def log_heat_kernel_pairwise(self, t: float, xs, ys) -> np.ndarray:
+    def log_heat_kernel_pairwise(self, t, xs, ys) -> np.ndarray:
         # As on the circle, gaps are y - x per axis so the kernel is bitwise
         # symmetric in its two points; the log factors add.
         parts = circle_log_heat(np.asarray(ys, dtype=float) - np.asarray(xs, dtype=float), t)

@@ -127,6 +127,11 @@ def segment_points(m: Manifold, starts: np.ndarray, ends: np.ndarray, rows, s, a
     return m.exp_map(starts.take(rows, axis), s * tangents.take(rows, axis))
 
 
+def is_count(value) -> bool:
+    """Whether value is an integer count: a Python or numpy integer, and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def constant_path(manifold: Manifold, point, segments: int = 1) -> PiecewiseGeodesicPath:
     """Path fixed at one point (every knot equal)."""
     return PiecewiseGeodesicPath(manifold, [point] * (segments + 1))
@@ -140,7 +145,7 @@ class PriorSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.segments, numbers.Integral) or isinstance(self.segments, bool) or self.segments < 1:
+        if not is_count(self.segments) or self.segments < 1:
             raise ValueError(f"segments must be an integer >= 1, got {self.segments!r}")
         if not 0.0 < self.scale < math.inf:
             raise ValueError("scale must be positive and finite")

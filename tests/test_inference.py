@@ -508,6 +508,55 @@ def test_update_counts_guard_the_benchmark(K, counted):
     _assert_blocks_are_colour_runs(counted["blocks"], K)
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts log-kernel calls: those the engine makes as it starts, and those of each colour block."""
+    record = {"calls": 0, "starts": [], "blocks": []}
+
+    def counting(body):
+        def counting_body(self, *args, **kwargs):
+            record["calls"] += 1
+            return body(self, *args, **kwargs)
+
+        return counting_body
+
+    def counted_during(method, key):
+        def wrapped(self, *args, **kwargs):
+            before = record["calls"]
+            out = method(self, *args, **kwargs)
+            record[key].append(record["calls"] - before)
+            return out
+
+        return wrapped
+
+    classes = [Manifold]
+    for cls in classes:
+        classes.extend(cls.__subclasses__())
+        if "log_heat_kernel_pairwise" in vars(cls):
+            monkeypatch.setattr(cls, "log_heat_kernel_pairwise", counting(vars(cls)["log_heat_kernel_pairwise"]))
+    monkeypatch.setattr(_Blocked, "__init__", counted_during(_Blocked.__init__, "starts"))
+    monkeypatch.setattr(_Blocked, "_update_block", counted_during(_Blocked._update_block, "blocks"))
+    return record
+
+
+@pytest.mark.parametrize("sigma", SIGMAS, ids=["known", "marginal"])
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+def test_each_colour_block_makes_one_kernel_call(kind, sigma, kernel_calls):
+    # the prior steps and every noise time's observation terms share one call
+    m, data, spec, _, _ = _engine_problem(kind, sigma)
+    kernel_calls["starts"] = []
+    cfg = AnnealConfig(cooling_factor=0.5, steps_per_temperature=37, temperature_floor=0.05)
+    anneal_map(data, sigma, spec, cfg, m, np.random.default_rng(4))
+    assert kernel_calls["starts"] == [1]
+    assert len(kernel_calls["blocks"]) > 1 and set(kernel_calls["blocks"]) == {1}
+
+    kernel_calls["starts"], kernel_calls["blocks"] = [], []
+    mcmc = McmcConfig(iterations=203, burn_in=21, thinning=7, proposal_time=0.05)
+    mh_sample(data, sigma, spec, mcmc, m, np.random.default_rng(4))
+    assert kernel_calls["starts"] == [1]
+    assert len(kernel_calls["blocks"]) > 1 and set(kernel_calls["blocks"]) == {1}
+
+
 def _thinned_chain_by_advance_calls(data, sigma, spec, cfg, m, rng):
     """Stored knots and acceptance rate of a chain cut by advance(burn_in) and advance(thinning) calls."""
     engine = _Blocked(m, init_state(data, spec.segments, m).knots, spec, data, sigma)

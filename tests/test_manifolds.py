@@ -19,6 +19,8 @@ from scipy.integrate import cumulative_trapezoid
 
 from bmreg.manifolds import (
     SPHERE_SEAM_TIME,
+    _CIRCLE_FLAT_TIME,
+    _SPHERE_FLAT_TIME,
     Circle,
     InvalidTimeError,
     Sphere,
@@ -27,6 +29,7 @@ from bmreg.manifolds import (
     _polar_cdf,
     _sphere_frame,
     _sphere_table,
+    _sphere_table_edge,
     circle_heat_eigen,
     circle_log_heat,
     make_manifold,
@@ -451,6 +454,60 @@ def test_huge_times_give_the_flat_kernel_at_once(kind, t):
         draws = m.sample_heat_kernel_many(t, xs, np.random.default_rng(6))
     assert_allclose(logs, -math.log(m.volume), rtol=0, atol=1e-14)
     assert draws.shape == xs.shape and np.all(np.isfinite(draws))
+
+
+# the harness's prior steps and noise times; image -1's boundary 2 pi^2 / log(1e14)
+# and either side of it; times with images |k| >= 2; both flat times
+_IMAGE_MINUS_ONE_TIME = 2.0 * math.pi**2 / math.log(1e14)
+BLOCK_TIMES = (
+    [5e-5, 2.5e-4, 1 / 14, 0.2, 0.1, 0.05]
+    + [0.6, math.nextafter(_IMAGE_MINUS_ONE_TIME, 0.0), _IMAGE_MINUS_ONE_TIME, 0.8, 1.0]
+    + [1.3, 3.0, 5.0, _CIRCLE_FLAT_TIME, _SPHERE_FLAT_TIME]
+)
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+def test_block_kernel_rows_match_float_calls_bit_for_bit(kind):
+    # every block of one multi-block call, an empty one and a repeated time
+    # among them, has the bits of a float call on its rows alone
+    m = make_manifold(kind)
+    rng = np.random.default_rng(43)
+    blocks = tuple((t, 37) for t in BLOCK_TIMES) + ((0.1, 0), (0.1, 5))
+    n = sum(rows for _, rows in blocks)
+    xs, ys = m.sample_uniform_many(n, rng), m.sample_uniform_many(n, rng)
+    out = m.log_heat_kernel_pairwise(blocks, xs, ys)
+    assert out.shape == (n,)
+    start = 0
+    for t, rows in blocks:
+        part = slice(start, start + rows)
+        assert np.array_equal(out[part], m.log_heat_kernel_pairwise(t, xs[part], ys[part])), t
+        if kind == "sphere" and t in (2.5e-4, 0.1) and rows:
+            # below and above the seam, some angles lie beyond the table's edge
+            assert (m.distance(xs[part], ys[part]) > _sphere_table_edge(t)).any()
+        start += rows
+    assert np.array_equal(np.exp(out), m.heat_kernel_pairwise(blocks, xs, ys))
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+@pytest.mark.parametrize("t", BLOCK_TIMES)
+def test_one_block_kernel_call_is_the_float_call(kind, t):
+    m = make_manifold(kind)
+    rng = np.random.default_rng(47)
+    xs, ys = m.sample_uniform_many(64, rng), m.sample_uniform_many(64, rng)
+    assert np.array_equal(m.log_heat_kernel_pairwise(((t, 64),), xs, ys), m.log_heat_kernel_pairwise(t, xs, ys))
+
+
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+def test_block_kernel_refuses_blocks_that_miss_the_rows(kind):
+    m = make_manifold(kind)
+    xs = m.sample_uniform_many(4, np.random.default_rng(53))
+    for blocks in [((0.1, 3),), ((0.1, 2), (0.2, 3)), ((0.1, 5), (0.2, -1))]:
+        with pytest.raises(ValueError, match="rows"):
+            m.log_heat_kernel_pairwise(blocks, xs, xs[::-1])
+    with pytest.raises(ValueError, match="at least one"):
+        m.log_heat_kernel_pairwise((), xs[:0], xs[:0])
+    with pytest.raises(InvalidTimeError):
+        m.log_heat_kernel_pairwise(((0.1, 2), (0.0, 2)), xs, xs[::-1])
 
 
 def test_sphere_draws_and_evaluates_past_the_series_domain():

@@ -146,6 +146,29 @@ def test_marginal_log_sum_exp_matches_linear_average(kind):
     assert_allclose(marg.log_density(m, values, points), want, rtol=0, atol=1e-12)
 
 
+def _marginal_log_density_by_node(marg, m, values, points):
+    """The band's density as one kernel call per node: the reference of the one block call."""
+    times, weights = marg.quadrature()
+    log_weights = np.log(weights / np.sum(weights))[:, None]
+    terms = [m.log_heat_kernel_pairwise(t_j, values, points) for t_j in times.tolist()]
+    return np.logaddexp.reduce(np.stack(terms) + log_weights, axis=0)
+
+
+@pytest.mark.parametrize("bound", [1.5, 3.0, 10.0])
+@pytest.mark.parametrize("kind", ["circle", "sphere", "torus"])
+def test_noise_densities_match_their_per_node_calls_bit_for_bit(kind, bound):
+    # at each bound some nodes lie past the circle's image -1 time (0.6123) and
+    # its |k| = 2 time (1.225); the known variance is the float call
+    m = make_manifold(kind)
+    rng = np.random.default_rng(31)
+    values, points = m.sample_uniform_many(50, rng), m.sample_uniform_many(50, rng)
+    marg = MarginalVariance(bound=bound)
+    assert np.array_equal(marg.log_density(m, values, points), _marginal_log_density_by_node(marg, m, values, points))
+    for sigma2 in (0.05, 0.1, 0.5, 3.0):
+        want = m.log_heat_kernel_pairwise(sigma2, values, points)
+        assert np.array_equal(KnownVariance(sigma2).log_density(m, values, points), want)
+
+
 def test_marginal_quadrature_covers_interval():
     marg = MarginalVariance(bound=3.0)
     times, weights = marg.quadrature()
